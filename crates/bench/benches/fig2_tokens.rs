@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pce_bench::bench_study;
 use pce_core::figures::build_fig2;
 use pce_core::study::StudyData;
-use pce_dataset::run_pipeline;
+use pce_dataset::{run_pipeline_cached, tokenize_corpus};
+use pce_gpu_sim::SimCaches;
 
 fn bench_fig2(c: &mut Criterion) {
     let study = bench_study();
@@ -17,7 +18,15 @@ fn bench_fig2(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(build_fig2(&data.split)))
     });
     g.bench_function("full_pipeline", |b| {
-        b.iter(|| std::hint::black_box(run_pipeline(&data.corpus, &study.pipeline)))
+        b.iter(|| {
+            let tokenized = tokenize_corpus(&data.corpus, &study.pipeline);
+            std::hint::black_box(run_pipeline_cached(
+                &data.corpus,
+                &tokenized,
+                &study.pipeline,
+                &SimCaches::new(),
+            ))
+        })
     });
     g.finish();
 }

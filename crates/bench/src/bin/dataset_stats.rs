@@ -4,7 +4,8 @@
 use pce_bench::study_from_args;
 use pce_core::report::render_funnel;
 use pce_core::study::StudyData;
-use pce_dataset::run_pipeline;
+use pce_dataset::{run_pipeline_cached, tokenize_corpus};
+use pce_gpu_sim::SimCaches;
 
 fn main() {
     let study = study_from_args();
@@ -20,11 +21,14 @@ fn main() {
         );
     }
 
+    // The cutoff only moves pruning: tokenize once, profile once.
     println!("Token-cutoff ablation:");
+    let tokenized = tokenize_corpus(&data.corpus, &study.pipeline);
+    let caches = SimCaches::new();
     for cutoff in [2_000usize, 4_000, 8_000, 16_000] {
         let mut cfg = study.pipeline.clone();
         cfg.max_tokens = cutoff;
-        let (_, _, report) = run_pipeline(&data.corpus, &cfg);
+        let (_, _, report) = run_pipeline_cached(&data.corpus, &tokenized, &cfg, &caches);
         let kept: usize = report.after_prune.values().sum();
         println!(
             "  cutoff {:>6}: kept {:>4} programs, final dataset {:>4}",

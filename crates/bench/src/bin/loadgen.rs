@@ -35,13 +35,86 @@ use std::time::Instant;
 
 use pce_bench::{flag_value, study_from_args};
 use pce_core::caches::CacheBudget;
-use pce_core::serve::{
-    IdentityCheck, Job, PredictionService, ServeBenchReport, ServeConfig, StormReport, ThreadPoint,
-};
+use pce_core::serve::{Job, PredictionService, ServeConfig};
 use pce_core::study::Study;
 use pce_llm::model_zoo;
 use pce_prompt::ShotStyle;
 use pce_roofline::HardwareSpec;
+
+/// The committed `BENCH_serve.json` shape: the `loadgen` bin's latency /
+/// throughput baseline plus its bounded-vs-unbounded identity check and
+/// (since the overload work) its storm-mode shedding profile.
+#[derive(Debug, serde::Serialize)]
+struct ServeBenchReport {
+    /// Jobs replayed per measured run.
+    jobs: usize,
+    /// Admission batch size.
+    batch: usize,
+    /// Job-mix seed.
+    seed: u64,
+    /// Per-cache byte capacity of the bounded runs.
+    cache_bytes: u64,
+    /// Bounded-vs-unbounded determinism check.
+    identity: IdentityCheck,
+    /// One latency/throughput point per measured thread count.
+    threads: Vec<ThreadPoint>,
+    /// Overload behavior under `loadgen --storm` (`null` without it).
+    storm: Option<StormReport>,
+}
+
+/// Result of replaying the same job mix against a bounded and an
+/// unbounded service.
+#[derive(Debug, serde::Serialize)]
+struct IdentityCheck {
+    /// Whether the two response transcripts were byte-identical.
+    bounded_equals_unbounded: bool,
+    /// Evictions the bounded run performed (must be > 0 for the check to
+    /// mean anything).
+    evictions: u64,
+    /// Resident cache bytes in the bounded service after the run.
+    resident_bytes: u64,
+}
+
+/// Latency/throughput at one `RAYON_NUM_THREADS` setting. Per-job latency
+/// is its admission batch's wall-clock (every job in a batch completes
+/// when the batch does).
+#[derive(Debug, serde::Serialize)]
+struct ThreadPoint {
+    /// Worker threads.
+    threads: usize,
+    /// Median per-job latency in milliseconds.
+    p50_ms: f64,
+    /// 99th-percentile per-job latency in milliseconds.
+    p99_ms: f64,
+    /// Sustained predictions per second over the whole run.
+    predictions_per_sec: f64,
+    /// Total wall-clock of the run in milliseconds.
+    total_ms: f64,
+}
+
+/// Shedding and goodput under the `loadgen --storm` overload run.
+#[derive(Debug, serde::Serialize)]
+struct StormReport {
+    /// Jobs submitted by the storm.
+    jobs: usize,
+    /// Admission queue depth the storm ran against.
+    queue_depth: usize,
+    /// Per-job deadline applied by the storm, in virtual ms.
+    deadline_ms: u64,
+    /// Jobs answered with a completion.
+    completed: u64,
+    /// Jobs shed under load (queue, breaker, or drain).
+    shed: u64,
+    /// Jobs that missed their deadline.
+    expired: u64,
+    /// `shed / jobs`.
+    shed_rate: f64,
+    /// Completed predictions per wall-clock second.
+    goodput_per_sec: f64,
+    /// Whether the storm transcript was byte-identical across the
+    /// measured thread counts.
+    transcript_identical_across_threads: bool,
+}
 
 /// Deterministic splitmix64 stream for the job mix.
 struct Mix(u64);

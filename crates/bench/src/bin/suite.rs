@@ -9,12 +9,6 @@
 //! class for its axis is rejected by name). Default is paper scale across
 //! the full preset catalog: every GPU preset × every CPU preset.
 //!
-//! `--timings [path]` additionally instruments the run: per-stage
-//! wall-clock and cache-hit counters are printed and written as JSON
-//! (default `BENCH_suite.json`) — the perf baseline future PRs measure
-//! against. The rendered reports are byte-identical with or without the
-//! flag.
-//!
 //! `--chaos <seed>` turns on deterministic fault injection against the
 //! surrogate engine (truncations, mangled answers, refusals, timeouts,
 //! transient errors); `--fault-rate <r>` sets the total injection
@@ -22,10 +16,10 @@
 //! failed responses land in a response ledger rendered with the reports —
 //! and the same seed reproduces the same faults byte-for-byte.
 
-use pce_bench::{chaos_from_args, parse_specs_of, study_from_args, timings_path_from_args};
+use pce_bench::{chaos_from_args, parse_specs_of, study_from_args};
 use pce_core::caches::SuiteCaches;
 use pce_core::report::{render_accounting_csv, render_flips_csv, render_suite, render_suite_csv};
-use pce_core::suite::{run_suite, run_suite_timed, Suite};
+use pce_core::suite::{run_suite_cached, Suite};
 use pce_roofline::{HardwareSpec, SpecClass};
 
 /// Resolve one axis flag (`--specs` / `--cpu-specs`) to a preset list, or
@@ -87,25 +81,7 @@ fn main() {
         cpu_specs,
     };
 
-    let timings = timings_path_from_args(&args);
-    let run = match &timings {
-        None => run_suite(&suite),
-        Some(path) => run_suite_timed(&suite, &SuiteCaches::new()).map(|(outcome, bench)| {
-            match serde_json::to_string_pretty(&bench) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(path, &json) {
-                        eprintln!("cannot write {path}: {e}");
-                        std::process::exit(2);
-                    }
-                    eprintln!("wrote {path}");
-                }
-                Err(e) => eprintln!("cannot serialize bench report: {e}"),
-            }
-            eprintln!("{}", bench.summary());
-            outcome
-        }),
-    };
-    let outcome = match run {
+    let outcome = match run_suite_cached(&suite, &SuiteCaches::new()) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("suite failed: {e}");

@@ -14,11 +14,12 @@
 //! | `rq4_finetune` | §3.7 fine-tuning collapse |
 //! | `hyperparams` | §3.2 chi-squared sampling-parameter check |
 //! | `dataset_stats` | §2.1–2.2 dataset funnel |
-//! | `pipeline` | Streamed pipeline at 10k+-variant scale (`BENCH_pipeline.json`) |
 //!
 //! All binaries accept `--smoke` for a reduced-scale run (CI-friendly) and
 //! default to the paper-scale study otherwise; `suite` also accepts
-//! `--specs <name,name,...>` to pick the hardware matrix rows.
+//! `--specs <name,name,...>` to pick the hardware matrix rows. The
+//! repository benchmark that times the pipeline and the suite lives in
+//! `perfbench/`.
 
 use pce_core::study::{ChaosConfig, Study};
 use pce_roofline::{HardwareSpec, SpecClass};
@@ -37,20 +38,6 @@ pub fn study_from_args() -> Study {
 /// representative, small enough to iterate.
 pub fn bench_study() -> Study {
     Study::smoke()
-}
-
-/// Parse the `--timings [path]` convention: `None` when the flag is
-/// absent, otherwise the output path for the timing JSON (default
-/// `BENCH_suite.json`). A following argument is treated as the path
-/// unless it looks like another flag.
-pub fn timings_path_from_args(args: &[String]) -> Option<String> {
-    let at = args.iter().position(|a| a == "--timings")?;
-    Some(
-        args.get(at + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_suite.json".to_string()),
-    )
 }
 
 /// The value following `flag`, when present and not itself a flag.
@@ -163,24 +150,6 @@ mod tests {
         );
         // Empty segments are skipped, an empty list parses to no specs.
         assert!(parse_specs(" , ,").unwrap().is_empty());
-    }
-
-    #[test]
-    fn timings_flag_parses_with_and_without_path() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(timings_path_from_args(&args(&["suite", "--smoke"])), None);
-        assert_eq!(
-            timings_path_from_args(&args(&["suite", "--timings"])),
-            Some("BENCH_suite.json".to_string())
-        );
-        assert_eq!(
-            timings_path_from_args(&args(&["suite", "--timings", "out.json"])),
-            Some("out.json".to_string())
-        );
-        assert_eq!(
-            timings_path_from_args(&args(&["suite", "--timings", "--smoke"])),
-            Some("BENCH_suite.json".to_string())
-        );
     }
 
     #[test]

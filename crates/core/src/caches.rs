@@ -102,9 +102,8 @@ impl SuiteCaches {
     }
 }
 
-/// Per-cache hit/miss counters across the bundle, serialized into
-/// `BENCH_suite.json` by the `suite` bin. Every layer reports through the
-/// shared [`CacheCounters`] type from `pce-memo`.
+/// Per-cache hit/miss counters across the bundle. Every layer reports
+/// through the shared [`CacheCounters`] type from `pce-memo`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheReport {
     /// Hardware-independent body-summary folds (gpu-sim).

@@ -22,12 +22,15 @@
 //! * [`report`] — markdown/CSV rendering of all of the above.
 //!
 //! ```no_run
+//! use pce_core::caches::SuiteCaches;
 //! use pce_core::study::{Study, StudyData};
-//! use pce_core::table1::build_table1;
+//! use pce_core::table1::{build_table1_from_bank_cached, Rq1Bank};
 //!
 //! let study = Study::default();
 //! let data = StudyData::build(&study).expect("study builds");
-//! let table = build_table1(&study, &data);
+//! let caches = SuiteCaches::new();
+//! let bank = Rq1Bank::build_cached(&study, &caches.llm);
+//! let table = build_table1_from_bank_cached(&study, &data.dataset.samples, &bank, &caches).table;
 //! println!("{}", pce_core::report::render_table1(&table));
 //! ```
 
@@ -45,6 +48,4 @@ pub mod table1;
 pub use caches::{CacheBudget, CacheReport, SuiteCaches};
 pub use serve::{Command, Job, PredictionService};
 pub use study::{ChaosConfig, Study, StudyData};
-pub use suite::{
-    run_suite, run_suite_cached, run_suite_timed, CellOutcome, Suite, SuiteBench, SuiteOutcome,
-};
+pub use suite::{run_suite_cached, CellOutcome, Suite, SuiteOutcome};

@@ -423,7 +423,8 @@ mod tests {
             pce_roofline::HardwareSpec::rtx_3080(),
             pce_roofline::HardwareSpec::a100(),
         ]);
-        let outcome = crate::suite::run_suite(&suite).unwrap();
+        let outcome =
+            crate::suite::run_suite_cached(&suite, &crate::caches::SuiteCaches::new()).unwrap();
 
         let md = render_suite(&outcome);
         for s in outcome.completed() {

@@ -109,83 +109,6 @@ use pce_roofline::{classify_joint, Boundedness, HardwareSpec};
 use crate::caches::{CacheBudget, SuiteCaches};
 use crate::study::Study;
 
-/// The committed `BENCH_serve.json` shape: the `loadgen` bin's latency /
-/// throughput baseline plus its bounded-vs-unbounded identity check and
-/// (since the overload work) its storm-mode shedding profile.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ServeBenchReport {
-    /// Jobs replayed per measured run.
-    pub jobs: usize,
-    /// Admission batch size.
-    pub batch: usize,
-    /// Job-mix seed.
-    pub seed: u64,
-    /// Per-cache byte capacity of the bounded runs.
-    pub cache_bytes: u64,
-    /// Bounded-vs-unbounded determinism check.
-    pub identity: IdentityCheck,
-    /// One latency/throughput point per measured thread count.
-    pub threads: Vec<ThreadPoint>,
-    /// Overload behavior under `loadgen --storm` (absent in reports
-    /// written before storm mode existed).
-    #[serde(default)]
-    pub storm: Option<StormReport>,
-}
-
-/// Result of replaying the same job mix against a bounded and an
-/// unbounded service.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct IdentityCheck {
-    /// Whether the two response transcripts were byte-identical.
-    pub bounded_equals_unbounded: bool,
-    /// Evictions the bounded run performed (must be > 0 for the check to
-    /// mean anything).
-    pub evictions: u64,
-    /// Resident cache bytes in the bounded service after the run.
-    pub resident_bytes: u64,
-}
-
-/// Latency/throughput at one `RAYON_NUM_THREADS` setting. Per-job latency
-/// is its admission batch's wall-clock (every job in a batch completes
-/// when the batch does).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ThreadPoint {
-    /// Worker threads.
-    pub threads: usize,
-    /// Median per-job latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile per-job latency in milliseconds.
-    pub p99_ms: f64,
-    /// Sustained predictions per second over the whole run.
-    pub predictions_per_sec: f64,
-    /// Total wall-clock of the run in milliseconds.
-    pub total_ms: f64,
-}
-
-/// Shedding and goodput under the `loadgen --storm` overload run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct StormReport {
-    /// Jobs submitted by the storm.
-    pub jobs: usize,
-    /// Admission queue depth the storm ran against.
-    pub queue_depth: usize,
-    /// Per-job deadline applied by the storm, in virtual ms.
-    pub deadline_ms: u64,
-    /// Jobs answered with a completion.
-    pub completed: u64,
-    /// Jobs shed under load (queue, breaker, or drain).
-    pub shed: u64,
-    /// Jobs that missed their deadline.
-    pub expired: u64,
-    /// `shed / jobs`.
-    pub shed_rate: f64,
-    /// Completed predictions per wall-clock second.
-    pub goodput_per_sec: f64,
-    /// Whether the storm transcript was byte-identical across the
-    /// measured thread counts.
-    pub transcript_identical_across_threads: bool,
-}
-
 /// One prediction job, as parsed from a `predict` line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Job {

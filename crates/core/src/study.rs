@@ -2,8 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use pce_dataset::{run_pipeline, Dataset, PipelineConfig, PipelineReport, Split};
+use pce_dataset::{
+    run_pipeline_cached, tokenize_corpus, Dataset, PipelineConfig, PipelineReport, Split,
+};
 use pce_fault::{FaultPlan, PceError, RetryPolicy};
+use pce_gpu_sim::SimCaches;
 use pce_kernels::{build_corpus, CorpusConfig, Program};
 use pce_roofline::SpecPair;
 
@@ -116,12 +119,14 @@ pub struct StudyData {
 }
 
 impl StudyData {
-    /// Build everything once; reused by every experiment. Fails only when
-    /// corpus generation does (a family registry violation, surfaced as
-    /// [`PceError::Spec`]).
+    /// Build everything once, on cold caches; reused by every experiment.
+    /// Fails only when corpus generation does (a family registry
+    /// violation, surfaced as [`PceError::Spec`]).
     pub fn build(study: &Study) -> Result<StudyData, PceError> {
         let corpus = build_corpus(&study.corpus)?;
-        let (dataset, split, report) = run_pipeline(&corpus, &study.pipeline);
+        let tokenized = tokenize_corpus(&corpus, &study.pipeline);
+        let (dataset, split, report) =
+            run_pipeline_cached(&corpus, &tokenized, &study.pipeline, &SimCaches::new());
         Ok(StudyData {
             corpus,
             dataset,

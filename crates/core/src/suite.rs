@@ -11,7 +11,7 @@
 //!
 //! * the hardware-*independent* work (corpus generation, tokenizer
 //!   training, per-program token counts, the RQ1 random-roofline runs) is
-//!   done **once** in a [`SharedBuild`] and reused by every cell,
+//!   done **once** per [`run_suite_cached`] call and reused by every cell,
 //! * the hardware-*dependent* work (profiling, labeling, balancing,
 //!   RQ2/RQ3 classification) runs per (GPU, CPU) cell, with each cell's
 //!   pipeline routing CUDA kernels to the GPU spec and OMP kernels to the
@@ -26,7 +26,6 @@
 //! byte-identically under any `RAYON_NUM_THREADS`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -36,7 +35,7 @@ use pce_fault::{PceError, ResponseAccounting};
 use pce_kernels::{build_corpus, Language, Program};
 use pce_roofline::{Boundedness, HardwareSpec, SpecClass, SpecPair};
 
-use crate::caches::{CacheReport, SuiteCaches};
+use crate::caches::SuiteCaches;
 use crate::study::Study;
 use crate::table1::{build_table1_from_bank_cached, Rq1Bank, Table1};
 
@@ -104,85 +103,6 @@ impl Suite {
                 })
             })
             .collect()
-    }
-
-    /// Validate the matrix: both axes non-empty, correct spec classes.
-    ///
-    /// Returns human-readable problems; empty when the suite is runnable.
-    pub fn validate(&self) -> Vec<String> {
-        let mut problems = Vec::new();
-        if self.specs.is_empty() {
-            problems.push("suite needs at least one GPU spec".to_string());
-        }
-        if self.cpu_specs.is_empty() {
-            problems.push("suite needs at least one CPU spec".to_string());
-        }
-        for hw in &self.specs {
-            if hw.class != SpecClass::Gpu {
-                problems.push(format!("'{}' on the GPU axis is a {}", hw.name, hw.class));
-            }
-        }
-        for hw in &self.cpu_specs {
-            if hw.class != SpecClass::Cpu {
-                problems.push(format!("'{}' on the CPU axis is a {}", hw.name, hw.class));
-            }
-        }
-        problems
-    }
-}
-
-/// The hardware-independent half of the suite build, done once and shared
-/// by every cell: the corpus, its tokenization, and the RQ1 bank.
-#[derive(Debug, Clone)]
-pub struct SharedBuild {
-    /// The generated corpus (shared verbatim by every cell).
-    pub corpus: Vec<Program>,
-    /// One tokenizer training + token count pass over the corpus.
-    pub tokenized: TokenizedCorpus,
-    /// RQ1 outcomes per model (RQ1 prompts embed their own rooflines, so
-    /// they are hardware-independent too).
-    pub rq1: Rq1Bank,
-}
-
-impl SharedBuild {
-    /// Build the shared half from the suite's base study. Fails only when
-    /// corpus generation does.
-    pub fn build(suite: &Suite) -> Result<SharedBuild, PceError> {
-        SharedBuild::build_cached(suite, &SuiteCaches::new())
-    }
-
-    /// [`SharedBuild::build`] against a shared cache bundle (the RQ1 bank
-    /// routes its prompt parsing through the bundle's caches).
-    pub fn build_cached(suite: &Suite, caches: &SuiteCaches) -> Result<SharedBuild, PceError> {
-        SharedBuild::build_instrumented(suite, caches, &mut |_, _| {})
-    }
-
-    /// The one shared-build implementation: both the plain and the timed
-    /// suite runners go through here, so the stage sequence cannot
-    /// silently diverge between them. `stage` observes each completed
-    /// stage (name, start instant).
-    fn build_instrumented(
-        suite: &Suite,
-        caches: &SuiteCaches,
-        stage: &mut dyn FnMut(&'static str, Instant),
-    ) -> Result<SharedBuild, PceError> {
-        let t = Instant::now();
-        let corpus = build_corpus(&suite.base.corpus)?;
-        stage("corpus", t);
-
-        let t = Instant::now();
-        let tokenized = tokenize_corpus(&corpus, &suite.base.pipeline);
-        stage("tokenize", t);
-
-        let t = Instant::now();
-        let rq1 = Rq1Bank::build_cached(&suite.base, &caches.llm);
-        stage("rq1-bank", t);
-
-        Ok(SharedBuild {
-            corpus,
-            tokenized,
-            rq1,
-        })
     }
 }
 
@@ -391,38 +311,24 @@ impl SuiteOutcome {
     }
 }
 
-/// Run the whole suite: shared build, then every (GPU, CPU, model) cell.
+/// Run the whole suite against a shared cache bundle: validate the axes,
+/// build the hardware-independent half once — the corpus, its
+/// tokenization, and the RQ1 bank — then evaluate every (GPU, CPU, model)
+/// cell and the flip analysis.
 ///
-/// Fails with [`PceError::Spec`] only when an axis is empty; any
-/// *per-cell* problem (a misclassed spec, chaos exhausting every retry)
-/// degrades that cell to [`CellOutcome::Failed`] instead.
-pub fn run_suite(suite: &Suite) -> Result<SuiteOutcome, PceError> {
-    run_suite_cached(suite, &SuiteCaches::new())
-}
-
-/// Run the whole suite against a shared cache bundle. Reusing one bundle
-/// across runs also reuses per-(kernel, spec) profiles and analyses;
-/// warm and cold bundles produce byte-identical outcomes.
+/// Fails with [`PceError::Spec`] when an axis is empty, or when corpus
+/// generation fails; any *per-cell* problem (a misclassed spec, chaos
+/// exhausting every retry) degrades that cell to [`CellOutcome::Failed`]
+/// instead. Reusing one bundle across runs also reuses per-(kernel, spec)
+/// profiles and analyses; pass a fresh [`SuiteCaches::new`] for a cold
+/// run. Warm and cold bundles produce byte-identical outcomes.
 pub fn run_suite_cached(suite: &Suite, caches: &SuiteCaches) -> Result<SuiteOutcome, PceError> {
-    let shared = SharedBuild::build_cached(suite, caches)?;
-    run_suite_shared_cached(suite, &shared, caches)
-}
-
-/// Run the suite against an existing [`SharedBuild`] (exposed so tests
-/// can assert exactly what is shared).
-pub fn run_suite_shared(suite: &Suite, shared: &SharedBuild) -> Result<SuiteOutcome, PceError> {
-    run_suite_shared_cached(suite, shared, &SuiteCaches::new())
-}
-
-/// [`run_suite_shared`] against a shared cache bundle.
-pub fn run_suite_shared_cached(
-    suite: &Suite,
-    shared: &SharedBuild,
-    caches: &SuiteCaches,
-) -> Result<SuiteOutcome, PceError> {
     validate_axes(suite)?;
-    let cells = run_specs(suite, shared, caches);
-    let flips = analyze_flips(suite, &shared.corpus, &cells);
+    let corpus = build_corpus(&suite.base.corpus)?;
+    let tokenized = tokenize_corpus(&corpus, &suite.base.pipeline);
+    let rq1 = Rq1Bank::build_cached(&suite.base, &caches.llm);
+    let cells = run_specs(suite, &corpus, &tokenized, &rq1, caches);
+    let flips = analyze_flips(suite, &corpus, &cells);
     Ok(SuiteOutcome { cells, flips })
 }
 
@@ -456,9 +362,16 @@ fn validate_pair(pair: &SpecPair) -> Result<(), PceError> {
     Ok(())
 }
 
-/// Evaluate every matrix cell (parallel) against the shared build,
-/// degrading per-cell failures to [`CellOutcome::Failed`].
-fn run_specs(suite: &Suite, shared: &SharedBuild, caches: &SuiteCaches) -> Vec<CellOutcome> {
+/// Evaluate every matrix cell (parallel) against the shared corpus,
+/// tokenization and RQ1 bank, degrading per-cell failures to
+/// [`CellOutcome::Failed`].
+fn run_specs(
+    suite: &Suite,
+    corpus: &[Program],
+    tokenized: &TokenizedCorpus,
+    rq1: &Rq1Bank,
+    caches: &SuiteCaches,
+) -> Vec<CellOutcome> {
     suite
         .cells()
         .par_iter()
@@ -477,14 +390,9 @@ fn run_specs(suite: &Suite, shared: &SharedBuild, caches: &SuiteCaches) -> Vec<C
             // summaries across the whole matrix. Profiles memoize per
             // (kernel, routed spec), so a GPU row's CUDA half and a CPU
             // column's OMP half are each profiled once across the matrix.
-            let (dataset, _split, funnel) = run_pipeline_cached(
-                &shared.corpus,
-                &shared.tokenized,
-                &study.pipeline,
-                &caches.sim,
-            );
-            let detail =
-                build_table1_from_bank_cached(&study, &dataset.samples, &shared.rq1, caches);
+            let (dataset, _split, funnel) =
+                run_pipeline_cached(corpus, tokenized, &study.pipeline, &caches.sim);
+            let detail = build_table1_from_bank_cached(&study, &dataset.samples, rq1, caches);
             // A cell whose every response exhausted retries has no signal
             // left to tabulate: degrade it instead of reporting a table
             // of all-invalid confusion matrices as if it were data.
@@ -509,125 +417,6 @@ fn run_specs(suite: &Suite, shared: &SharedBuild, caches: &SuiteCaches) -> Vec<C
             })
         })
         .collect()
-}
-
-/// Wall-clock of one suite stage, as serialized into `BENCH_suite.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageTiming {
-    /// Stage name (`corpus`, `tokenize`, `rq1-bank`, `spec-eval`,
-    /// `flip-analysis`).
-    pub stage: String,
-    /// Wall-clock milliseconds spent in the stage.
-    pub wall_ms: f64,
-}
-
-/// The suite's performance report: per-stage wall-clock plus the cache
-/// bundle's hit/miss counters. Written as `BENCH_suite.json` by the
-/// `suite` bin under `--timings`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SuiteBench {
-    /// GPU specs on the matrix's GPU axis.
-    pub specs: usize,
-    /// CPU specs on the matrix's CPU axis.
-    pub cpu_specs: usize,
-    /// Evaluated (GPU × CPU) cells.
-    pub cells: usize,
-    /// Models per cell (the Table-1 zoo).
-    pub models_per_spec: usize,
-    /// Per-stage wall-clock, in execution order.
-    pub stages: Vec<StageTiming>,
-    /// End-to-end wall-clock milliseconds (stages plus glue).
-    pub total_ms: f64,
-    /// Cache effectiveness across every layer.
-    pub caches: CacheReport,
-    /// Suite-wide response ledger (all completed cells merged); all-zero
-    /// on chaos-free runs.
-    pub accounting: ResponseAccounting,
-}
-
-impl SuiteBench {
-    /// Render a compact human-readable summary (one line per stage, then
-    /// per cache).
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "suite bench: {} GPU x {} CPU specs ({} cells) x {} models, total {:.1} ms\n",
-            self.specs, self.cpu_specs, self.cells, self.models_per_spec, self.total_ms
-        ));
-        for s in &self.stages {
-            out.push_str(&format!("  stage {:<14} {:>10.1} ms\n", s.stage, s.wall_ms));
-        }
-        let c = &self.caches;
-        for (name, counters) in [
-            ("summary", c.summary),
-            ("profile", c.profile),
-            ("analysis", c.analysis),
-            ("classify-parse", c.classify_parse),
-            ("rq1-parse", c.rq1_parse),
-        ] {
-            out.push_str(&format!(
-                "  cache {:<15} {:>8} hits / {:>7} lookups ({:.1}% hit)\n",
-                name,
-                counters.hits,
-                counters.total(),
-                100.0 * counters.hit_rate()
-            ));
-        }
-        out.push_str(&format!("  prompt renders    {:>8}\n", c.prompt_renders));
-        if self.accounting.faulted() {
-            let a = &self.accounting;
-            out.push_str(&format!(
-                "  chaos: {} injected / {} recovered / {} invalid / {} refused ({} retries, {} ms backoff)\n",
-                a.injected, a.recovered(), a.invalid, a.refused, a.retries, a.backoff_ms
-            ));
-        }
-        out
-    }
-}
-
-/// Run the whole suite with stage-level timing instrumentation.
-///
-/// The outcome is byte-identical to [`run_suite_cached`] on the same
-/// bundle; the accompanying [`SuiteBench`] carries per-stage wall-clock
-/// and the bundle's cache counters.
-pub fn run_suite_timed(
-    suite: &Suite,
-    caches: &SuiteCaches,
-) -> Result<(SuiteOutcome, SuiteBench), PceError> {
-    validate_axes(suite)?;
-    let t_total = Instant::now();
-    let mut stages = Vec::new();
-    let mut stage = |name: &str, t: Instant| {
-        stages.push(StageTiming {
-            stage: name.to_string(),
-            wall_ms: t.elapsed().as_secs_f64() * 1e3,
-        });
-    };
-
-    // Exactly the untimed pipeline, observed: the shared build and the
-    // spec evaluation are the same functions run_suite_cached composes.
-    let shared = SharedBuild::build_instrumented(suite, caches, &mut stage)?;
-
-    let t = Instant::now();
-    let cells = run_specs(suite, &shared, caches);
-    stage("spec-eval", t);
-
-    let t = Instant::now();
-    let flips = analyze_flips(suite, &shared.corpus, &cells);
-    stage("flip-analysis", t);
-
-    let outcome = SuiteOutcome { cells, flips };
-    let bench = SuiteBench {
-        specs: suite.specs.len(),
-        cpu_specs: suite.cpu_specs.len(),
-        cells: suite.specs.len() * suite.cpu_specs.len(),
-        models_per_spec: pce_llm::model_zoo().len(),
-        stages,
-        total_ms: t_total.elapsed().as_secs_f64() * 1e3,
-        caches: caches.report(),
-        accounting: outcome.accounting(),
-    };
-    Ok((outcome, bench))
 }
 
 /// Cross-spec label comparison plus flip-tracking accuracy, one section
@@ -798,6 +587,11 @@ mod tests {
         suite
     }
 
+    /// The suite on a cold cache bundle.
+    fn run_cold(suite: &Suite) -> Result<SuiteOutcome, PceError> {
+        run_suite_cached(suite, &SuiteCaches::new())
+    }
+
     fn tiny_matrix_suite() -> Suite {
         let mut suite = Suite::smoke_with_matrix(
             vec![HardwareSpec::rtx_3080(), HardwareSpec::mi250x()],
@@ -810,7 +604,7 @@ mod tests {
     #[test]
     fn suite_produces_one_outcome_per_cell_in_gpu_major_order() {
         let suite = tiny_matrix_suite();
-        let outcome = run_suite(&suite).unwrap();
+        let outcome = run_cold(&suite).unwrap();
         assert_eq!(outcome.completed().len(), 4);
         assert!(outcome.failures().is_empty());
         let cells = suite.cells();
@@ -845,7 +639,7 @@ mod tests {
         // The 3080's 1/64-rate DP pipes put its DP ridge at ~0.6 flop/B;
         // the MI250X's full-rate DP over 3.2 TB/s sits at ~14.6. Any
         // DP-heavy CUDA kernel in between must flip.
-        let outcome = run_suite(&tiny_suite()).unwrap();
+        let outcome = run_cold(&tiny_suite()).unwrap();
         let cuda = outcome.flips.language(Language::Cuda).unwrap();
         assert!(
             cuda.flipping > 0,
@@ -870,7 +664,7 @@ mod tests {
             vec![HardwareSpec::epyc_9654(), HardwareSpec::xeon_8480p()],
         );
         shrink(&mut suite);
-        let outcome = run_suite(&suite).unwrap();
+        let outcome = run_cold(&suite).unwrap();
         let omp = outcome.flips.language(Language::Omp).unwrap();
         assert!(
             omp.flipping > 0,
@@ -886,7 +680,7 @@ mod tests {
 
     #[test]
     fn flip_analysis_counts_are_consistent() {
-        let outcome = run_suite(&tiny_matrix_suite()).unwrap();
+        let outcome = run_cold(&tiny_matrix_suite()).unwrap();
         let mut total = 0;
         for section in &outcome.flips.by_language {
             let recount = section.kernels.iter().filter(|k| k.flips()).count();
@@ -908,7 +702,7 @@ mod tests {
     #[test]
     fn warm_and_cold_bundles_produce_identical_outcomes() {
         let suite = tiny_suite();
-        let cold = run_suite(&suite).unwrap();
+        let cold = run_cold(&suite).unwrap();
         let caches = SuiteCaches::new();
         let warm_first = run_suite_cached(&suite, &caches).unwrap();
         let warm_second = run_suite_cached(&suite, &caches).unwrap();
@@ -920,43 +714,6 @@ mod tests {
         assert!(report.profile.hits > 0, "{report:?}");
         assert!(report.analysis.hits > 0, "{report:?}");
         assert!(report.summary.hits > 0, "{report:?}");
-    }
-
-    #[test]
-    fn timed_run_matches_untimed_and_reports_stages() {
-        let suite = tiny_matrix_suite();
-        let caches = SuiteCaches::new();
-        let (outcome, bench) = run_suite_timed(&suite, &caches).unwrap();
-        assert_eq!(outcome, run_suite(&suite).unwrap());
-        assert_eq!(bench.specs, suite.specs.len());
-        assert_eq!(bench.cpu_specs, suite.cpu_specs.len());
-        assert_eq!(bench.cells, outcome.completed().len());
-        assert!(!bench.accounting.faulted(), "chaos-free run");
-        assert_eq!(bench.models_per_spec, 9);
-        let names: Vec<&str> = bench.stages.iter().map(|s| s.stage.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "corpus",
-                "tokenize",
-                "rq1-bank",
-                "spec-eval",
-                "flip-analysis"
-            ]
-        );
-        assert!(bench.stages.iter().all(|s| s.wall_ms >= 0.0));
-        assert!(bench.total_ms >= bench.stages.iter().map(|s| s.wall_ms).sum::<f64>() * 0.99);
-        // Both shot styles × every cell rendered once per sample.
-        let expected: usize = outcome
-            .completed()
-            .iter()
-            .map(|s| 2 * s.dataset_ids.len())
-            .sum();
-        assert_eq!(bench.caches.prompt_renders as usize, expected);
-        let summary = bench.summary();
-        for needle in ["spec-eval", "analysis", "prompt renders", "cells"] {
-            assert!(summary.contains(needle), "missing {needle}:\n{summary}");
-        }
     }
 
     #[test]
@@ -973,21 +730,23 @@ mod tests {
             suite.cells().len(),
             suite.specs.len() * suite.cpu_specs.len()
         );
-        assert!(suite.validate().is_empty());
+        assert!(suite.cells().iter().all(|pair| validate_pair(pair).is_ok()));
     }
 
     #[test]
-    fn misclassed_axes_are_rejected() {
-        let mut suite = tiny_suite();
-        suite.specs.push(HardwareSpec::epyc_9654());
-        suite.cpu_specs.push(HardwareSpec::rtx_4090());
-        let problems = suite.validate();
-        assert_eq!(problems.len(), 2, "{problems:?}");
-        suite.cpu_specs.clear();
-        assert!(suite
-            .validate()
-            .iter()
-            .any(|p| p.contains("at least one CPU spec")));
+    fn misclassed_pairs_are_rejected_by_axis() {
+        let cpu_on_gpu_axis = SpecPair {
+            gpu: HardwareSpec::epyc_9654(),
+            cpu: HardwareSpec::epyc_9654(),
+        };
+        let err = validate_pair(&cpu_on_gpu_axis).unwrap_err();
+        assert!(err.to_string().contains("on the GPU axis"), "{err}");
+        let gpu_on_cpu_axis = SpecPair {
+            gpu: HardwareSpec::rtx_3080(),
+            cpu: HardwareSpec::rtx_4090(),
+        };
+        let err = validate_pair(&gpu_on_cpu_axis).unwrap_err();
+        assert!(err.to_string().contains("on the CPU axis"), "{err}");
     }
 
     #[test]
@@ -997,7 +756,7 @@ mod tests {
         // flip analysis drops the dead axis entry.
         let mut suite = tiny_suite();
         suite.cpu_specs = vec![HardwareSpec::epyc_9654(), HardwareSpec::rtx_3080()];
-        let outcome = run_suite(&suite).unwrap();
+        let outcome = run_cold(&suite).unwrap();
         assert_eq!(outcome.cells.len(), 4);
         assert_eq!(outcome.completed().len(), 2);
         let failures = outcome.failures();
@@ -1018,7 +777,7 @@ mod tests {
     fn chaos_suite_completes_every_cell_with_a_balanced_ledger() {
         let mut suite = tiny_suite();
         suite.base.chaos = Some(crate::study::ChaosConfig::uniform(42, 0.1));
-        let outcome = run_suite(&suite).unwrap();
+        let outcome = run_cold(&suite).unwrap();
         // A 10% fault rate recovers through retries; no cell dies.
         assert_eq!(outcome.completed().len(), outcome.cells.len());
         let acc = outcome.accounting();
@@ -1029,7 +788,7 @@ mod tests {
             assert!(s.table.accounting().balanced());
         }
         // The same seed reproduces the ledger exactly.
-        let again = run_suite(&suite).unwrap();
+        let again = run_cold(&suite).unwrap();
         assert_eq!(outcome, again);
     }
 
@@ -1037,13 +796,13 @@ mod tests {
     fn empty_axes_are_suite_fatal() {
         let mut suite = tiny_suite();
         suite.cpu_specs.clear();
-        let err = run_suite(&suite).unwrap_err();
+        let err = run_cold(&suite).unwrap_err();
         assert_eq!(
             err.to_string(),
             "invalid spec: suite needs at least one CPU spec"
         );
         suite.specs.clear();
-        let err = run_suite(&suite).unwrap_err();
+        let err = run_cold(&suite).unwrap_err();
         assert!(err.to_string().contains("at least one GPU spec"));
     }
 }

@@ -17,7 +17,7 @@ use pce_prompt::ShotStyle;
 use crate::caches::SuiteCaches;
 use crate::experiments::rq23::{render_prompts, run_classification_prompted};
 use crate::experiments::{run_rq1, Rq1Outcome};
-use crate::study::{Study, StudyData};
+use crate::study::Study;
 
 /// One Table-1 row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,8 +73,9 @@ const RQ1_SKIP: [&str; 2] = ["o1", "gpt-4.5-preview"];
 /// RQ1 prompts embed their own randomly drawn rooflines, so the outcomes
 /// depend only on `study.rq1_rooflines` and `study.seed` — never on
 /// `study.hardware`. The cross-hardware suite therefore computes the bank
-/// once and reuses it for every spec; [`build_table1_from_bank`] absorbs
-/// the bank's billed usage so per-spec costs match an inline run exactly.
+/// once and reuses it for every spec; [`build_table1_from_bank_cached`]
+/// absorbs the bank's billed usage so every spec's cost counts the bank
+/// exactly once.
 #[derive(Debug, Clone)]
 pub struct Rq1Bank {
     outcomes: BTreeMap<String, Rq1Outcome>,
@@ -83,14 +84,10 @@ pub struct Rq1Bank {
 
 impl Rq1Bank {
     /// Run RQ1 for every zoo model the paper evaluates (parallel over
-    /// models).
-    pub fn build(study: &Study) -> Rq1Bank {
-        Rq1Bank::build_cached(study, &LlmCaches::new())
-    }
-
-    /// [`Rq1Bank::build`] against a shared engine cache bundle: the RQ1
-    /// prompt-parse cache collapses the per-model re-parsing of the same
-    /// few-shot prompts. Bit-identical to an uncached build.
+    /// models) against a shared engine cache bundle: the RQ1 prompt-parse
+    /// cache collapses the per-model re-parsing of the same few-shot
+    /// prompts. Pass a fresh [`LlmCaches::new`] for a cold build; warm and
+    /// cold bundles build identical banks.
     pub fn build_cached(study: &Study, caches: &LlmCaches) -> Rq1Bank {
         let engine = SurrogateEngine::with_caches(caches.clone());
         let names: Vec<String> = model_zoo()
@@ -125,31 +122,16 @@ pub struct Table1Detail {
     pub zero_shot_correct: Vec<(String, Vec<bool>)>,
 }
 
-/// Run the full Table-1 evaluation.
-pub fn build_table1(study: &Study, data: &StudyData) -> Table1 {
-    build_table1_from_bank(study, &data.dataset.samples, &Rq1Bank::build(study)).table
-}
-
 /// Run the Table-1 evaluation over a balanced sample set against
-/// precomputed RQ1 results.
+/// precomputed RQ1 results and a shared cache bundle.
 ///
-/// The (hardware, model) cells run in parallel over the zoo; the bank's
-/// billed usage is folded into the table's total spend, so the result is
-/// bit-identical to an inline [`build_table1`] run.
-pub fn build_table1_from_bank(
-    study: &Study,
-    samples: &[pce_dataset::Sample],
-    bank: &Rq1Bank,
-) -> Table1Detail {
-    build_table1_from_bank_cached(study, samples, bank, &SuiteCaches::new())
-}
-
-/// [`build_table1_from_bank`] against a shared cache bundle.
-///
-/// Each (sample, shot-style) prompt is rendered **once** and fanned out
-/// over the nine-model zoo, and the engine's analysis/parse caches are
-/// shared with whatever else runs on the bundle (other hardware specs,
-/// repeated runs). Bit-identical to the uncached assembly.
+/// The (hardware, model) cells run in parallel over the zoo, and the
+/// bank's billed usage is folded into the table's total spend. Each
+/// (sample, shot-style) prompt is rendered **once** and fanned out over
+/// the nine-model zoo, and the engine's analysis/parse caches are shared
+/// with whatever else runs on the bundle (other hardware specs, repeated
+/// runs). Pass a fresh [`SuiteCaches::new`] for a cold run; warm and cold
+/// bundles produce bit-identical tables, `total_cost` included.
 pub fn build_table1_from_bank_cached(
     study: &Study,
     samples: &[pce_dataset::Sample],
@@ -229,12 +211,24 @@ pub fn build_table1_from_bank_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::StudyData;
+
+    /// A bank built on cold caches.
+    fn cold_bank(study: &Study) -> Rq1Bank {
+        Rq1Bank::build_cached(study, &LlmCaches::new())
+    }
 
     #[test]
     fn smoke_table_has_nine_rows_with_paper_shape() {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
-        let table = build_table1(&study, &data);
+        let table = build_table1_from_bank_cached(
+            &study,
+            &data.dataset.samples,
+            &cold_bank(&study),
+            &SuiteCaches::new(),
+        )
+        .table;
         assert_eq!(table.rows.len(), 9);
         assert!(table.total_cost > 0.0);
 
@@ -280,16 +274,18 @@ mod tests {
     }
 
     #[test]
-    fn bank_reuse_matches_inline_build_including_cost() {
+    fn bank_reuse_matches_a_fresh_bank_including_cost() {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
-        let inline = build_table1(&study, &data);
-        let bank = Rq1Bank::build(&study);
-        let detail_a = build_table1_from_bank(&study, &data.dataset.samples, &bank);
-        let detail_b = build_table1_from_bank(&study, &data.dataset.samples, &bank);
+        let samples = &data.dataset.samples;
+        let fresh =
+            build_table1_from_bank_cached(&study, samples, &cold_bank(&study), &SuiteCaches::new());
+        let reused = cold_bank(&study);
+        let detail_a = build_table1_from_bank_cached(&study, samples, &reused, &SuiteCaches::new());
+        let detail_b = build_table1_from_bank_cached(&study, samples, &reused, &SuiteCaches::new());
         // Exact equality, total_cost included: integer token accounting
         // makes the spend independent of evaluation order.
-        assert_eq!(detail_a.table, inline);
+        assert_eq!(detail_a, fresh);
         assert_eq!(detail_a, detail_b);
         // Detail covers the whole zoo in zoo order, aligned with the
         // dataset.
@@ -313,11 +309,14 @@ mod tests {
         let bank = Rq1Bank::build_cached(&study, &caches.llm);
         assert_eq!(
             bank.outcome("o3-mini").map(|o| o.best_acc),
-            Rq1Bank::build(&study)
-                .outcome("o3-mini")
-                .map(|o| o.best_acc)
+            cold_bank(&study).outcome("o3-mini").map(|o| o.best_acc)
         );
-        let cold = build_table1_from_bank(&study, &data.dataset.samples, &bank);
+        let cold = build_table1_from_bank_cached(
+            &study,
+            &data.dataset.samples,
+            &bank,
+            &SuiteCaches::new(),
+        );
         let warm = build_table1_from_bank_cached(&study, &data.dataset.samples, &bank, &caches);
         // Exact equality, total_cost included: billing derives from
         // integer token totals over byte-identical prompts.
@@ -335,7 +334,7 @@ mod tests {
 
     #[test]
     fn rq1_bank_covers_exactly_the_evaluated_models() {
-        let bank = Rq1Bank::build(&Study::smoke());
+        let bank = cold_bank(&Study::smoke());
         for m in model_zoo() {
             let skipped = RQ1_SKIP.contains(&m.name.as_str());
             assert_eq!(bank.outcome(&m.name).is_none(), skipped, "{}", m.name);

@@ -24,8 +24,8 @@ pub mod stats;
 pub mod stream;
 
 pub use pipeline::{
-    run_pipeline, run_pipeline_cached, run_pipeline_with, tokenize_corpus, Dataset, PipelineConfig,
-    PipelineReport, Split, TokenizedCorpus,
+    run_pipeline_cached, tokenize_corpus, Dataset, PipelineConfig, PipelineReport, Split,
+    TokenizedCorpus,
 };
 pub use sample::Sample;
 pub use stats::{combo_counts, fig2_stats, Fig2Row};

@@ -3,18 +3,18 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use pce_fault::PceError;
-use pce_gpu_sim::{Profiler, SimCaches};
+use pce_gpu_sim::SimCaches;
 use pce_kernels::{Language, Program};
-use pce_memo::{DedupStats, Fnv, StreamDedup};
-use pce_roofline::{classify_joint, Boundedness, SpecPair};
+use pce_memo::{DedupStats, Fnv};
+use pce_roofline::{Boundedness, OpCounts, SpecPair};
 use pce_tokenizer::{token_quartiles, BpeTrainer, TokenStats, Tokenizer};
 
 use crate::sample::Sample;
+use crate::stream::{run_sharded, Input};
 
 /// Pipeline configuration (§2.1–2.2 defaults).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -97,7 +97,7 @@ pub struct Split {
 /// per-program token counts for one corpus.
 ///
 /// Build it once with [`tokenize_corpus`] and feed it to
-/// [`run_pipeline_with`] for every hardware spec — only profiling and
+/// [`run_pipeline_cached`] for every hardware spec — only profiling and
 /// labeling depend on the hardware, so a cross-hardware sweep never
 /// retrains the tokenizer or recounts tokens.
 #[derive(Debug, Clone)]
@@ -178,87 +178,53 @@ pub struct PipelineReport {
     pub hazards: BTreeMap<String, u64>,
 }
 
-/// Run the full pipeline over a corpus.
+/// Run the full pipeline over a materialized corpus — profile, label,
+/// prune, balance, split — against a shared profiler cache bundle.
 ///
-/// Returns the balanced dataset, its train/validation split, and the
-/// funnel report. Tokenizes internally; cross-hardware callers should
-/// [`tokenize_corpus`] once and call [`run_pipeline_with`] per spec.
-pub fn run_pipeline(corpus: &[Program], cfg: &PipelineConfig) -> (Dataset, Split, PipelineReport) {
-    let tokenized = tokenize_corpus(corpus, cfg);
-    run_pipeline_with(corpus, &tokenized, cfg)
-}
-
-/// Run the hardware-dependent half of the pipeline — profile, label,
-/// prune, balance, split — against a pre-tokenized corpus.
+/// `tokenized` is the corpus's [`tokenize_corpus`] output, built once and
+/// reused for every hardware spec. Body summaries are hardware-independent,
+/// so a cross-hardware suite that runs this once per spec pair folds each
+/// kernel exactly once; profiles themselves are memoized per (kernel,
+/// launch, hardware) — the hardware key is the *routed* spec, so a CUDA
+/// profile taken on the GPU spec can never be served to an OMP lookup or
+/// vice versa. Pass a fresh [`SimCaches::new`] for a cold run; warm and
+/// cold bundles produce byte-identical output.
 ///
-/// Produces bit-identical output to [`run_pipeline`] with the same
-/// `corpus` and `cfg`.
+/// Runs the sharded core of
+/// [`run_pipeline_streamed`](crate::run_pipeline_streamed) with one shard
+/// per rayon thread, borrowing the programs and their token counts.
 ///
 /// # Panics
 /// Panics when `tokenized` was built from a different corpus (length
 /// mismatch), or when `cfg.specs` holds a spec in the wrong class slot.
-pub fn run_pipeline_with(
-    corpus: &[Program],
-    tokenized: &TokenizedCorpus,
-    cfg: &PipelineConfig,
-) -> (Dataset, Split, PipelineReport) {
-    run_pipeline_impl(
-        corpus,
-        tokenized,
-        cfg,
-        RoutedProfilers {
-            gpu: Profiler::new(cfg.specs.gpu.clone()),
-            cpu: Profiler::new(cfg.specs.cpu.clone()),
-        },
-    )
-}
-
-/// [`run_pipeline_with`] against a shared profiler cache bundle.
-///
-/// Body summaries are hardware-independent, so a cross-hardware suite
-/// that runs this once per spec pair folds each kernel exactly once;
-/// profiles themselves are memoized per (kernel, launch, hardware) — the
-/// hardware key is the *routed* spec, so a CUDA profile taken on the GPU
-/// spec can never be served to an OMP lookup or vice versa. Bit-identical
-/// to the uncached pipeline.
 pub fn run_pipeline_cached(
     corpus: &[Program],
     tokenized: &TokenizedCorpus,
     cfg: &PipelineConfig,
     caches: &SimCaches,
 ) -> (Dataset, Split, PipelineReport) {
-    run_pipeline_impl(
-        corpus,
+    assert_eq!(
+        tokenized.token_counts.len(),
+        corpus.len(),
+        "tokenized corpus does not match the program corpus"
+    );
+    let shard_size = corpus.len().div_ceil(rayon::current_num_threads());
+    let input = Input::Corpus {
+        programs: corpus,
         tokenized,
-        cfg,
-        RoutedProfilers {
-            gpu: Profiler::new(cfg.specs.gpu.clone()).with_caches(caches.clone()),
-            cpu: Profiler::new(cfg.specs.cpu.clone()).with_caches(caches.clone()),
-        },
-    )
-}
-
-/// One profiler per machine class, selected by each program's language.
-pub(crate) struct RoutedProfilers {
-    pub(crate) gpu: Profiler,
-    pub(crate) cpu: Profiler,
-}
-
-impl RoutedProfilers {
-    pub(crate) fn for_language(&self, language: Language) -> &Profiler {
-        match language.spec_class() {
-            pce_roofline::SpecClass::Gpu => &self.gpu,
-            pce_roofline::SpecClass::Cpu => &self.cpu,
-        }
-    }
+    };
+    let (dataset, split, report, _) = run_sharded(input, cfg, caches, shard_size)
+        .expect("an in-memory corpus fails only on an invalid spec pair");
+    (dataset, split, report)
 }
 
 /// The lightweight per-program record the selection stages operate on.
 ///
 /// Pruning, balancing, and splitting only need these fields — never the
-/// source text or the profile — which is what lets the sharded stream
-/// (`crate::stream`) run selection over the whole corpus while holding
-/// full [`Sample`]s for at most one shard at a time.
+/// source text — which is what lets the sharded core (`crate::stream`)
+/// run selection over the whole corpus while holding full programs for at
+/// most one shard at a time. The profile results ride along so
+/// materializing a selected sample never profiles it again.
 #[derive(Debug, Clone)]
 pub(crate) struct SampleMeta {
     /// Position in the input corpus (stream index).
@@ -271,6 +237,10 @@ pub(crate) struct SampleMeta {
     pub(crate) label: Boundedness,
     /// BPE token count of the source.
     pub(crate) token_count: usize,
+    /// Profiled counters against the routed spec.
+    pub(crate) counts: OpCounts,
+    /// Profiled runtime in seconds.
+    pub(crate) runtime_s: f64,
 }
 
 /// Outcome of the prune → balance → split selection, as metadata: which
@@ -288,10 +258,8 @@ pub(crate) struct Selection {
 /// Prune by token count, balance (language × class) cells, and split —
 /// entirely on metadata, in corpus order.
 ///
-/// Both the materialized and the sharded pipeline call this exact
-/// function, which is what makes their outputs byte-identical: the
-/// seeded shuffle permutation depends only on each cell's length and the
-/// RNG stream, so shuffling metadata reproduces precisely the
+/// The seeded shuffle permutation depends only on each cell's length and
+/// the RNG stream, so shuffling metadata reproduces precisely the
 /// permutation the historical code applied to full samples.
 ///
 /// # Panics
@@ -384,18 +352,10 @@ pub(crate) fn merge_sorted(train: &[Sample], validation: &[Sample]) -> Vec<Sampl
     balanced
 }
 
-/// Fingerprint of the profiling work one program induces: the (kernel
-/// IR, launch, routed hardware) tuple, folded with the same word-granular
-/// FNV the profile memo keys on. Two programs with equal fingerprints
-/// profile identically — the second one's profile is a memo hit.
-///
-/// Computed with a standalone [`Fnv`] accumulator, never through the
-/// [`SimCaches`] tables, so dedup accounting adds zero hit/miss traffic
-/// to the profile memo counters.
 /// Hazard counts of one source, aligned with
 /// [`pce_static_analysis::RuleId::all`] order. A pure function of the
 /// source text, so shards can compute it in parallel and the sequential
-/// merge stays byte-identical to the materialized path.
+/// merge stays independent of sharding.
 pub(crate) fn hazard_counts(source: &str) -> Vec<u64> {
     let diags = pce_static_analysis::diagnose(source);
     pce_static_analysis::RuleId::all()
@@ -441,23 +401,20 @@ impl HazardAudit {
         }
     }
 
-    /// Diagnose-and-fold one source in corpus order; repeat sources are
-    /// not re-diagnosed.
-    pub(crate) fn observe_source(&mut self, source: &str) {
-        let fp = HazardAudit::source_fp(source);
-        if self.seen.contains(&fp) {
-            return;
-        }
-        let counts = hazard_counts(source);
-        self.observe_counts(fp, &counts);
-    }
-
     /// The per-rule totals (only rules that fired).
     pub(crate) fn into_counts(self) -> BTreeMap<String, u64> {
         self.counts
     }
 }
 
+/// Fingerprint of the profiling work one program induces: the (kernel
+/// IR, launch, routed hardware) tuple, folded with the same word-granular
+/// FNV the profile memo keys on. Two programs with equal fingerprints
+/// profile identically — the second one's profile is a memo hit.
+///
+/// Computed with a standalone [`Fnv`] accumulator, never through the
+/// [`SimCaches`] tables, so dedup accounting adds zero hit/miss traffic
+/// to the profile memo counters.
 pub(crate) fn profile_fingerprint(p: &Program, hw_name: &str) -> u64 {
     let mut h = Fnv::new();
     h.u64(p.ir.fingerprint());
@@ -473,113 +430,12 @@ pub(crate) fn profile_fingerprint(p: &Program, hw_name: &str) -> u64 {
     h.finish()
 }
 
-fn run_pipeline_impl(
-    corpus: &[Program],
-    tokenized: &TokenizedCorpus,
-    cfg: &PipelineConfig,
-    profilers: RoutedProfilers,
-) -> (Dataset, Split, PipelineReport) {
-    assert_eq!(
-        tokenized.token_counts.len(),
-        corpus.len(),
-        "tokenized corpus does not match the program corpus"
-    );
-    assert!(
-        cfg.specs.validate().is_empty(),
-        "invalid spec pair: {:?}",
-        cfg.specs.validate()
-    );
-    let token_counts = &tokenized.token_counts;
-    let raw_token_stats = tokenized.raw_token_stats;
-
-    // --- Profile + label (parallel) --------------------------------------
-    let samples: Vec<Sample> = corpus
-        .par_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let profiler = profilers.for_language(p.language);
-            let hw = profiler.hardware();
-            let profile = profiler.profile_shared(&p.ir, &p.launch);
-            let label = classify_joint(hw, &profile.counts).label;
-            Sample {
-                id: p.id.clone(),
-                family: p.family.clone(),
-                language: p.language,
-                kernel_name: p.kernel_name.clone(),
-                source: p.source.clone(),
-                geometry: p.launch.geometry_string(),
-                args: p.args.clone(),
-                token_count: token_counts[i],
-                spec_name: hw.name.clone(),
-                spec_class: hw.class,
-                counts: profile.counts,
-                runtime_s: profile.runtime_s,
-                label,
-            }
-        })
-        .collect();
-    let corpus_labels: Vec<Boundedness> = samples.iter().map(|s| s.label).collect();
-
-    // --- Profile-dedup accounting (sequential, corpus order) -------------
-    // Standalone Fnv fold: adds no traffic to the SimCaches counters and
-    // is independent of thread count and sharding.
-    let mut dedup = StreamDedup::new();
-    let mut hazards = HazardAudit::new();
-    for p in corpus {
-        let hw = profilers.for_language(p.language).hardware();
-        dedup.observe(profile_fingerprint(p, &hw.name));
-        hazards.observe_source(&p.source);
-    }
-
-    // --- Prune → balance → split (shared with the sharded stream) --------
-    let metas = samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| SampleMeta {
-            index: i,
-            id: s.id.clone(),
-            language: s.language,
-            label: s.label,
-            token_count: s.token_count,
-        })
-        .collect();
-    let selection = select_and_balance(metas, cfg);
-    let materialize = |metas: &[SampleMeta]| -> Vec<Sample> {
-        metas.iter().map(|m| samples[m.index].clone()).collect()
-    };
-    let train = materialize(&selection.train);
-    let validation = materialize(&selection.validation);
-    let balanced = merge_sorted(&train, &validation);
-
-    let report = PipelineReport {
-        built: selection.built,
-        raw_token_stats,
-        after_prune: selection.after_prune,
-        corpus_labels,
-        combo_before_balance: selection.combo_before_balance,
-        per_combo: selection.per_combo,
-        final_size: balanced.len(),
-        train_size: train.len(),
-        validation_size: validation.len(),
-        dedup: dedup.stats(),
-        hazards: hazards.into_counts(),
-    };
-    (
-        Dataset { samples: balanced },
-        Split {
-            train: Dataset { samples: train },
-            validation: Dataset {
-                samples: validation,
-            },
-        },
-        report,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pce_gpu_sim::Profiler;
     use pce_kernels::{build_corpus, CorpusConfig};
+    use pce_roofline::classify_joint;
 
     fn small_corpus() -> Vec<Program> {
         build_corpus(&CorpusConfig {
@@ -599,9 +455,19 @@ mod tests {
         }
     }
 
+    /// The pipeline on a cold cache bundle.
+    fn run(corpus: &[Program], cfg: &PipelineConfig) -> (Dataset, Split, PipelineReport) {
+        run_pipeline_cached(
+            corpus,
+            &tokenize_corpus(corpus, cfg),
+            cfg,
+            &SimCaches::new(),
+        )
+    }
+
     #[test]
     fn pipeline_produces_balanced_cells() {
-        let (dataset, _, report) = run_pipeline(&small_corpus(), &cfg());
+        let (dataset, _, report) = run(&small_corpus(), &cfg());
         let mut cells: BTreeMap<(Language, Boundedness), usize> = BTreeMap::new();
         for s in &dataset.samples {
             *cells.entry(s.combo()).or_insert(0) += 1;
@@ -617,7 +483,7 @@ mod tests {
 
     #[test]
     fn split_sizes_follow_the_train_fraction() {
-        let (dataset, split, report) = run_pipeline(&small_corpus(), &cfg());
+        let (dataset, split, report) = run(&small_corpus(), &cfg());
         assert_eq!(split.train.len() + split.validation.len(), dataset.len());
         assert_eq!(report.train_size, split.train.len());
         // 80% of each cell, rounded.
@@ -627,7 +493,7 @@ mod tests {
 
     #[test]
     fn split_cells_stay_balanced() {
-        let (_, split, _) = run_pipeline(&small_corpus(), &cfg());
+        let (_, split, _) = run(&small_corpus(), &cfg());
         for ds in [&split.train, &split.validation] {
             let mut cells: BTreeMap<(Language, Boundedness), usize> = BTreeMap::new();
             for s in &ds.samples {
@@ -642,23 +508,11 @@ mod tests {
     fn pruning_respects_the_token_cutoff() {
         let mut c = cfg();
         c.max_tokens = 2_000;
-        let (dataset, _, report) = run_pipeline(&small_corpus(), &c);
+        let (dataset, _, report) = run(&small_corpus(), &c);
         assert!(dataset.samples.iter().all(|s| s.token_count <= 2_000));
         let built: usize = report.built.values().sum();
         let kept: usize = report.after_prune.values().sum();
         assert!(kept < built, "a 2k cutoff must drop some programs");
-    }
-
-    #[test]
-    fn shared_tokenization_is_bit_identical_to_inline() {
-        let corpus = small_corpus();
-        let c = cfg();
-        let tokenized = tokenize_corpus(&corpus, &c);
-        let (a, sa, ra) = run_pipeline(&corpus, &c);
-        let (b, sb, rb) = run_pipeline_with(&corpus, &tokenized, &c);
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-        assert_eq!(ra, rb);
     }
 
     #[test]
@@ -670,7 +524,7 @@ mod tests {
         let mut other = c.clone();
         other.specs.gpu = pce_roofline::HardwareSpec::a100();
         for cfg in [&c, &other] {
-            let cold = run_pipeline_with(&corpus, &tokenized, cfg);
+            let cold = run_pipeline_cached(&corpus, &tokenized, cfg, &SimCaches::new());
             let warm = run_pipeline_cached(&corpus, &tokenized, cfg, &caches);
             assert_eq!(cold, warm, "{}", cfg.specs.label());
         }
@@ -701,7 +555,7 @@ mod tests {
     fn report_labels_cover_the_whole_corpus_in_order() {
         let corpus = small_corpus();
         let c = cfg();
-        let (_, _, report) = run_pipeline(&corpus, &c);
+        let (_, _, report) = run(&corpus, &c);
         assert_eq!(report.corpus_labels.len(), corpus.len());
         // Spot-check alignment: relabeling program i (against its
         // language-routed spec) reproduces entry i.
@@ -724,14 +578,14 @@ mod tests {
         let c = cfg();
         let mut tokenized = tokenize_corpus(&corpus, &c);
         tokenized.token_counts.pop();
-        run_pipeline_with(&corpus, &tokenized, &c);
+        run_pipeline_cached(&corpus, &tokenized, &c, &SimCaches::new());
     }
 
     #[test]
     fn pipeline_is_deterministic() {
         let corpus = small_corpus();
-        let (a, sa, _) = run_pipeline(&corpus, &cfg());
-        let (b, sb, _) = run_pipeline(&corpus, &cfg());
+        let (a, sa, _) = run(&corpus, &cfg());
+        let (b, sb, _) = run(&corpus, &cfg());
         assert_eq!(a, b);
         assert_eq!(sa, sb);
     }
@@ -739,7 +593,7 @@ mod tests {
     #[test]
     fn labels_match_reprofiling() {
         let c = cfg();
-        let (dataset, _, _) = run_pipeline(&small_corpus(), &c);
+        let (dataset, _, _) = run(&small_corpus(), &c);
         for s in dataset.samples.iter().take(10) {
             let hw = c.specs.for_class(s.language.spec_class());
             assert_eq!(classify_joint(hw, &s.counts).label, s.label, "{}", s.id);
@@ -750,7 +604,7 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let (dataset, _, _) = run_pipeline(&small_corpus(), &cfg());
+        let (dataset, _, _) = run(&small_corpus(), &cfg());
         let json = dataset.to_json().expect("dataset serializes");
         let back = Dataset::from_json(&json).unwrap();
         // Float fields may round-trip within 1 ULP (the JSON parser is not
@@ -775,7 +629,7 @@ mod tests {
 
     #[test]
     fn train_and_validation_are_disjoint() {
-        let (_, split, _) = run_pipeline(&small_corpus(), &cfg());
+        let (_, split, _) = run(&small_corpus(), &cfg());
         let train_ids: std::collections::BTreeSet<_> =
             split.train.samples.iter().map(|s| &s.id).collect();
         for s in &split.validation.samples {

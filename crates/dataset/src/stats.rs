@@ -65,7 +65,8 @@ pub fn combo_counts(samples: &[Sample]) -> BTreeMap<String, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_pipeline, PipelineConfig};
+    use crate::pipeline::{run_pipeline_cached, tokenize_corpus, PipelineConfig};
+    use pce_gpu_sim::SimCaches;
     use pce_kernels::{build_corpus, CorpusConfig};
 
     fn split() -> Split {
@@ -81,7 +82,8 @@ mod tests {
             tokenizer_stride: 15,
             ..Default::default()
         };
-        run_pipeline(&corpus, &cfg).1
+        let tokenized = tokenize_corpus(&corpus, &cfg);
+        run_pipeline_cached(&corpus, &tokenized, &cfg, &SimCaches::new()).1
     }
 
     #[test]
@@ -113,7 +115,6 @@ mod tests {
 
     #[test]
     fn report_raw_token_stats_matches_sequential_counts() {
-        use crate::pipeline::run_pipeline;
         use pce_tokenizer::{BpeTrainer, Tokenizer};
         let corpus = build_corpus(&CorpusConfig {
             seed: 5,
@@ -127,7 +128,8 @@ mod tests {
             tokenizer_stride: 15,
             ..Default::default()
         };
-        let (_, _, report) = run_pipeline(&corpus, &cfg);
+        let tokenized = tokenize_corpus(&corpus, &cfg);
+        let (_, _, report) = run_pipeline_cached(&corpus, &tokenized, &cfg, &SimCaches::new());
         let stats = report.raw_token_stats.expect("non-empty corpus");
         assert_eq!(stats.n, corpus.len());
         // Recompute with a sequentially-driven tokenizer: must agree.

@@ -1,54 +1,57 @@
-//! The sharded, bounded-memory streaming pipeline.
+//! The sharded pipeline core, and its streamed entry points.
 //!
-//! [`run_pipeline_streamed`] runs the same corpus → tokenize → profile →
-//! label → balance funnel as [`run_pipeline`](crate::run_pipeline), but
-//! never materializes the corpus: programs are regenerated per shard from
-//! a [`CorpusSpec`] (generation is random-access — any index rebuilds
-//! from the seed alone), consumed, and dropped. Peak memory is
-//! `O(shard_size × rayon threads)` programs plus the final dataset,
-//! instead of `O(corpus)` samples.
+//! Every pipeline run goes through one core, whether its input is a
+//! materialized corpus ([`run_pipeline_cached`](crate::run_pipeline_cached))
+//! or a [`CorpusSpec`] that is never materialized
+//! ([`run_pipeline_streamed`]). The spec form regenerates programs per
+//! shard (generation is random-access — any index rebuilds from the seed
+//! alone), consumes them, and drops them, so peak memory is
+//! `O(shard_size × rayon threads)` programs plus per-program metadata and
+//! the final dataset, instead of `O(corpus)` samples.
 //!
 //! Stages:
 //!
-//! 1. **tokenize-train** — stream every `tokenizer_stride`-th source and
-//!    train the BPE tokenizer (the only stage whose footprint scales with
-//!    `corpus / stride`, same subsample as the materialized path).
-//! 2. **shard-profile** — rayon over shards: regenerate the shard's
-//!    programs, batch-count tokens, profile + label each against the
-//!    language-routed spec through the shared [`SimCaches`] memos, and
-//!    keep only lightweight [`SampleMeta`]s plus profile fingerprints.
+//! 1. **tokenize-train** — spec input only: stream every
+//!    `tokenizer_stride`-th source and train the BPE tokenizer. A
+//!    materialized corpus arrives with its [`TokenizedCorpus`].
+//! 2. **shard-profile** — rayon over shards: take the shard's programs
+//!    (borrowed, or regenerated) and token counts (precomputed, or
+//!    batch-counted), profile + label each against the language-routed
+//!    spec through the shared [`SimCaches`] memos, and keep only a
+//!    lightweight [`SampleMeta`] plus the dedup and hazard-audit inputs.
 //!    Variant expansion makes many programs map to an identical
 //!    (IR, launch, hardware) tuple — those profile as memo hits, and the
 //!    fingerprints are folded (sequentially, in corpus order, so the
 //!    numbers are independent of sharding and thread count) into the
 //!    report's dedup statistics.
-//! 3. **select-balance** — the exact `select_and_balance` the
-//!    materialized path uses, on metadata only.
-//! 4. **materialize** — regenerate just the selected programs and build
-//!    full [`Sample`]s (their profiles are now warm memo hits).
+//! 3. **select-balance** — `select_and_balance`, on metadata only.
+//! 4. **materialize** — build full [`Sample`]s for just the selected
+//!    programs, reusing the profile results the shard stage kept.
 //!
-//! Output is byte-identical to running the materialized pipeline over
-//! `spec.stream().collect()`, for every shard size and
-//! `RAYON_NUM_THREADS` — pinned by the root `pipeline_stream` test.
+//! Output is byte-identical for both input forms, every shard size, and
+//! every `RAYON_NUM_THREADS` — pinned by the root `pipeline_stream` test.
+
+use std::borrow::Cow;
+use std::collections::HashSet;
+use std::time::Instant;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 use pce_fault::PceError;
 use pce_gpu_sim::{Profiler, SimCaches};
-use pce_kernels::CorpusSpec;
+use pce_kernels::{CorpusSpec, Program};
 use pce_memo::StreamDedup;
-use pce_roofline::classify_joint;
+use pce_roofline::{classify_joint, SpecClass};
 use pce_tokenizer::{token_quartiles, BpeTrainer, Tokenizer};
 
 use crate::pipeline::{
     hazard_counts, merge_sorted, profile_fingerprint, select_and_balance, Dataset, HazardAudit,
-    PipelineConfig, PipelineReport, RoutedProfilers, SampleMeta, Split,
+    PipelineConfig, PipelineReport, SampleMeta, Split, TokenizedCorpus,
 };
 use crate::sample::Sample;
 
-/// Wall-clock of one streamed-pipeline stage, for the bench baseline.
+/// Wall-clock of one pipeline stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageTiming {
     /// Stage name (`tokenize-train`, `shard-profile`, `select-balance`,
@@ -85,11 +88,96 @@ pub fn run_pipeline_streamed(
     Ok((dataset, split, report))
 }
 
-/// [`run_pipeline_streamed`], additionally reporting per-stage wall-clock
-/// timings (consumed by the `pipeline` bench bin's `BENCH_pipeline.json`
-/// baseline).
+/// [`run_pipeline_streamed`], additionally reporting the wall-clock of
+/// each of the four stages.
 pub fn run_pipeline_streamed_timed(
     spec: &CorpusSpec,
+    cfg: &PipelineConfig,
+    caches: &SimCaches,
+    shard_size: usize,
+) -> Result<(Dataset, Split, PipelineReport, Vec<StageTiming>), PceError> {
+    // --- Stage 1: tokenizer training (stride subsample, streamed) --------
+    let t = Instant::now();
+    let training_docs = (0..spec.len())
+        .step_by(cfg.tokenizer_stride.max(1))
+        .map(|k| spec.program(k).map(|p| p.source))
+        .collect::<Result<Vec<_>, PceError>>()?;
+    let vocab =
+        BpeTrainer::new(cfg.tokenizer_vocab).train(training_docs.iter().map(String::as_str));
+    let tokenizer = Tokenizer::new(vocab);
+    drop(training_docs);
+    let trained = StageTiming::new("tokenize-train", t.elapsed());
+
+    let input = Input::Spec {
+        spec,
+        tokenizer: &tokenizer,
+    };
+    let (dataset, split, report, mut timings) = run_sharded(input, cfg, caches, shard_size)?;
+    timings.insert(0, trained);
+    Ok((dataset, split, report, timings))
+}
+
+/// One shard's programs and their token counts, borrowed or owned.
+type Shard<'a> = (Cow<'a, [Program]>, Cow<'a, [usize]>);
+
+/// The programs one core run reads.
+pub(crate) enum Input<'a> {
+    /// A materialized corpus and its tokenization: shards borrow both.
+    Corpus {
+        programs: &'a [Program],
+        tokenized: &'a TokenizedCorpus,
+    },
+    /// A corpus spec and a trained tokenizer: shards regenerate their
+    /// programs and count their tokens.
+    Spec {
+        spec: &'a CorpusSpec,
+        tokenizer: &'a Tokenizer,
+    },
+}
+
+impl Input<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Input::Corpus { programs, .. } => programs.len(),
+            Input::Spec { spec, .. } => spec.len(),
+        }
+    }
+
+    /// Programs `start..end` and their token counts.
+    fn shard(&self, start: usize, end: usize) -> Result<Shard<'_>, PceError> {
+        match self {
+            Input::Corpus {
+                programs,
+                tokenized,
+            } => Ok((
+                Cow::Borrowed(&programs[start..end]),
+                Cow::Borrowed(&tokenized.token_counts[start..end]),
+            )),
+            Input::Spec { spec, tokenizer } => {
+                let programs = spec
+                    .stream_range(start, end)
+                    .collect::<Result<Vec<_>, PceError>>()?;
+                let sources: Vec<&str> = programs.iter().map(|p| p.source.as_str()).collect();
+                let counts = tokenizer.count_batch(&sources);
+                Ok((Cow::Owned(programs), Cow::Owned(counts)))
+            }
+        }
+    }
+
+    /// Program `index`, borrowed or regenerated.
+    fn program(&self, index: usize) -> Result<Cow<'_, Program>, PceError> {
+        match self {
+            Input::Corpus { programs, .. } => Ok(Cow::Borrowed(&programs[index])),
+            Input::Spec { spec, .. } => spec.program(index).map(Cow::Owned),
+        }
+    }
+}
+
+/// The pipeline core: shard-profile, the corpus-order fold,
+/// select-balance, and materialize over `input`, in shards of
+/// `shard_size` programs. Returns the timings of those three stages.
+pub(crate) fn run_sharded(
+    input: Input<'_>,
     cfg: &PipelineConfig,
     caches: &SimCaches,
     shard_size: usize,
@@ -101,30 +189,13 @@ pub fn run_pipeline_streamed_timed(
         )));
     }
     let shard_size = shard_size.max(1);
-    let total = spec.len();
+    let total = input.len();
     let mut timings = Vec::with_capacity(4);
-
-    // --- Stage 1: tokenizer training (stride subsample, streamed) --------
-    let t = Instant::now();
-    let stride = cfg.tokenizer_stride.max(1);
-    let mut training_docs = Vec::with_capacity(total.div_ceil(stride));
-    let mut k = 0;
-    while k < total {
-        training_docs.push(spec.program(k)?.source);
-        k += stride;
-    }
-    let vocab =
-        BpeTrainer::new(cfg.tokenizer_vocab).train(training_docs.iter().map(|s| s.as_str()));
-    let tokenizer = Tokenizer::new(vocab);
-    drop(training_docs);
-    timings.push(StageTiming::new("tokenize-train", t.elapsed()));
 
     // --- Stage 2: per-shard profile + label + token count -----------------
     let t = Instant::now();
-    let profilers = RoutedProfilers {
-        gpu: Profiler::new(cfg.specs.gpu.clone()).with_caches(caches.clone()),
-        cpu: Profiler::new(cfg.specs.cpu.clone()).with_caches(caches.clone()),
-    };
+    let gpu = Profiler::new(cfg.specs.gpu.clone()).with_caches(caches.clone());
+    let cpu = Profiler::new(cfg.specs.cpu.clone()).with_caches(caches.clone());
     let bounds: Vec<(usize, usize)> = (0..total)
         .step_by(shard_size)
         .map(|s| (s, (s + shard_size).min(total)))
@@ -133,34 +204,42 @@ pub fn run_pipeline_streamed_timed(
     let shards: Vec<Result<Vec<ShardRow>, PceError>> = bounds
         .par_iter()
         .map(|&(start, end)| {
-            // The whole shard lives here and is dropped on return: only
-            // the metas survive.
-            let programs = spec
-                .stream_range(start, end)
-                .collect::<Result<Vec<_>, PceError>>()?;
-            let sources: Vec<&str> = programs.iter().map(|p| p.source.as_str()).collect();
-            let counts = tokenizer.count_batch(&sources);
+            // A regenerated shard lives here and is dropped on return:
+            // only the metas survive.
+            let (programs, counts) = input.shard(start, end)?;
+            let mut shard_sources = HashSet::new();
             let mut out = Vec::with_capacity(programs.len());
             for (off, p) in programs.iter().enumerate() {
-                let profiler = profilers.for_language(p.language);
+                let profiler = match p.language.spec_class() {
+                    SpecClass::Gpu => &gpu,
+                    SpecClass::Cpu => &cpu,
+                };
                 let hw = profiler.hardware();
                 let profile = profiler.profile_shared(&p.ir, &p.launch);
-                let label = classify_joint(hw, &profile.counts).label;
+                // Hazard audit inputs: a pure function of the source, so
+                // computing them here (parallel) and folding them in
+                // corpus order below is exact. A source already seen in
+                // this shard is a repeat the fold ignores, so it is not
+                // diagnosed again.
+                let src_fp = HazardAudit::source_fp(&p.source);
+                let diag_counts = if shard_sources.insert(src_fp) {
+                    hazard_counts(&p.source)
+                } else {
+                    Vec::new()
+                };
                 out.push((
                     SampleMeta {
                         index: start + off,
                         id: p.id.clone(),
                         language: p.language,
-                        label,
+                        label: classify_joint(hw, &profile.counts).label,
                         token_count: counts[off],
+                        counts: profile.counts,
+                        runtime_s: profile.runtime_s,
                     },
                     profile_fingerprint(p, &hw.name),
-                    // Hazard audit inputs: a pure function of the source,
-                    // so computing them here (parallel, pre-drop) and
-                    // folding them sequentially below reproduces the
-                    // materialized path's corpus-order audit exactly.
-                    HazardAudit::source_fp(&p.source),
-                    hazard_counts(&p.source),
+                    src_fp,
+                    diag_counts,
                 ));
             }
             Ok(out)
@@ -187,7 +266,7 @@ pub fn run_pipeline_streamed_timed(
     drop(token_counts);
     timings.push(StageTiming::new("shard-profile", t.elapsed()));
 
-    // --- Stage 3: prune → balance → split (shared with materialized) -----
+    // --- Stage 3: prune → balance → split ---------------------------------
     let t = Instant::now();
     let selection = select_and_balance(metas, cfg);
     timings.push(StageTiming::new("select-balance", t.elapsed()));
@@ -198,23 +277,21 @@ pub fn run_pipeline_streamed_timed(
         let rows: Vec<Result<Sample, PceError>> = chosen
             .par_iter()
             .map(|m| {
-                let p = spec.program(m.index)?;
-                let profiler = profilers.for_language(p.language);
-                let hw = profiler.hardware();
-                let profile = profiler.profile_shared(&p.ir, &p.launch);
+                let p = input.program(m.index)?;
+                let hw = cfg.specs.for_class(p.language.spec_class());
                 Ok(Sample {
-                    id: p.id,
-                    family: p.family,
+                    id: p.id.clone(),
+                    family: p.family.clone(),
                     language: p.language,
-                    kernel_name: p.kernel_name,
+                    kernel_name: p.kernel_name.clone(),
                     geometry: p.launch.geometry_string(),
-                    source: p.source,
-                    args: p.args,
+                    source: p.source.clone(),
+                    args: p.args.clone(),
                     token_count: m.token_count,
                     spec_name: hw.name.clone(),
                     spec_class: hw.class,
-                    counts: profile.counts,
-                    runtime_s: profile.runtime_s,
+                    counts: m.counts,
+                    runtime_s: m.runtime_s,
                     label: m.label,
                 })
             })
@@ -255,7 +332,7 @@ pub fn run_pipeline_streamed_timed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_pipeline_cached;
+    use crate::pipeline::{run_pipeline_cached, tokenize_corpus};
     use pce_kernels::{CorpusConfig, VariantAxes};
 
     fn small_spec(axes: VariantAxes) -> CorpusSpec {
@@ -294,14 +371,13 @@ mod tests {
                 .collect::<Result<_, _>>()
                 .expect("corpus builds");
             let c = cfg();
-            let tokenized = crate::pipeline::tokenize_corpus(&corpus, &c);
-            let eager_caches = SimCaches::new();
-            let eager = run_pipeline_cached(&corpus, &tokenized, &c, &eager_caches);
+            let tokenized = tokenize_corpus(&corpus, &c);
+            let materialized = run_pipeline_cached(&corpus, &tokenized, &c, &SimCaches::new());
             for shard_size in [1, 17, 1_000_000] {
                 let caches = SimCaches::new();
                 let streamed = run_pipeline_streamed(&spec, &c, &caches, shard_size)
                     .expect("streamed pipeline runs");
-                assert_eq!(eager, streamed, "shard_size={shard_size}");
+                assert_eq!(materialized, streamed, "shard_size={shard_size}");
             }
         }
     }

@@ -20,8 +20,7 @@
 //!   backoff and fingerprint-seeded jitter; [`attempt_seed`] salts retried
 //!   completions so they differ from the first attempt reproducibly,
 //! * [`ResponseAccounting`] — valid / retried-then-valid / invalid /
-//!   refused tallies that surface in Table 1, the suite renderers, and
-//!   `BENCH_suite.json`.
+//!   refused tallies that surface in Table 1 and the suite renderers.
 
 #![forbid(unsafe_code)]
 

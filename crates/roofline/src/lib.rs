@@ -48,13 +48,11 @@
 
 pub mod classify;
 pub mod hardware;
-pub mod hierarchical;
 pub mod model;
 pub mod observation;
 pub mod plot;
 
 pub use classify::{classify_joint, classify_per_class, Boundedness, JointClassification};
 pub use hardware::{HardwareSpec, OpClass, PresetLookupError, SpecClass, SpecPair};
-pub use hierarchical::{HierarchicalRoofline, MemLevel};
 pub use model::Roofline;
 pub use observation::{KernelObservation, OpCounts};

@@ -5,7 +5,8 @@
 //!
 //! Run with: `cargo run --release --example suite_sweep`
 
-use parallel_code_estimation::core::suite::{run_suite, Suite};
+use parallel_code_estimation::core::caches::SuiteCaches;
+use parallel_code_estimation::core::suite::{run_suite_cached, Suite};
 use parallel_code_estimation::roofline::{HardwareSpec, OpClass};
 
 fn main() {
@@ -23,7 +24,8 @@ fn main() {
         suite.cpu_specs.len(),
         suite.cells().len()
     );
-    let outcome = run_suite(&suite).expect("smoke matrix axes are valid");
+    let outcome =
+        run_suite_cached(&suite, &SuiteCaches::new()).expect("smoke matrix axes are valid");
 
     println!(
         "{:<28} {:<28} {:>9} {:>9} {:>8} {:>10}",

@@ -2,9 +2,9 @@
 //! suite-scale caching PR must be *unobservable* in the artifacts.
 //!
 //! Cold caches, a freshly-populated bundle, a fully-warm bundle reused
-//! across runs, the timed runner, and any `RAYON_NUM_THREADS` must all
-//! render byte-identical reports — `total_cost` included, since billing
-//! derives from integer token totals over byte-identical prompts.
+//! across runs, and any `RAYON_NUM_THREADS` must all render
+//! byte-identical reports — `total_cost` included, since billing derives
+//! from integer token totals over byte-identical prompts.
 //!
 //! Everything runs inside one `#[test]` so the env-var flip cannot race
 //! a concurrently running test in this binary (same pattern as
@@ -15,12 +15,9 @@ use parallel_code_estimation::core::report::{
     render_flips_csv, render_suite, render_suite_csv, render_table1,
 };
 use parallel_code_estimation::core::study::{Study, StudyData};
-use parallel_code_estimation::core::suite::{
-    run_suite, run_suite_cached, run_suite_timed, Suite, SuiteOutcome,
-};
-use parallel_code_estimation::core::table1::{
-    build_table1, build_table1_from_bank_cached, Rq1Bank,
-};
+use parallel_code_estimation::core::suite::{run_suite_cached, Suite, SuiteOutcome};
+use parallel_code_estimation::core::table1::{build_table1_from_bank_cached, Rq1Bank};
+use parallel_code_estimation::llm::LlmCaches;
 use parallel_code_estimation::roofline::HardwareSpec;
 
 fn tiny_suite() -> Suite {
@@ -50,8 +47,19 @@ fn render(outcome: &SuiteOutcome) -> String {
 fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     let suite = tiny_suite();
 
-    // --- Reference: cold caches (run_suite builds a private fresh bundle).
-    let cold = render(&run_suite(&suite).unwrap());
+    // --- Reference: cold caches, on a fresh bundle.
+    let fresh = SuiteCaches::new();
+    let cold_outcome = run_suite_cached(&suite, &fresh).unwrap();
+    let cold = render(&cold_outcome);
+    // Both shot styles × every cell rendered once per sample, and the RQ1
+    // bank's parse cache collapsed the per-model re-parsing.
+    let expected: usize = cold_outcome
+        .completed()
+        .iter()
+        .map(|s| 2 * s.dataset_ids.len())
+        .sum();
+    assert_eq!(fresh.prompt_renders() as usize, expected);
+    assert!(fresh.report().rq1_parse.hits > 0, "{:?}", fresh.report());
 
     // --- One shared bundle, exercised twice: the first run populates it,
     // the second is served by the profile memo and analysis caches.
@@ -66,16 +74,19 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     assert!(report.analysis.hits > 0, "{report:?}");
     assert!(report.classify_parse.hits > 0, "{report:?}");
 
-    // --- The timed runner is instrumentation-only.
-    let (timed, bench) = run_suite_timed(&suite, &SuiteCaches::new()).unwrap();
-    assert_eq!(cold, render(&timed), "timed vs untimed");
-    assert_eq!(bench.specs, suite.specs.len());
-
     // --- Table 1 (single-spec artifact), cold vs warm, total_cost
     // included in the rendered bytes.
     let study = Study::smoke();
     let data = StudyData::build(&study).expect("study builds");
-    let t_cold = render_table1(&build_table1(&study, &data));
+    let t_cold = render_table1(
+        &build_table1_from_bank_cached(
+            &study,
+            &data.dataset.samples,
+            &Rq1Bank::build_cached(&study, &LlmCaches::new()),
+            &SuiteCaches::new(),
+        )
+        .table,
+    );
     let t_caches = SuiteCaches::new();
     let bank = Rq1Bank::build_cached(&study, &t_caches.llm);
     let t_warm = render_table1(
@@ -92,7 +103,7 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     std::env::set_var("RAYON_NUM_THREADS", "4");
     assert_eq!(rayon::current_num_threads(), 4);
     let warm_parallel = render(&run_suite_cached(&suite, &caches).unwrap());
-    let cold_parallel = render(&run_suite(&suite).unwrap());
+    let cold_parallel = render(&run_suite_cached(&suite, &SuiteCaches::new()).unwrap());
     std::env::set_var("RAYON_NUM_THREADS", "1");
     assert_eq!(rayon::current_num_threads(), 1);
     let warm_serial = render(&run_suite_cached(&suite, &caches).unwrap());

@@ -7,11 +7,12 @@
 //! vendored rayon re-reads `RAYON_NUM_THREADS` per call and the env-var
 //! flip must not race other tests in this binary.
 
+use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::report::{
     render_accounting_csv, render_suite, render_suite_csv,
 };
 use parallel_code_estimation::core::study::ChaosConfig;
-use parallel_code_estimation::core::suite::{run_suite, Suite, SuiteOutcome};
+use parallel_code_estimation::core::suite::{run_suite_cached, Suite, SuiteOutcome};
 use parallel_code_estimation::roofline::HardwareSpec;
 
 fn chaos_suite(chaos: Option<ChaosConfig>) -> Suite {
@@ -29,7 +30,7 @@ fn chaos_suite(chaos: Option<ChaosConfig>) -> Suite {
 
 fn run_and_render(chaos: Option<ChaosConfig>) -> (SuiteOutcome, String) {
     let suite = chaos_suite(chaos);
-    let outcome = run_suite(&suite).expect("smoke axes are valid");
+    let outcome = run_suite_cached(&suite, &SuiteCaches::new()).expect("smoke axes are valid");
     let rendered = format!(
         "{}\n{}\n{}",
         render_suite(&outcome),

@@ -9,27 +9,36 @@
 //! so the env-var flip cannot race a concurrently running test in this
 //! binary.
 
+use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::report::{
     render_flips_csv, render_suite, render_suite_csv, render_table1,
 };
 use parallel_code_estimation::core::study::{Study, StudyData};
-use parallel_code_estimation::core::suite::{run_suite, Suite};
-use parallel_code_estimation::core::table1::build_table1;
+use parallel_code_estimation::core::suite::{run_suite_cached, Suite};
+use parallel_code_estimation::core::table1::{build_table1_from_bank_cached, Rq1Bank};
 use parallel_code_estimation::roofline::HardwareSpec;
+
+/// FNV-1a digest of [`render_everything`], pinned while the pipeline
+/// still had a separate eager implementation and every batch layer had
+/// its cache-free entry points.
+const EVERYTHING_DIGEST: u64 = 0x957d_f7ec_d5d0_4fb5;
 
 /// Render every artifact the golden test guards: the smoke-scale Table 1
 /// and the full suite report (markdown + both CSVs).
 fn render_everything() -> String {
     let study = Study::smoke();
     let data = StudyData::build(&study).expect("study builds");
-    let table = build_table1(&study, &data);
+    let caches = SuiteCaches::new();
+    let bank = Rq1Bank::build_cached(&study, &caches.llm);
+    let table = build_table1_from_bank_cached(&study, &data.dataset.samples, &bank, &caches).table;
 
     let suite = Suite::smoke_with_specs(vec![
         HardwareSpec::rtx_3080(),
         HardwareSpec::a100(),
         HardwareSpec::mi250x(),
     ]);
-    let outcome = run_suite(&suite).expect("smoke suite axes are valid");
+    let outcome =
+        run_suite_cached(&suite, &SuiteCaches::new()).expect("smoke suite axes are valid");
 
     format!(
         "{}\n{}\n{}\n{}",
@@ -44,6 +53,11 @@ fn render_everything() -> String {
 fn artifacts_render_byte_identically_across_runs_and_thread_counts() {
     // One run at the default thread budget (whatever the machine offers).
     let default_run = render_everything();
+    assert_eq!(
+        fnv1a64(default_run.as_bytes()),
+        EVERYTHING_DIGEST,
+        "rendered artifacts moved"
+    );
     assert!(!default_run.is_empty());
 
     // Two genuinely multi-threaded runs: force 4 workers even on a
@@ -70,4 +84,12 @@ fn artifacts_render_byte_identically_across_runs_and_thread_counts() {
         parallel_a, default_run,
         "default-budget vs pinned-budget rendering diverged"
     );
+}
+
+/// 64-bit FNV-1a, written out because std's `DefaultHasher` is not
+/// stable across Rust releases.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

@@ -1,13 +1,14 @@
 //! End-to-end integration tests spanning every workspace crate: corpus →
 //! profiling → dataset → prompts → surrogate models → metrics → artifacts.
 
+use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::experiments::{
     run_classification, run_hyperparam_check, run_rq1, run_rq4,
 };
 use parallel_code_estimation::core::figures::{build_fig1, build_fig2};
 use parallel_code_estimation::core::report;
 use parallel_code_estimation::core::study::{Study, StudyData};
-use parallel_code_estimation::core::table1::build_table1;
+use parallel_code_estimation::core::table1::{build_table1_from_bank_cached, Rq1Bank};
 use parallel_code_estimation::llm::SurrogateEngine;
 use parallel_code_estimation::prompt::ShotStyle;
 use parallel_code_estimation::roofline::Boundedness;
@@ -113,7 +114,9 @@ fn figures_and_reports_render() {
 #[test]
 fn table1_smoke_has_paper_structure() {
     let (study, data) = study_and_data();
-    let table = build_table1(&study, &data);
+    let caches = SuiteCaches::new();
+    let bank = Rq1Bank::build_cached(&study, &caches.llm);
+    let table = build_table1_from_bank_cached(&study, &data.dataset.samples, &bank, &caches).table;
     assert_eq!(table.rows.len(), 9);
     let text = report::render_table1(&table);
     assert!(text.contains("o3-mini-high"));

@@ -1,6 +1,7 @@
-//! Streamed-pipeline identity tests: the sharded, bounded-memory
-//! pipeline must render byte-identically to the materialize-everything
-//! path for *any* shard size and *any* rayon thread count, and
+//! Streamed-pipeline identity tests: the pipeline core must render
+//! byte-identically from a streamed spec and from the materialized
+//! corpus, for *any* shard size and *any* rayon thread count, and match a
+//! digest pinned from the separate eager implementation it replaced;
 //! re-streaming the same spec must profile zero new kernels.
 //!
 //! The vendored rayon re-reads `RAYON_NUM_THREADS` on every parallel
@@ -27,6 +28,11 @@ fn render(dataset: &Dataset, split: &Split, report: &PipelineReport) -> String {
     )
 }
 
+/// FNV-1a digest of [`render`] over the smoke spec, pinned while the
+/// pipeline still had a separate eager implementation: it keeps the
+/// shared core's output tied to those bytes.
+const SMOKE_SPEC_DIGEST: u64 = 0x86f8_416e_1d78_2699;
+
 /// A smoke-scale variant-expanded spec: 210 base programs × unroll/
 /// precision axes. Small enough for debug-build CI, expanded enough that
 /// sharding and dedup both do real work.
@@ -49,7 +55,7 @@ fn streamed_pipeline_is_byte_identical_across_shards_and_threads() {
     let (spec, study) = smoke_spec();
 
     // The ground truth: materialize the whole expanded corpus and run the
-    // eager cached pipeline over it.
+    // in-memory pipeline over it.
     let corpus: Vec<_> = spec
         .stream()
         .collect::<Result<_, _>>()
@@ -59,6 +65,11 @@ fn streamed_pipeline_is_byte_identical_across_shards_and_threads() {
     let (dataset, split, report) =
         run_pipeline_cached(&corpus, &tokenized, &study.pipeline, &caches);
     let golden = render(&dataset, &split, &report);
+    assert_eq!(
+        fnv1a64(golden.as_bytes()),
+        SMOKE_SPEC_DIGEST,
+        "the in-memory pipeline's bytes moved"
+    );
 
     for threads in ["1", "4"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
@@ -105,4 +116,12 @@ fn restreaming_the_same_seed_profiles_zero_new_kernels() {
         "re-streaming the same seed must profile zero new kernels"
     );
     assert_eq!(first.dedup, second.dedup, "dedup accounting must be stable");
+}
+
+/// 64-bit FNV-1a, written out because std's `DefaultHasher` is not
+/// stable across Rust releases.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

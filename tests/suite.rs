@@ -1,13 +1,15 @@
-//! End-to-end tests for the cross-hardware suite: the shared build must
+//! End-to-end tests for the cross-hardware suite: its shared build must
 //! be exactly equivalent to rebuilding every (GPU, CPU) cell from
-//! scratch, the corpus/tokenizer work must be shared (not redone per
-//! cell), and each language's hardware axis must actually flip its own
-//! kernels' labels.
+//! scratch on fresh cache bundles, the corpus/tokenizer work must be
+//! shared (not redone per cell), and each language's hardware axis must
+//! actually flip its own kernels' labels.
 
+use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::study::StudyData;
-use parallel_code_estimation::core::suite::{run_suite_shared, SharedBuild, Suite};
-use parallel_code_estimation::core::table1::build_table1;
-use parallel_code_estimation::kernels::Language;
+use parallel_code_estimation::core::suite::{run_suite_cached, Suite, SuiteOutcome};
+use parallel_code_estimation::core::table1::{build_table1_from_bank_cached, Rq1Bank};
+use parallel_code_estimation::dataset::tokenize_corpus;
+use parallel_code_estimation::kernels::{build_corpus, Language};
 use parallel_code_estimation::roofline::{Boundedness, HardwareSpec};
 
 fn small_suite() -> Suite {
@@ -27,19 +29,26 @@ fn small_suite() -> Suite {
     )
 }
 
+/// The suite on a cold cache bundle.
+fn run(suite: &Suite) -> SuiteOutcome {
+    run_suite_cached(suite, &SuiteCaches::new()).expect("suite axes are valid")
+}
+
 #[test]
 fn shared_build_is_equivalent_to_independent_rebuilds() {
     let suite = small_suite();
-    let shared = SharedBuild::build(&suite).expect("shared build");
-    let outcome = run_suite_shared(&suite, &shared).unwrap();
+    let outcome = run(&suite);
     assert_eq!(outcome.completed().len(), suite.cells().len());
 
     for (pair, spec_out) in suite.cells().iter().zip(outcome.completed()) {
-        // Rebuild this cell completely from scratch: fresh corpus, fresh
-        // tokenizer training, fresh RQ1 runs.
+        // Rebuild this cell completely from scratch on fresh bundles:
+        // fresh corpus, fresh tokenizer training, fresh RQ1 runs.
         let study = suite.base.with_specs(pair.clone());
         let data = StudyData::build(&study).expect("study builds");
-        let table = build_table1(&study, &data);
+        let caches = SuiteCaches::new();
+        let bank = Rq1Bank::build_cached(&study, &caches.llm);
+        let table =
+            build_table1_from_bank_cached(&study, &data.dataset.samples, &bank, &caches).table;
 
         let label = pair.label();
         assert_eq!(spec_out.funnel, data.report, "{label}: funnel diverged");
@@ -55,27 +64,27 @@ fn shared_build_is_equivalent_to_independent_rebuilds() {
 #[test]
 fn corpus_and_tokenizer_are_built_once_and_shared() {
     let suite = small_suite();
-    let shared = SharedBuild::build(&suite).expect("shared build");
-    let outcome = run_suite_shared(&suite, &shared).unwrap();
+    let outcome = run(&suite);
+    let corpus = build_corpus(&suite.base.corpus).expect("corpus builds");
+    let tokenized = tokenize_corpus(&corpus, &suite.base.pipeline);
 
-    // Every cell's funnel must carry the *shared* tokenization verbatim —
-    // the raw token distribution comes straight from `shared.tokenized`,
-    // not from a per-cell retrain.
-    assert!(shared.tokenized.raw_token_stats.is_some());
-    assert_eq!(shared.tokenized.token_counts.len(), shared.corpus.len());
+    // Every cell's funnel must carry the one tokenization of the base
+    // study verbatim, not a per-cell retrain.
+    assert!(tokenized.raw_token_stats.is_some());
+    assert_eq!(tokenized.token_counts.len(), corpus.len());
     for spec_out in outcome.completed() {
         assert_eq!(
             spec_out.funnel.raw_token_stats,
-            shared.tokenized.raw_token_stats,
+            tokenized.raw_token_stats,
             "{}: tokenization was not shared",
             spec_out.pair_label()
         );
         // Hardware never changes what was built, only how it is labeled.
         let built: usize = spec_out.funnel.built.values().sum();
-        assert_eq!(built, shared.corpus.len(), "{}", spec_out.pair_label());
+        assert_eq!(built, corpus.len(), "{}", spec_out.pair_label());
         assert_eq!(
             spec_out.funnel.corpus_labels.len(),
-            shared.corpus.len(),
+            corpus.len(),
             "{}",
             spec_out.pair_label()
         );
@@ -85,8 +94,7 @@ fn corpus_and_tokenizer_are_built_once_and_shared() {
 #[test]
 fn each_language_flips_along_its_own_axis() {
     let suite = small_suite();
-    let outcome =
-        run_suite_shared(&suite, &SharedBuild::build(&suite).expect("shared build")).unwrap();
+    let outcome = run(&suite);
     let flips = &outcome.flips;
 
     for section in &flips.by_language {
@@ -127,9 +135,8 @@ fn each_language_flips_along_its_own_axis() {
     let omp = flips.language(Language::Omp).unwrap();
     assert_eq!(
         cuda.kernels.len() + omp.kernels.len(),
-        SharedBuild::build(&suite)
-            .expect("shared build")
-            .corpus
+        build_corpus(&suite.base.corpus)
+            .expect("corpus builds")
             .len()
     );
 }
@@ -146,5 +153,7 @@ fn suite_smoke_covers_the_preset_catalog() {
     for hw in Suite::smoke().specs.iter().chain(&Suite::smoke().cpu_specs) {
         assert!(hw.validate().is_empty(), "{} invalid", hw.name);
     }
-    assert!(Suite::smoke().validate().is_empty());
+    for pair in Suite::smoke().cells() {
+        assert!(pair.validate().is_empty(), "{}", pair.label());
+    }
 }
