@@ -19,17 +19,18 @@
 //! full corpus and treats a nonzero exit as a regression.
 //!
 //! `--emit-predict` prints a ready-made raw-source `predict src=...`
-//! protocol line (percent-encoded via `pce_core::serve::encode_src`) for
-//! a known-clean or known-racy kernel, so smoke scripts can pipe an
-//! accept and a reject case through the `serve` bin without quoting
-//! gymnastics.
+//! protocol line (a `pce_core::serve::Job`'s `Display`, which
+//! percent-encodes the source) for a known-clean or known-racy kernel, so
+//! smoke scripts can pipe an accept and a reject case through the `serve`
+//! bin without quoting gymnastics.
 
 use std::collections::BTreeMap;
 use std::io::Write;
 
 use pce_bench::{flag_value, study_from_args};
-use pce_core::serve::encode_src;
+use pce_core::serve::{Job, STATIC_MODEL};
 use pce_kernels::build_corpus;
+use pce_prompt::ShotStyle;
 use pce_static_analysis::{diagnose, RuleId, Severity};
 
 /// A clean kernel for `--emit-predict clean`: saxpy with a guarded,
@@ -52,7 +53,16 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        println!("predict id={id} src={} spec=rtx-3080", encode_src(src));
+        let job = Job {
+            id: id.to_string(),
+            kernel: "-".to_string(),
+            spec: "rtx-3080".to_string(),
+            model: STATIC_MODEL.to_string(),
+            style: ShotStyle::ZeroShot,
+            deadline_ms: None,
+            src: Some(src.to_string()),
+        };
+        println!("{job}");
         return;
     }
 

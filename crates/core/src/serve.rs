@@ -54,16 +54,15 @@
 //!
 //! Time inside a session is *virtual*: the clock (`vnow`, in virtual
 //! milliseconds) advances only on wire-chaos stalls, and each dispatched
-//! job advances a `busy_until` horizon by [`ServeConfig::cost_ms_per_job`].
+//! job advances a `busy_until` horizon by 2 virtual milliseconds.
 //! Nothing ever sleeps. On that clock the server enforces, in order:
 //!
 //! 1. **Drain** — after a `drain` command (or EOF / disconnect) admission
 //!    stops; late jobs are shed with `shed=drain`.
-//! 2. **Circuit breaker** — per model, [`ServeConfig::breaker_threshold`]
-//!    consecutive invalid/refused responses open the breaker; while open,
-//!    a seeded half-open probe (rate [`ServeConfig::breaker_probe_rate`])
-//!    admits the occasional job, and a probe success closes it. Shed jobs
-//!    answer `shed=breaker` and count in `breaker_open`.
+//! 2. **Circuit breaker** — per model, 4 consecutive invalid/refused
+//!    responses open the breaker; while open, a seeded half-open probe
+//!    (rate 0.25) admits the occasional job, and a probe success closes
+//!    it. Shed jobs answer `shed=breaker` and count in `breaker_open`.
 //! 3. **Bounded queue** — with [`ServeConfig::queue_depth`] set, a job
 //!    arriving while the server is busy (`vnow < busy_until`) and the
 //!    queue is full is shed with `shed=queue` instead of queuing forever.
@@ -93,9 +92,10 @@
 //! transcript reduces exactly to the historical (pre-overload) behavior.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, Write};
-use std::sync::Mutex;
+use std::fmt;
+use std::io::{self, BufRead, Write};
 
+use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use pce_fault::{seeded_unit, PceError, ResponseAccounting, RetryPolicy, WireFault, WirePlan};
@@ -301,18 +301,46 @@ impl Command {
     }
 }
 
-/// Collapse a (possibly multi-line) error display into one protocol-safe
-/// line: responses are one line each, but some error sources (the
-/// hardware-preset catalog listing, for one) render across many.
-fn one_line(msg: impl std::fmt::Display) -> String {
-    msg.to_string().replace('\n', "; ").replace('"', "'")
+impl fmt::Display for Job {
+    /// The job's `predict` protocol line, the inverse of
+    /// [`Command::parse`]: raw source goes out through [`encode_src`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "predict id={}", self.id)?;
+        match &self.src {
+            Some(src) => write!(f, " src={} spec={}", encode_src(src), self.spec)?,
+            None => write!(
+                f,
+                " kernel={} spec={} model={} shots={}",
+                self.kernel,
+                self.spec,
+                self.model,
+                match self.style {
+                    ShotStyle::ZeroShot => "zero",
+                    ShotStyle::FewShot => "few",
+                }
+            )?,
+        }
+        if let Some(d) = self.deadline_ms {
+            write!(f, " deadline_ms={d}")?;
+        }
+        Ok(())
+    }
+}
+
+/// The `err` response line rendering `e` for job `id`, tagged `shed=`
+/// when load shedding rejected the job. Responses are one line each, but
+/// some error sources (the hardware-preset catalog listing, for one)
+/// render across many, so the message is collapsed onto one line.
+fn err_line(id: &str, e: &PceError, shed: Option<&str>) -> String {
+    let shed = shed.map(|tag| format!(" shed={tag}")).unwrap_or_default();
+    let msg = e.to_string().replace('\n', "; ").replace('"', "'");
+    format!("err id={id} kind={}{shed} error=\"{msg}\"", e.kind())
 }
 
 /// Serving-side knobs for one [`PredictionService::serve_session`].
 ///
-/// The default configuration — unbounded queue, no deadline, breaker
-/// that only trips under chaos — reproduces the historical protocol
-/// behavior byte-for-byte.
+/// The default configuration — unbounded queue, no deadline — reproduces
+/// the historical protocol behavior byte-for-byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Admission batch size (jobs grouped per dispatch).
@@ -324,27 +352,11 @@ pub struct ServeConfig {
     /// Deadline applied to jobs that carry no `deadline_ms=` of their
     /// own, in virtual milliseconds.
     pub default_deadline_ms: Option<u64>,
-    /// Virtual service cost per dispatched job, in milliseconds — the
-    /// unit the `busy_until` horizon advances by.
-    pub cost_ms_per_job: u64,
-    /// Consecutive invalid/refused responses that open a model's
-    /// circuit breaker.
-    pub breaker_threshold: u32,
-    /// Probability an open breaker admits a half-open probe, drawn
-    /// deterministically from the study seed.
-    pub breaker_probe_rate: f64,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig {
-            batch: 8,
-            queue_depth: None,
-            default_deadline_ms: None,
-            cost_ms_per_job: 2,
-            breaker_threshold: 4,
-            breaker_probe_rate: 0.25,
-        }
+        ServeConfig::classic(8)
     }
 }
 
@@ -354,24 +366,27 @@ impl ServeConfig {
     pub fn classic(batch: usize) -> ServeConfig {
         ServeConfig {
             batch,
-            ..ServeConfig::default()
+            queue_depth: None,
+            default_deadline_ms: None,
         }
     }
 }
 
-/// What a [`CircuitBreaker`] decided about one arriving job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerDecision {
-    /// Breaker closed: admit normally.
-    Admit,
-    /// Breaker open, but this job is a half-open probe: admit it and let
-    /// its outcome close (or keep open) the breaker.
-    Probe,
-    /// Breaker open: shed.
-    Shed,
-}
+/// Virtual service cost per dispatched job, in milliseconds — the unit
+/// the `busy_until` horizon advances by.
+const COST_MS_PER_JOB: u64 = 2;
 
-#[derive(Debug, Default, Clone)]
+/// Consecutive invalid/refused responses that open a model's circuit
+/// breaker.
+const BREAKER_THRESHOLD: u32 = 4;
+
+/// Probability an open breaker admits a half-open probe.
+const BREAKER_PROBE_RATE: f64 = 0.25;
+
+/// Salt separating breaker probe draws from the chaos streams.
+const BREAKER_SALT: u64 = 0xfa_17_00_04;
+
+#[derive(Default)]
 struct BreakerState {
     consecutive: u32,
     open: bool,
@@ -390,58 +405,43 @@ struct BreakerState {
 /// keyed on (seed, model, epoch, draw index), never on wall-clock or
 /// thread scheduling, so trip/probe/close sequences are byte-reproducible.
 /// A probe that succeeds closes the breaker; one that fails keeps it open.
-#[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+struct CircuitBreaker {
     threshold: u32,
     probe_rate: f64,
     seed: u64,
     states: BTreeMap<String, BreakerState>,
 }
 
-/// Salt separating breaker probe draws from the chaos streams.
-const BREAKER_SALT: u64 = 0xfa_17_00_04;
-
 impl CircuitBreaker {
-    /// A breaker tripping after `threshold` consecutive failures (min 1),
-    /// probing at `probe_rate` from `seed`.
-    pub fn new(threshold: u32, probe_rate: f64, seed: u64) -> CircuitBreaker {
+    fn new(threshold: u32, probe_rate: f64, seed: u64) -> CircuitBreaker {
         CircuitBreaker {
-            threshold: threshold.max(1),
-            probe_rate: probe_rate.clamp(0.0, 1.0),
+            threshold,
+            probe_rate,
             seed,
             states: BTreeMap::new(),
         }
     }
 
-    /// Whether `model`'s breaker is currently open.
-    pub fn is_open(&self, model: &str) -> bool {
-        self.states.get(model).map(|s| s.open).unwrap_or(false)
-    }
-
-    /// Decide admission for one arriving job of `model`.
-    pub fn admit(&mut self, model: &str) -> BreakerDecision {
+    /// Whether one arriving job of `model` may enter: always while the
+    /// breaker is closed, as a half-open probe while it is open.
+    fn admit(&mut self, model: &str) -> bool {
         let state = self.states.entry(model.to_string()).or_default();
         if !state.open {
-            return BreakerDecision::Admit;
+            return true;
         }
         state.draws += 1;
-        let u = seeded_unit(&[
+        seeded_unit(&[
             &(self.seed ^ BREAKER_SALT).to_le_bytes(),
             model.as_bytes(),
             &state.epoch.to_le_bytes(),
             &state.draws.to_le_bytes(),
-        ]);
-        if u < self.probe_rate {
-            BreakerDecision::Probe
-        } else {
-            BreakerDecision::Shed
-        }
+        ]) < self.probe_rate
     }
 
     /// Record one completed response for `model`: `success` means the
     /// answer was valid (first try or retried); failure means invalid or
     /// refused.
-    pub fn record(&mut self, model: &str, success: bool) {
+    fn record(&mut self, model: &str, success: bool) {
         let state = self.states.entry(model.to_string()).or_default();
         if success {
             state.consecutive = 0;
@@ -461,16 +461,12 @@ impl CircuitBreaker {
     }
 }
 
-/// Profiled-and-rendered state shared by every job in one
-/// (kernel, spec, shot-style) admission group.
-struct GroupPrep {
-    prompt: String,
-    truth: Boundedness,
-}
+/// A job's admission group: (corpus index, preset name, few-shot). Jobs
+/// of one group share a profile and a rendered prompt.
+type GroupKey = (usize, String, bool);
 
 /// A job waiting in the admission queue, stamped with its arrival on the
 /// virtual clock and its resolved deadline.
-#[derive(Debug, Clone)]
 struct QueuedJob {
     job: Job,
     arrival_ms: u64,
@@ -478,35 +474,39 @@ struct QueuedJob {
 }
 
 /// How one admitted job left the serving layer.
-enum ServeOutcome {
+#[derive(Clone, Copy)]
+enum Outcome {
+    /// Answered: an `ok` line, or an `err` line for a job that could not
+    /// be resolved.
     Completed,
+    /// Its deadline passed before an answer could be delivered.
     Expired,
     /// A raw-source job rejected by error-severity static diagnostics.
-    LintRejected,
+    Lint,
+    /// Shed under load; `breaker` when an open circuit breaker shed it.
+    Shed { breaker: bool },
 }
 
-/// One fanned-out job before the ledger merge: response line, response
-/// accounting, resolution, and the optional `(model, success)` breaker
-/// signal.
-type FannedAnswer = (
-    String,
-    ResponseAccounting,
-    ServeOutcome,
-    Option<(String, bool)>,
-);
-
-/// One answered job from a dispatched chunk.
+/// One answered job: its response line, its ledger outcome, the engine's
+/// response accounting, and — when a model actually responded — whether
+/// it answered validly, which feeds the circuit breaker in request order.
 struct Answer {
     line: String,
-    /// `(model, success)` when a model actually responded — feeds the
-    /// circuit breaker in request order.
-    breaker_signal: Option<(String, bool)>,
+    outcome: Outcome,
+    accounting: ResponseAccounting,
+    success: Option<bool>,
 }
 
-struct ChunkResult {
-    answers: Vec<Answer>,
-    /// The virtual time the chunk finished.
-    t_end: u64,
+impl Answer {
+    /// An answer no model took part in.
+    fn settled(line: String, outcome: Outcome) -> Answer {
+        Answer {
+            line,
+            outcome,
+            accounting: ResponseAccounting::new(),
+            success: None,
+        }
+    }
 }
 
 /// A long-lived prediction service over one study's corpus.
@@ -571,28 +571,17 @@ impl PredictionService {
             .filter(|w| w.is_active())
     }
 
-    /// Total `predict` jobs admitted so far (including shed and expired).
-    pub fn jobs_served(&self) -> u64 {
-        self.ledger().admitted
-    }
-
     /// The service-wide ledger: every per-model bucket merged.
     pub fn ledger(&self) -> ResponseAccounting {
         self.ledgers
             .lock()
-            .map(|map| {
-                map.values()
-                    .fold(ResponseAccounting::new(), |acc, l| acc.merged(l))
-            })
-            .unwrap_or_default()
+            .values()
+            .fold(ResponseAccounting::new(), |acc, l| acc.merged(l))
     }
 
     /// The per-model ledgers, keyed by the model name jobs arrived with.
     pub fn ledgers(&self) -> BTreeMap<String, ResponseAccounting> {
-        self.ledgers
-            .lock()
-            .map(|map| map.clone())
-            .unwrap_or_default()
+        self.ledgers.lock().clone()
     }
 
     /// Whether the extended ledger invariant
@@ -600,11 +589,26 @@ impl PredictionService {
     /// `admitted == completed + shed + expired + lint`) holds globally
     /// *and* in every per-model bucket.
     pub fn ledger_balanced(&self) -> bool {
-        self.ledgers
-            .lock()
-            .map(|map| map.values().all(|l| l.balanced()))
-            .unwrap_or(false)
-            && self.ledger().balanced()
+        let per_model = self.ledgers.lock().values().all(|l| l.balanced());
+        per_model && self.ledger().balanced()
+    }
+
+    /// Count one admitted job into `model`'s ledger: its outcome and the
+    /// engine's response accounting.
+    fn account(&self, model: &str, outcome: Outcome, accounting: &ResponseAccounting) {
+        let mut ledgers = self.ledgers.lock();
+        let l = ledgers.entry(model.to_string()).or_default();
+        l.admitted += 1;
+        match outcome {
+            Outcome::Completed => l.completed += 1,
+            Outcome::Expired => l.expired += 1,
+            Outcome::Lint => l.lint += 1,
+            Outcome::Shed { breaker } => {
+                l.shed += 1;
+                l.breaker_open += u64::from(breaker);
+            }
+        }
+        l.merge(accounting);
     }
 
     /// The one-line `stats` response: totals, then per-model overload
@@ -652,8 +656,9 @@ impl PredictionService {
         self.study.seed ^ h.finish()
     }
 
-    /// Resolve a job against the corpus, preset catalog, and model zoo.
-    fn resolve(&self, job: &Job) -> Result<(usize, HardwareSpec), PceError> {
+    /// Resolve a corpus job against the corpus, preset catalog, and model
+    /// zoo into its admission group.
+    fn resolve(&self, job: &Job) -> Result<(GroupKey, HardwareSpec), PceError> {
         let prog = *self
             .index
             .get(&job.kernel)
@@ -663,28 +668,8 @@ impl PredictionService {
         if pce_llm::zoo::model(&job.model).is_none() {
             return Err(PceError::spec(format!("unknown model '{}'", job.model)));
         }
-        Ok((prog, spec))
-    }
-
-    /// Account one shed job (never dispatched).
-    fn account_shed(&self, model: &str, breaker: bool) {
-        if let Ok(mut map) = self.ledgers.lock() {
-            let l = map.entry(model.to_string()).or_default();
-            l.admitted += 1;
-            l.shed += 1;
-            if breaker {
-                l.breaker_open += 1;
-            }
-        }
-    }
-
-    /// Account one job expired at admission (never dispatched).
-    fn account_admission_expiry(&self, model: &str) {
-        if let Ok(mut map) = self.ledgers.lock() {
-            let l = map.entry(model.to_string()).or_default();
-            l.admitted += 1;
-            l.expired += 1;
-        }
+        let key = (prog, spec.name.clone(), job.style == ShotStyle::FewShot);
+        Ok((key, spec))
     }
 
     /// Answer one raw-source job: run the full static pipeline
@@ -771,86 +756,66 @@ impl PredictionService {
                 deadline_ms: None,
             })
             .collect();
-        self.run_chunk(&queued, 0, 0)
-            .answers
-            .into_iter()
-            .map(|a| a.line)
-            .collect()
+        let (answers, _) = self.run_chunk(&queued, 0);
+        answers.into_iter().map(|a| a.line).collect()
     }
 
-    /// Dispatch one chunk of queued jobs at virtual time `dispatch_ms`.
+    /// Answer one chunk of queued jobs dispatched at virtual time
+    /// `dispatch_ms`, in request order, counting every answer into its
+    /// model's ledger. Also returns the virtual time the chunk finishes.
     ///
-    /// Deadline enforcement: jobs already past their deadline at batch
-    /// formation answer `err timeout` without costing a completion;
-    /// dispatched jobs get their retry backoff budgeted to the remaining
-    /// deadline; and jobs whose chunk finishes past their deadline expire
-    /// at completion fan-out. Expired-after-dispatch jobs still merge
-    /// their response accounting, keeping the `injected` balance exact.
-    fn run_chunk(&self, chunk: &[QueuedJob], dispatch_ms: u64, cost_ms: u64) -> ChunkResult {
-        // Admission: resolve every job, grouping the live ones.
-        type GroupKey = (usize, String, bool);
-        enum Slot {
-            Live(GroupKey),
-            FormationExpired(u64),
-            Rejected(String),
-            /// A raw-source job answered by the static analyzer.
-            Static(String),
-            /// A raw-source job rejected by error-severity diagnostics.
-            LintRejected(String),
-        }
-        let mut slots: Vec<Slot> = Vec::with_capacity(chunk.len());
+    /// Jobs that need no model are settled at admission: overdue at batch
+    /// formation (`err timeout`, costing no completion), unresolvable
+    /// (`err spec`), and raw source (the static answer or its lint
+    /// rejection). Only the live jobs fan out, with their retry backoff
+    /// budgeted to the remaining deadline; a live job whose chunk
+    /// finishes past its deadline expires at completion fan-out but still
+    /// merges its response accounting, keeping the `injected` balance
+    /// exact.
+    fn run_chunk(&self, chunk: &[QueuedJob], dispatch_ms: u64) -> (Vec<Answer>, u64) {
+        // Admission: settle every job that needs no model, group the rest.
         let mut groups: BTreeMap<GroupKey, HardwareSpec> = BTreeMap::new();
-        let mut live = 0u64;
-        for q in chunk {
-            if let Some(d) = q.deadline_ms {
-                if dispatch_ms > q.arrival_ms + d {
-                    slots.push(Slot::FormationExpired(d));
-                    continue;
-                }
-            }
-            if let Some(src) = &q.job.src {
-                slots.push(match self.static_answer(&q.job, src) {
-                    Ok(line) => Slot::Static(line),
-                    Err(e @ PceError::Lint { .. }) => Slot::LintRejected(format!(
-                        "err id={} kind={} error=\"{}\"",
-                        q.job.id,
-                        e.kind(),
-                        one_line(&e)
+        let mut live: Vec<(usize, GroupKey)> = Vec::new();
+        let mut answers: Vec<Option<Answer>> = Vec::with_capacity(chunk.len());
+        for (i, q) in chunk.iter().enumerate() {
+            let job = &q.job;
+            answers.push(match (q.deadline_ms, &job.src) {
+                (Some(d), _) if dispatch_ms > q.arrival_ms + d => Some(Answer::settled(
+                    format!(
+                        "err id={} kind=timeout error=\"deadline {d} ms exceeded in queue (arrived {} ms, dispatched {dispatch_ms} ms)\"",
+                        job.id, q.arrival_ms,
+                    ),
+                    Outcome::Expired,
+                )),
+                (_, Some(src)) => Some(match self.static_answer(job, src) {
+                    Ok(line) => Answer::settled(line, Outcome::Completed),
+                    Err(e) => {
+                        let outcome = match e {
+                            PceError::Lint { .. } => Outcome::Lint,
+                            _ => Outcome::Completed,
+                        };
+                        Answer::settled(err_line(&job.id, &e, None), outcome)
+                    }
+                }),
+                (_, None) => match self.resolve(job) {
+                    Ok((key, spec)) => {
+                        groups.entry(key.clone()).or_insert(spec);
+                        live.push((i, key));
+                        None
+                    }
+                    Err(e) => Some(Answer::settled(
+                        err_line(&job.id, &e, None),
+                        Outcome::Completed,
                     )),
-                    Err(e) => Slot::Rejected(format!(
-                        "err id={} kind={} error=\"{}\"",
-                        q.job.id,
-                        e.kind(),
-                        one_line(&e)
-                    )),
-                });
-                continue;
-            }
-            match self.resolve(&q.job) {
-                Ok((prog, spec)) => {
-                    let key = (
-                        prog,
-                        spec.name.clone(),
-                        matches!(q.job.style, ShotStyle::FewShot),
-                    );
-                    groups.entry(key.clone()).or_insert(spec);
-                    slots.push(Slot::Live(key));
-                    live += 1;
-                }
-                Err(e) => slots.push(Slot::Rejected(format!(
-                    "err id={} kind={} error=\"{}\"",
-                    q.job.id,
-                    e.kind(),
-                    one_line(&e)
-                ))),
-            }
+                },
+            });
         }
-        let t_end = dispatch_ms + cost_ms * live;
+        let t_end = dispatch_ms + COST_MS_PER_JOB * live.len() as u64;
 
         // Shared phase: one profile + ground truth + rendered prompt per
         // group, in parallel across groups.
-        let group_list: Vec<(GroupKey, HardwareSpec)> = groups.into_iter().collect();
-        let prepared: BTreeMap<GroupKey, GroupPrep> = group_list
+        let groups: Vec<(GroupKey, HardwareSpec)> = groups.into_iter().collect();
+        let prepared: BTreeMap<&GroupKey, (String, Boundedness)> = groups
             .par_iter()
             .map(|(key, spec)| {
                 let p = &self.programs[key.0];
@@ -873,172 +838,85 @@ impl PredictionService {
                 };
                 let prompt = render_classify_prompt(&req, style);
                 self.caches.count_prompt_renders(1);
-                (key.clone(), GroupPrep { prompt, truth })
+                (key, (prompt, truth))
             })
             .collect();
 
-        // Per-job phase: completions fan out across the pool.
-        let sampling = SamplingParams::default();
-        let answered: Vec<FannedAnswer> = chunk
-                .par_iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    let key = match &slots[i] {
-                        Slot::Live(key) => key,
-                        Slot::FormationExpired(d) => {
-                            let line = format!(
-                                "err id={} kind=timeout error=\"deadline {d} ms exceeded in queue (arrived {} ms, dispatched {dispatch_ms} ms)\"",
-                                q.job.id, q.arrival_ms,
-                            );
-                            return (line, ResponseAccounting::new(), ServeOutcome::Expired, None);
-                        }
-                        Slot::Rejected(line) | Slot::Static(line) => {
-                            return (
-                                line.clone(),
-                                ResponseAccounting::new(),
-                                ServeOutcome::Completed,
-                                None,
-                            )
-                        }
-                        Slot::LintRejected(line) => {
-                            return (
-                                line.clone(),
-                                ResponseAccounting::new(),
-                                ServeOutcome::LintRejected,
-                                None,
-                            )
-                        }
-                    };
-                    let prep = &prepared[key];
-                    // Budget retry backoff to the remaining deadline so a
-                    // retried job can never outlive it.
-                    let budget = q
-                        .deadline_ms
-                        .map(|d| (q.arrival_ms + d).saturating_sub(dispatch_ms));
-                    let policy = match budget {
-                        Some(b) => self.policy.with_budget(b),
-                        None => self.policy,
-                    };
-                    let out = self.engine.complete_with_retry(
-                        &q.job.model,
-                        &prep.prompt,
-                        Some(sampling),
-                        self.job_seed(&q.job),
-                        &policy,
-                    );
-                    let success = out.accounting.valid + out.accounting.retried_valid > 0;
-                    let signal = Some((q.job.model.clone(), success));
-                    // Completion fan-out deadline checks: the retry loop
-                    // ran out of backoff budget, or the chunk finished
-                    // past this job's deadline.
-                    let budget_timeout = matches!(
-                        (&out.error, budget),
-                        (Some(PceError::Timeout { ms }), Some(b)) if *ms == b
-                    );
-                    if let Some(d) = q.deadline_ms {
-                        if budget_timeout || t_end > q.arrival_ms + d {
-                            let line = format!(
-                                "err id={} kind=timeout error=\"deadline {d} ms exceeded during completion\"",
-                                q.job.id,
-                            );
-                            return (line, out.accounting, ServeOutcome::Expired, signal);
-                        }
-                    }
-                    let prediction = match out.verdict {
-                        Some(b) => b.answer_token(),
-                        None => "invalid",
-                    };
-                    let correct = out.verdict == Some(prep.truth);
-                    let line = format!(
-                        "ok id={} kernel={} model={} prediction={prediction} truth={} correct={correct}",
-                        q.job.id,
-                        q.job.kernel,
-                        q.job.model,
-                        prep.truth.answer_token(),
-                    );
-                    (line, out.accounting, ServeOutcome::Completed, signal)
-                })
-                .collect();
-
-        // Sequential ledger merge, in request order.
-        let mut answers = Vec::with_capacity(answered.len());
-        let mut map = self.ledgers.lock();
-        for ((line, acc, outcome, breaker_signal), q) in answered.into_iter().zip(chunk) {
-            if let Ok(map) = map.as_mut() {
-                let l = map.entry(q.job.model.clone()).or_default();
-                l.admitted += 1;
-                match outcome {
-                    ServeOutcome::Completed => l.completed += 1,
-                    ServeOutcome::Expired => l.expired += 1,
-                    ServeOutcome::LintRejected => l.lint += 1,
-                }
-                l.merge(&acc);
-            }
-            answers.push(Answer {
-                line,
-                breaker_signal,
-            });
+        // Per-job phase: the live jobs' completions fan out across the
+        // pool.
+        let completed: Vec<Answer> = live
+            .par_iter()
+            .map(|(i, key)| self.complete(&chunk[*i], &prepared[key], dispatch_ms, t_end))
+            .collect();
+        for ((i, _), answer) in live.iter().zip(completed) {
+            answers[*i] = Some(answer);
         }
-        drop(map);
-        ChunkResult { answers, t_end }
+
+        let answers: Vec<Answer> = answers.into_iter().flatten().collect();
+        for (q, a) in chunk.iter().zip(&answers) {
+            self.account(&q.job.model, a.outcome, &a.accounting);
+        }
+        (answers, t_end)
     }
 
-    /// Dispatch the first `n` pending jobs at `max(vnow, busy_until)`,
-    /// advancing the busy horizon, feeding the breaker, and writing
-    /// response lines in request order.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch<W: Write>(
+    /// Complete one live job against its group's prompt and ground truth,
+    /// dispatched at `dispatch_ms` in a chunk that finishes at `t_end`.
+    fn complete(
         &self,
-        pending: &mut Vec<QueuedJob>,
-        n: usize,
-        vnow: u64,
-        busy_until: &mut u64,
-        cost_ms: u64,
-        breaker: &mut CircuitBreaker,
-        writer: &mut W,
-    ) -> std::io::Result<()> {
-        let t = vnow.max(*busy_until);
-        let chunk: Vec<QueuedJob> = pending.drain(..n.min(pending.len())).collect();
-        let result = self.run_chunk(&chunk, t, cost_ms);
-        *busy_until = result.t_end;
-        for answer in result.answers {
-            if let Some((model, success)) = answer.breaker_signal {
-                breaker.record(&model, success);
-            }
-            writeln!(writer, "{}", answer.line)?;
+        q: &QueuedJob,
+        (prompt, truth): &(String, Boundedness),
+        dispatch_ms: u64,
+        t_end: u64,
+    ) -> Answer {
+        // Budget retry backoff to the remaining deadline so a retried job
+        // can never outlive it.
+        let budget = q
+            .deadline_ms
+            .map(|d| (q.arrival_ms + d).saturating_sub(dispatch_ms));
+        let policy = match budget {
+            Some(b) => self.policy.with_budget(b),
+            None => self.policy,
+        };
+        let out = self.engine.complete_with_retry(
+            &q.job.model,
+            prompt,
+            Some(SamplingParams::default()),
+            self.job_seed(&q.job),
+            &policy,
+        );
+        // Completion fan-out deadline checks: the retry loop ran out of
+        // backoff budget, or the chunk finished past this job's deadline.
+        let budget_timeout = matches!(
+            (&out.error, budget),
+            (Some(PceError::Timeout { ms }), Some(b)) if *ms == b
+        );
+        let (line, outcome) = match q.deadline_ms {
+            Some(d) if budget_timeout || t_end > q.arrival_ms + d => (
+                format!(
+                    "err id={} kind=timeout error=\"deadline {d} ms exceeded during completion\"",
+                    q.job.id,
+                ),
+                Outcome::Expired,
+            ),
+            _ => (
+                format!(
+                    "ok id={} kernel={} model={} prediction={} truth={} correct={}",
+                    q.job.id,
+                    q.job.kernel,
+                    q.job.model,
+                    out.verdict.map_or("invalid", |b| b.answer_token()),
+                    truth.answer_token(),
+                    out.verdict == Some(*truth),
+                ),
+                Outcome::Completed,
+            ),
+        };
+        Answer {
+            line,
+            outcome,
+            success: Some(out.accounting.valid + out.accounting.retried_valid > 0),
+            accounting: out.accounting,
         }
-        Ok(())
-    }
-
-    /// Flush the whole queue in batch-sized chunks (each advancing the
-    /// virtual clock, so deadlines keep biting during the drain).
-    #[allow(clippy::too_many_arguments)]
-    fn drain_queue<W: Write>(
-        &self,
-        pending: &mut Vec<QueuedJob>,
-        batch: usize,
-        vnow: u64,
-        busy_until: &mut u64,
-        cost_ms: u64,
-        breaker: &mut CircuitBreaker,
-        writer: &mut W,
-    ) -> std::io::Result<()> {
-        while !pending.is_empty() {
-            let n = batch.min(pending.len());
-            self.dispatch(pending, n, vnow, busy_until, cost_ms, breaker, writer)?;
-        }
-        Ok(())
-    }
-
-    /// Drive the line protocol with the historical defaults (unbounded
-    /// queue, no deadlines) at this batch size.
-    pub fn serve_lines<R: BufRead, W: Write>(
-        &self,
-        reader: R,
-        writer: W,
-        batch: usize,
-    ) -> std::io::Result<()> {
-        self.serve_session(reader, writer, &ServeConfig::classic(batch))
     }
 
     /// Drive the overload-safe line protocol: read commands from
@@ -1052,217 +930,177 @@ impl PredictionService {
     pub fn serve_session<R: BufRead, W: Write>(
         &self,
         reader: R,
-        mut writer: W,
+        writer: W,
         config: &ServeConfig,
-    ) -> std::io::Result<()> {
-        let batch = config.batch.max(1);
-        let depth = config.queue_depth.map(|d| d.max(1));
-        // A bounded server dispatches as soon as a full batch *or* a full
-        // queue is ready; an unbounded one keeps the historical
-        // batch-only trigger.
-        let trigger = depth.map(|d| d.min(batch)).unwrap_or(batch);
-        let cost = config.cost_ms_per_job;
+    ) -> io::Result<()> {
         let wire = self.wire_plan();
-        let mut breaker = CircuitBreaker::new(
-            config.breaker_threshold,
-            config.breaker_probe_rate,
-            self.study.seed,
-        );
-        let mut pending: Vec<QueuedJob> = Vec::new();
-        let mut vnow: u64 = 0;
-        let mut busy_until: u64 = 0;
-        let mut draining = false;
-        let mut disconnected = false;
-
+        let mut session = Session {
+            service: self,
+            batch: config.batch.max(1),
+            depth: config.queue_depth.map(|d| d.max(1)),
+            default_deadline_ms: config.default_deadline_ms,
+            pending: Vec::new(),
+            vnow: 0,
+            busy_until: 0,
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_PROBE_RATE, self.study.seed),
+            draining: false,
+            writer,
+        };
         for line in reader.lines() {
             let line = line?;
-            let arrived = line.trim();
-            if arrived.is_empty() {
+            let mut effective = line.trim();
+            if effective.is_empty() {
                 continue;
             }
             // Wire chaos: tear, drop, or stall this line — drawn from the
             // line's own bytes, so the realized faults are independent of
             // batching and threading.
-            let mut torn_at: Option<usize> = None;
-            if let Some(w) = &wire {
-                match w.draw(arrived) {
-                    Some(WireFault::Torn { at }) => torn_at = Some(at),
-                    Some(WireFault::Disconnect) => {
-                        disconnected = true;
-                        break;
-                    }
-                    Some(WireFault::Stall { ms }) => vnow += ms,
-                    None => {}
-                }
+            match wire.as_ref().and_then(|w| w.draw(effective)) {
+                Some(WireFault::Torn { at }) => effective = effective[..at].trim_end(),
+                Some(WireFault::Disconnect) => break,
+                Some(WireFault::Stall { ms }) => session.vnow += ms,
+                None => {}
             }
-            let effective = match torn_at {
-                Some(at) => arrived[..at].trim_end(),
-                None => arrived,
-            };
             // A stall may have idled the server past its busy horizon:
             // give the queue a chance to move before admission decisions.
-            if depth.is_some() {
-                while vnow >= busy_until && pending.len() >= trigger {
-                    self.dispatch(
-                        &mut pending,
-                        batch,
-                        vnow,
-                        &mut busy_until,
-                        cost,
-                        &mut breaker,
-                        &mut writer,
-                    )?;
-                }
-            }
+            session.dispatch_ready()?;
             match Command::parse(effective) {
-                Ok(Command::Predict(job)) => {
-                    if draining {
-                        writeln!(
-                            writer,
-                            "err id={} kind=overload shed=drain error=\"{}\"",
-                            job.id,
-                            one_line(PceError::overload("server is draining"))
-                        )?;
-                        self.account_shed(&job.model, false);
-                        continue;
-                    }
-                    match breaker.admit(&job.model) {
-                        BreakerDecision::Shed => {
-                            writeln!(
-                                writer,
-                                "err id={} kind=overload shed=breaker error=\"{}\"",
-                                job.id,
-                                one_line(PceError::overload(format!(
-                                    "circuit breaker open for model '{}'",
-                                    job.model
-                                )))
-                            )?;
-                            self.account_shed(&job.model, true);
-                            continue;
-                        }
-                        BreakerDecision::Admit | BreakerDecision::Probe => {}
-                    }
-                    if let Some(d) = depth {
-                        if pending.len() >= d {
-                            // The idle case already dispatched above, so a
-                            // full queue here means the server is busy.
-                            writeln!(
-                                writer,
-                                "err id={} kind=overload shed=queue error=\"{}\"",
-                                job.id,
-                                one_line(PceError::overload(format!(
-                                    "admission queue full (depth {d})"
-                                )))
-                            )?;
-                            self.account_shed(&job.model, false);
-                            continue;
-                        }
-                    }
-                    let deadline_ms = job.deadline_ms.or(config.default_deadline_ms);
-                    if let Some(d) = deadline_ms {
-                        let earliest = vnow.max(busy_until);
-                        if earliest > vnow + d {
-                            writeln!(
-                                writer,
-                                "err id={} kind=timeout error=\"deadline {d} ms expired at admission (earliest dispatch {earliest} ms, arrived {vnow} ms)\"",
-                                job.id,
-                            )?;
-                            self.account_admission_expiry(&job.model);
-                            continue;
-                        }
-                    }
-                    pending.push(QueuedJob {
-                        job,
-                        arrival_ms: vnow,
-                        deadline_ms,
-                    });
-                    if depth.is_some() {
-                        while vnow >= busy_until && pending.len() >= trigger {
-                            self.dispatch(
-                                &mut pending,
-                                batch,
-                                vnow,
-                                &mut busy_until,
-                                cost,
-                                &mut breaker,
-                                &mut writer,
-                            )?;
-                        }
-                    } else if pending.len() >= batch {
-                        self.dispatch(
-                            &mut pending,
-                            batch,
-                            vnow,
-                            &mut busy_until,
-                            cost,
-                            &mut breaker,
-                            &mut writer,
-                        )?;
-                    }
-                }
-                Ok(Command::Stats) => {
-                    self.drain_queue(
-                        &mut pending,
-                        batch,
-                        vnow,
-                        &mut busy_until,
-                        cost,
-                        &mut breaker,
-                        &mut writer,
-                    )?;
-                    writeln!(writer, "{}", self.stats_line())?;
-                }
-                Ok(Command::Drain) => {
-                    self.drain_queue(
-                        &mut pending,
-                        batch,
-                        vnow,
-                        &mut busy_until,
-                        cost,
-                        &mut breaker,
-                        &mut writer,
-                    )?;
-                    draining = true;
-                    writeln!(writer, "{}", self.stats_line())?;
+                Ok(Command::Predict(job)) => session.admit(job)?,
+                Ok(command @ (Command::Stats | Command::Drain)) => {
+                    session.drain()?;
+                    session.draining |= command == Command::Drain;
+                    writeln!(session.writer, "{}", self.stats_line())?;
                 }
                 Ok(Command::Quit) => {
-                    self.drain_queue(
-                        &mut pending,
-                        batch,
-                        vnow,
-                        &mut busy_until,
-                        cost,
-                        &mut breaker,
-                        &mut writer,
-                    )?;
-                    writer.flush()?;
-                    return Ok(());
+                    session.drain()?;
+                    return session.writer.flush();
                 }
-                Err(e) => {
-                    writeln!(
-                        writer,
-                        "err id=- kind={} error=\"{}\"",
-                        e.kind(),
-                        one_line(&e)
-                    )?;
-                }
+                Err(e) => writeln!(session.writer, "{}", err_line("-", &e, None))?,
             }
         }
         // EOF (or a chaos disconnect): stop admission, flush in-flight
         // work, and close the session with a final balanced-ledger stats
         // line.
-        self.drain_queue(
-            &mut pending,
-            batch,
-            vnow,
-            &mut busy_until,
-            cost,
-            &mut breaker,
-            &mut writer,
-        )?;
-        let _ = disconnected;
-        writeln!(writer, "{}", self.stats_line())?;
-        writer.flush()
+        session.drain()?;
+        writeln!(session.writer, "{}", self.stats_line())?;
+        session.writer.flush()
+    }
+}
+
+/// One protocol session: the admission queue, the virtual clock, the
+/// per-model circuit breakers, and the response writer.
+struct Session<'s, W> {
+    service: &'s PredictionService,
+    /// Admission batch size, at least 1.
+    batch: usize,
+    /// Admission queue depth, at least 1; `None` queues without bound.
+    depth: Option<usize>,
+    default_deadline_ms: Option<u64>,
+    pending: Vec<QueuedJob>,
+    /// Virtual now, in ms; advanced only by wire-chaos stalls.
+    vnow: u64,
+    /// Virtual time the last dispatched chunk finishes.
+    busy_until: u64,
+    breaker: CircuitBreaker,
+    /// Set by `drain`: every later job is shed.
+    draining: bool,
+    writer: W,
+}
+
+impl<W: Write> Session<'_, W> {
+    /// Admit one arriving job. A job that a draining server, an open
+    /// breaker, or a full queue on a busy server sheds — or whose
+    /// deadline falls before its earliest possible dispatch — is answered
+    /// at once; any other job joins the queue.
+    fn admit(&mut self, job: Job) -> io::Result<()> {
+        let deadline_ms = job.deadline_ms.or(self.default_deadline_ms);
+        let earliest = self.vnow.max(self.busy_until);
+        let shed = |tag, what: String| {
+            let line = err_line(&job.id, &PceError::overload(what), Some(tag));
+            Some((
+                line,
+                Outcome::Shed {
+                    breaker: tag == "breaker",
+                },
+            ))
+        };
+        let settled = if self.draining {
+            shed("drain", "server is draining".to_string())
+        } else if !self.breaker.admit(&job.model) {
+            shed(
+                "breaker",
+                format!("circuit breaker open for model '{}'", job.model),
+            )
+        } else if let Some(d) = self.depth.filter(|&d| self.pending.len() >= d) {
+            // The idle case already dispatched, so a full queue here means
+            // the server is busy.
+            shed("queue", format!("admission queue full (depth {d})"))
+        } else if let Some(d) = deadline_ms.filter(|&d| earliest > self.vnow + d) {
+            let line = format!(
+                "err id={} kind=timeout error=\"deadline {d} ms expired at admission (earliest dispatch {earliest} ms, arrived {} ms)\"",
+                job.id, self.vnow,
+            );
+            Some((line, Outcome::Expired))
+        } else {
+            None
+        };
+        match settled {
+            Some((line, outcome)) => {
+                self.service
+                    .account(&job.model, outcome, &ResponseAccounting::new());
+                writeln!(self.writer, "{line}")
+            }
+            None => {
+                self.pending.push(QueuedJob {
+                    job,
+                    arrival_ms: self.vnow,
+                    deadline_ms,
+                });
+                self.dispatch_ready()
+            }
+        }
+    }
+
+    /// Dispatch batches while the queue is ready: it holds at least
+    /// `min(batch, depth)` jobs, and it is unbounded or the server is
+    /// idle. An unbounded queue never holds a full batch between lines,
+    /// so for it this dispatches at most once, right after a push.
+    fn dispatch_ready(&mut self) -> io::Result<()> {
+        let trigger = self.depth.map_or(self.batch, |d| d.min(self.batch));
+        while self.pending.len() >= trigger
+            && (self.depth.is_none() || self.vnow >= self.busy_until)
+        {
+            self.dispatch()?;
+        }
+        Ok(())
+    }
+
+    /// Flush the whole queue in batch-sized chunks (each advancing the
+    /// virtual clock, so deadlines keep biting during the drain).
+    fn drain(&mut self) -> io::Result<()> {
+        while !self.pending.is_empty() {
+            self.dispatch()?;
+        }
+        Ok(())
+    }
+
+    /// Dispatch the next batch at `max(vnow, busy_until)`: advance the
+    /// busy horizon, feed the breaker, and write the answers in request
+    /// order.
+    fn dispatch(&mut self) -> io::Result<()> {
+        let n = self.batch.min(self.pending.len());
+        let chunk: Vec<QueuedJob> = self.pending.drain(..n).collect();
+        let (answers, t_end) = self
+            .service
+            .run_chunk(&chunk, self.vnow.max(self.busy_until));
+        self.busy_until = t_end;
+        for (q, answer) in chunk.iter().zip(answers) {
+            if let Some(success) = answer.success {
+                self.breaker.record(&q.job.model, success);
+            }
+            writeln!(self.writer, "{}", answer.line)?;
+        }
+        Ok(())
     }
 }
 
@@ -1357,37 +1195,67 @@ mod tests {
         }
     }
 
+    fn is_open(b: &CircuitBreaker, model: &str) -> bool {
+        b.states.get(model).is_some_and(|s| s.open)
+    }
+
     #[test]
     fn breaker_trips_probes_and_recovers_deterministically() {
         let mut b = CircuitBreaker::new(3, 0.5, 42);
-        assert!(!b.is_open("o1"));
+        assert!(!is_open(&b, "o1"));
         for _ in 0..2 {
             b.record("o1", false);
         }
-        assert!(!b.is_open("o1"), "below threshold");
+        assert!(!is_open(&b, "o1"), "below threshold");
         b.record("o1", false);
-        assert!(b.is_open("o1"), "third consecutive failure trips");
+        assert!(is_open(&b, "o1"), "third consecutive failure trips");
         // Other models are unaffected.
-        assert_eq!(b.admit("gpt-4o"), BreakerDecision::Admit);
+        assert!(b.admit("gpt-4o"));
+        assert!(!is_open(&b, "gpt-4o"));
         // Open-breaker decisions are a deterministic seeded stream with
-        // both probes and sheds present.
-        let decisions: Vec<BreakerDecision> = (0..32).map(|_| b.admit("o1")).collect();
+        // both probes (true) and sheds (false) present.
+        let decisions: Vec<bool> = (0..32).map(|_| b.admit("o1")).collect();
         let mut again = CircuitBreaker::new(3, 0.5, 42);
         for _ in 0..3 {
             again.record("o1", false);
         }
-        let replay: Vec<BreakerDecision> = (0..32).map(|_| again.admit("o1")).collect();
+        let replay: Vec<bool> = (0..32).map(|_| again.admit("o1")).collect();
         assert_eq!(decisions, replay);
-        assert!(decisions.contains(&BreakerDecision::Probe));
-        assert!(decisions.contains(&BreakerDecision::Shed));
+        assert!(decisions.contains(&true));
+        assert!(decisions.contains(&false));
         // A successful probe closes the breaker; an intervening failure
         // would have kept it open.
         b.record("o1", true);
-        assert!(!b.is_open("o1"));
-        assert_eq!(b.admit("o1"), BreakerDecision::Admit);
+        assert!(!is_open(&b, "o1"));
+        assert!(b.admit("o1"));
         // It takes `threshold` fresh consecutive failures to re-trip.
         b.record("o1", false);
-        assert!(!b.is_open("o1"));
+        assert!(!is_open(&b, "o1"));
+    }
+
+    #[test]
+    fn a_poisoned_ledger_lock_keeps_its_counts() {
+        let service = PredictionService::new(Study::smoke(), None).expect("service builds");
+        let job = Job {
+            id: "p1".into(),
+            kernel: service.programs()[0].id.clone(),
+            spec: "rtx-3080".into(),
+            model: "o3-mini".into(),
+            style: ShotStyle::ZeroShot,
+            deadline_ms: None,
+            src: None,
+        };
+        let lines = service.predict_batch(&[job]);
+        assert!(lines[0].starts_with("ok id=p1 "), "{lines:?}");
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = service.ledgers.lock();
+                panic!("poison the ledger lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert_eq!(service.ledger().admitted, 1);
+        assert!(service.ledger_balanced());
     }
 
     #[test]
@@ -1396,8 +1264,8 @@ mod tests {
         b.record("m", false);
         b.record("m", true);
         b.record("m", false);
-        assert!(!b.is_open("m"), "non-consecutive failures never trip");
+        assert!(!is_open(&b, "m"), "non-consecutive failures never trip");
         b.record("m", false);
-        assert!(b.is_open("m"));
+        assert!(is_open(&b, "m"));
     }
 }

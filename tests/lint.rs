@@ -6,10 +6,14 @@
 
 use std::io::Cursor;
 
-use parallel_code_estimation::core::serve::{encode_src, PredictionService};
+use parallel_code_estimation::core::serve::{encode_src, PredictionService, ServeConfig};
 use parallel_code_estimation::core::study::Study;
 use parallel_code_estimation::kernels::build_corpus;
 use parallel_code_estimation::static_analysis::{diagnose, Diagnostic, RuleId, Severity};
+
+/// FNV-1a digest of the `ok`/`err` lines of the raw-source reference
+/// transcript, pinned before the batch answer path was rewritten.
+const RAW_SOURCE_DIGEST: u64 = 0x1663_716e_c070_4027;
 
 /// A clean kernel: guarded, thread-distinct saxpy store.
 const CLEAN_SRC: &str = "__global__ void saxpy(int n, float a, const float* x, float* y) {\n    int i = blockIdx.x * blockDim.x + threadIdx.x;\n    if (i < n) { y[i] = a * x[i] + y[i]; }\n}\n";
@@ -121,7 +125,11 @@ fn shipped_smoke_corpus_is_free_of_error_severity_diagnostics() {
 fn session(service: &PredictionService, input: &str, batch: usize) -> String {
     let mut out = Vec::new();
     service
-        .serve_lines(Cursor::new(input.as_bytes()), &mut out, batch)
+        .serve_session(
+            Cursor::new(input.as_bytes()),
+            &mut out,
+            &ServeConfig::classic(batch),
+        )
         .expect("session runs");
     String::from_utf8(out).expect("transcript is UTF-8")
 }
@@ -145,6 +153,11 @@ fn raw_source_predict_is_invariant_and_lint_sheds_into_the_ledger() {
     let reference = session(&service, &input, 8);
     let rows: Vec<&str> = reference.lines().collect();
     assert_eq!(rows.len(), 4, "{reference}");
+    assert_eq!(
+        answers_digest(&reference),
+        RAW_SOURCE_DIGEST,
+        "raw-source transcript moved:\n{reference}"
+    );
 
     // Clean source is admitted and answered with the static roofline
     // label — a pure function of (src, spec).
@@ -192,4 +205,23 @@ fn raw_source_predict_is_invariant_and_lint_sheds_into_the_ledger() {
     let got = session(&serial, &input, 8);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(reference, got, "serial transcript diverged");
+}
+
+/// Digest of a transcript's `ok`/`err` lines. `stats` lines are left out
+/// because their cache gauges depend on thread scheduling.
+fn answers_digest(transcript: &str) -> u64 {
+    let answers: String = transcript
+        .lines()
+        .filter(|l| l.starts_with("ok ") || l.starts_with("err "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    fnv1a64(answers.as_bytes())
+}
+
+/// 64-bit FNV-1a, written out because std's `DefaultHasher` is not
+/// stable across Rust releases.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

@@ -9,12 +9,17 @@
 use std::io::Cursor;
 
 use parallel_code_estimation::core::caches::CacheBudget;
-use parallel_code_estimation::core::serve::{Command, Job, PredictionService};
+use parallel_code_estimation::core::serve::{Command, Job, PredictionService, ServeConfig};
 use parallel_code_estimation::core::study::Study;
 use parallel_code_estimation::prompt::ShotStyle;
 
+/// FNV-1a digest of the `ok`/`err` lines of the batch-24 reference
+/// transcript, pinned before the session loop and the batch answer path
+/// were rewritten.
+const REFERENCE_DIGEST: u64 = 0xb647_75a4_fd05_dbec;
+
 /// A small deterministic job mix over the smoke corpus: every job is a
-/// protocol line so the same bytes drive `serve_lines`.
+/// protocol line so the same bytes drive `serve_session`.
 fn job_lines(service: &PredictionService) -> Vec<String> {
     let programs = service.programs();
     let specs = ["rtx-3080", "h100-sxm", "mi250x", "epyc-9654"];
@@ -37,7 +42,11 @@ fn job_lines(service: &PredictionService) -> Vec<String> {
 fn session(service: &PredictionService, input: &str, batch: usize) -> String {
     let mut out = Vec::new();
     service
-        .serve_lines(Cursor::new(input.as_bytes()), &mut out, batch)
+        .serve_session(
+            Cursor::new(input.as_bytes()),
+            &mut out,
+            &ServeConfig::classic(batch),
+        )
         .expect("session runs");
     String::from_utf8(out).expect("transcript is UTF-8")
 }
@@ -66,7 +75,7 @@ fn serve_protocol_is_deterministic_bounded_and_ledger_balanced() {
     assert!(stats.starts_with("stats jobs=24 "), "{stats}");
     assert!(stats.contains("ledger_balanced=true"), "{stats}");
     assert!(service.ledger_balanced());
-    assert_eq!(service.jobs_served(), 24);
+    assert_eq!(service.ledger().admitted, 24);
 
     // --- Batch-size invariance: the same stream, admitted 1, 5, or all
     // at a time, produces byte-identical response transcripts (stats
@@ -76,6 +85,11 @@ fn serve_protocol_is_deterministic_bounded_and_ledger_balanced() {
         &PredictionService::new(study.clone(), None).expect("service builds"),
         &predict_only,
         24,
+    );
+    assert_eq!(
+        answers_digest(&reference),
+        REFERENCE_DIGEST,
+        "reference transcript moved:\n{reference}"
     );
     for batch in [1, 5, 100] {
         let got = session(
@@ -145,4 +159,23 @@ fn serve_protocol_is_deterministic_bounded_and_ledger_balanced() {
             src: None,
         }))
     );
+}
+
+/// Digest of a transcript's `ok`/`err` lines. `stats` lines are left out
+/// because their cache gauges depend on thread scheduling.
+fn answers_digest(transcript: &str) -> u64 {
+    let answers: String = transcript
+        .lines()
+        .filter(|l| l.starts_with("ok ") || l.starts_with("err "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    fnv1a64(answers.as_bytes())
+}
+
+/// 64-bit FNV-1a, written out because std's `DefaultHasher` is not
+/// stable across Rust releases.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

@@ -3,7 +3,8 @@
 //! spliced commands, interleaved `stats`/`drain`/`quit`, tight deadlines
 //! against a bounded queue — the server must never panic, must answer
 //! every processed line with exactly one response line, and must keep
-//! the extended ledger balanced.
+//! the extended ledger balanced. A job's own protocol line, its
+//! `Display`, must parse back to the same job.
 //!
 //! The services are built once per process (corpus construction
 //! dominates) and shared across proptest cases; the ledger invariant is
@@ -14,9 +15,12 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use parallel_code_estimation::core::serve::{Command, PredictionService, ServeConfig};
+use parallel_code_estimation::core::serve::{
+    Command, Job, PredictionService, ServeConfig, STATIC_MODEL,
+};
 use parallel_code_estimation::core::study::{ChaosConfig, Study};
 use parallel_code_estimation::fault::WireRates;
+use parallel_code_estimation::prompt::ShotStyle;
 
 fn service() -> &'static PredictionService {
     static SERVICE: OnceLock<PredictionService> = OnceLock::new();
@@ -136,6 +140,44 @@ proptest! {
     }
 
     #[test]
+    fn job_display_round_trips_through_parse(
+        id in "[!-~]{1,16}",
+        kernel in "[!-~]{1,16}",
+        spec in "[!-~]{1,16}",
+        model in "[!-~]{1,16}",
+        few in 0u8..2,
+        src_lines in prop::collection::vec("\\PC{0,40}", 0..6),
+        deadline in 0u64..u64::MAX,
+    ) {
+        let style = if few == 1 { ShotStyle::FewShot } else { ShotStyle::ZeroShot };
+        for deadline_ms in [None, Some(deadline)] {
+            let corpus = Job {
+                id: id.clone(),
+                kernel: kernel.clone(),
+                spec: spec.clone(),
+                model: model.clone(),
+                style,
+                deadline_ms,
+                src: None,
+            };
+            // Raw-source jobs carry the fields `Command::parse` fills in.
+            let raw = Job {
+                kernel: "-".to_string(),
+                model: STATIC_MODEL.to_string(),
+                style: ShotStyle::ZeroShot,
+                src: Some(src_lines.join("\n")),
+                ..corpus.clone()
+            };
+            for job in [corpus, raw] {
+                prop_assert_eq!(
+                    Command::parse(&job.to_string()),
+                    Ok(Command::Predict(job.clone()))
+                );
+            }
+        }
+    }
+
+    #[test]
     fn classic_sessions_answer_every_line_in_order(
         codes in prop::collection::vec(0u64..u64::MAX, 0..24),
         junk in prop::collection::vec("[ -~]{0,60}", 1..4),
@@ -172,7 +214,6 @@ proptest! {
             // deadline < 40 exercises admission/completion expiry; larger
             // values leave the default (no deadline) path in play too.
             default_deadline_ms: if deadline < 40 { Some(deadline) } else { None },
-            ..ServeConfig::default()
         };
         let transcript = run(service(), &lines, &config);
         let (want_responses, want_ids, quit) = expected(&lines);
@@ -206,7 +247,6 @@ proptest! {
             batch: 4,
             queue_depth: if depth == 0 { None } else { Some(depth) },
             default_deadline_ms: Some(30),
-            ..ServeConfig::default()
         };
         let transcript = run(chaotic_service(), &lines, &config);
         for line in transcript.lines() {

@@ -15,6 +15,22 @@ use parallel_code_estimation::core::serve::{PredictionService, ServeConfig};
 use parallel_code_estimation::core::study::{ChaosConfig, Study};
 use parallel_code_estimation::fault::WireRates;
 
+/// FNV-1a digests of the `ok`/`err` lines of each storm transcript, by
+/// study and queue depth, pinned before the session loop was rewritten.
+const STORM_DIGESTS: [(&str, usize, u64); 6] = [
+    ("clean", 2, 0xd3c4_7d16_a0ba_ca10),
+    ("clean", 4, 0xa5fd_52bf_5e91_1605),
+    ("clean", 8, 0x6441_1431_7830_e71d),
+    ("chaotic", 2, 0xe0df_c68f_77ce_e053),
+    ("chaotic", 4, 0x6ab9_c764_1674_f9f0),
+    ("chaotic", 8, 0xba00_0762_2d96_d58a),
+];
+
+/// Exact `[completed, shed, expired, breaker_open]` of each clean storm,
+/// by queue depth, pinned alongside [`STORM_DIGESTS`].
+const CLEAN_COUNTS: [(usize, [u64; 4]); 3] =
+    [(2, [4, 29, 0, 0]), (4, [8, 25, 0, 0]), (8, [6, 19, 8, 0])];
+
 /// The storm: 30 tightly-deadlined jobs over the smoke corpus, `drain`,
 /// three stragglers the draining server must shed, then `quit`.
 fn storm_input(service: &PredictionService) -> String {
@@ -100,6 +116,15 @@ fn storm_transcripts_are_byte_identical_and_ledgers_balance() {
                 for (model, l) in service.ledgers() {
                     assert!(l.balanced(), "{label} depth={depth} {model}: {l:?}");
                 }
+                let pinned = STORM_DIGESTS
+                    .iter()
+                    .find(|&&(l, d, _)| l == label && d == depth)
+                    .map(|&(_, _, digest)| digest);
+                assert_eq!(
+                    Some(answers_digest(&transcript)),
+                    pinned,
+                    "{label} depth={depth} transcript moved:\n{transcript}"
+                );
 
                 // The storm actually overloads: something is shed at the
                 // tight depths, and the drain sheds the stragglers (wire
@@ -107,6 +132,20 @@ fn storm_transcripts_are_byte_identical_and_ledgers_balance() {
                 // assert on the stragglers).
                 assert!(ledger.shed > 0, "{label} depth={depth}: {ledger:?}");
                 if label == "clean" {
+                    let pinned = CLEAN_COUNTS
+                        .iter()
+                        .find(|&&(d, _)| d == depth)
+                        .map(|&(_, counts)| counts);
+                    assert_eq!(
+                        Some([
+                            ledger.completed,
+                            ledger.shed,
+                            ledger.expired,
+                            ledger.breaker_open
+                        ]),
+                        pinned,
+                        "depth={depth}"
+                    );
                     let counts = answered(&transcript);
                     for i in 0..30 {
                         assert_eq!(counts.get(&format!("s{i}")), Some(&1), "depth={depth}");
@@ -151,4 +190,23 @@ fn storm_transcripts_are_byte_identical_and_ledgers_balance() {
     );
     assert_ne!(tight.0, roomy.0);
     assert!(tight.1.ledger().shed > roomy.1.ledger().shed);
+}
+
+/// Digest of a transcript's `ok`/`err` lines. `stats` lines are left out
+/// because their cache gauges depend on thread scheduling.
+fn answers_digest(transcript: &str) -> u64 {
+    let answers: String = transcript
+        .lines()
+        .filter(|l| l.starts_with("ok ") || l.starts_with("err "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    fnv1a64(answers.as_bytes())
+}
+
+/// 64-bit FNV-1a, written out because std's `DefaultHasher` is not
+/// stable across Rust releases.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
