@@ -51,10 +51,10 @@ fn bench_encode(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(bytes as u64));
     g.sample_size(10);
     g.bench_function("heap_merge_corpus", |b| {
-        // One tokenizer across iterations: the first pass warms the chunk
-        // cache, so this measures warm steady state — deliberately, since
-        // that is what the pipeline (one tokenizer, whole corpus) sees.
-        // The naive baseline below has no cache by construction.
+        // Every `count` call starts with a cold segment memo of its own,
+        // so each iteration does the same work: the memo pays off only
+        // on lines repeated within one program. `count_batch_corpus`
+        // below shares one memo per worker across programs.
         let tok = Tokenizer::new(vocab.clone());
         b.iter(|| {
             let mut total = 0usize;

@@ -470,7 +470,16 @@ type GroupKey = (usize, String, bool);
 struct QueuedJob {
     job: Job,
     arrival_ms: u64,
-    deadline_ms: Option<u64>,
+    deadline: Option<Deadline>,
+}
+
+/// A job's resolved deadline and the virtual time it expires, computed
+/// once at arrival. The expiry saturates, so `deadline_ms=u64::MAX` never
+/// overflows the clock.
+#[derive(Clone, Copy)]
+struct Deadline {
+    ms: u64,
+    expires_ms: u64,
 }
 
 /// How one admitted job left the serving layer.
@@ -753,7 +762,7 @@ impl PredictionService {
             .map(|job| QueuedJob {
                 job: job.clone(),
                 arrival_ms: 0,
-                deadline_ms: None,
+                deadline: None,
             })
             .collect();
         let (answers, _) = self.run_chunk(&queued, 0);
@@ -779,11 +788,11 @@ impl PredictionService {
         let mut answers: Vec<Option<Answer>> = Vec::with_capacity(chunk.len());
         for (i, q) in chunk.iter().enumerate() {
             let job = &q.job;
-            answers.push(match (q.deadline_ms, &job.src) {
-                (Some(d), _) if dispatch_ms > q.arrival_ms + d => Some(Answer::settled(
+            answers.push(match (q.deadline, &job.src) {
+                (Some(d), _) if dispatch_ms > d.expires_ms => Some(Answer::settled(
                     format!(
-                        "err id={} kind=timeout error=\"deadline {d} ms exceeded in queue (arrived {} ms, dispatched {dispatch_ms} ms)\"",
-                        job.id, q.arrival_ms,
+                        "err id={} kind=timeout error=\"deadline {} ms exceeded in queue (arrived {} ms, dispatched {dispatch_ms} ms)\"",
+                        job.id, d.ms, q.arrival_ms,
                     ),
                     Outcome::Expired,
                 )),
@@ -870,9 +879,7 @@ impl PredictionService {
     ) -> Answer {
         // Budget retry backoff to the remaining deadline so a retried job
         // can never outlive it.
-        let budget = q
-            .deadline_ms
-            .map(|d| (q.arrival_ms + d).saturating_sub(dispatch_ms));
+        let budget = q.deadline.map(|d| d.expires_ms.saturating_sub(dispatch_ms));
         let policy = match budget {
             Some(b) => self.policy.with_budget(b),
             None => self.policy,
@@ -890,11 +897,11 @@ impl PredictionService {
             (&out.error, budget),
             (Some(PceError::Timeout { ms }), Some(b)) if *ms == b
         );
-        let (line, outcome) = match q.deadline_ms {
-            Some(d) if budget_timeout || t_end > q.arrival_ms + d => (
+        let (line, outcome) = match q.deadline {
+            Some(d) if budget_timeout || t_end > d.expires_ms => (
                 format!(
-                    "err id={} kind=timeout error=\"deadline {d} ms exceeded during completion\"",
-                    q.job.id,
+                    "err id={} kind=timeout error=\"deadline {} ms exceeded during completion\"",
+                    q.job.id, d.ms,
                 ),
                 Outcome::Expired,
             ),
@@ -1013,7 +1020,13 @@ impl<W: Write> Session<'_, W> {
     /// deadline falls before its earliest possible dispatch — is answered
     /// at once; any other job joins the queue.
     fn admit(&mut self, job: Job) -> io::Result<()> {
-        let deadline_ms = job.deadline_ms.or(self.default_deadline_ms);
+        let deadline = job
+            .deadline_ms
+            .or(self.default_deadline_ms)
+            .map(|ms| Deadline {
+                ms,
+                expires_ms: self.vnow.saturating_add(ms),
+            });
         let earliest = self.vnow.max(self.busy_until);
         let shed = |tag, what: String| {
             let line = err_line(&job.id, &PceError::overload(what), Some(tag));
@@ -1035,10 +1048,10 @@ impl<W: Write> Session<'_, W> {
             // The idle case already dispatched, so a full queue here means
             // the server is busy.
             shed("queue", format!("admission queue full (depth {d})"))
-        } else if let Some(d) = deadline_ms.filter(|&d| earliest > self.vnow + d) {
+        } else if let Some(d) = deadline.filter(|d| earliest > d.expires_ms) {
             let line = format!(
-                "err id={} kind=timeout error=\"deadline {d} ms expired at admission (earliest dispatch {earliest} ms, arrived {} ms)\"",
-                job.id, self.vnow,
+                "err id={} kind=timeout error=\"deadline {} ms expired at admission (earliest dispatch {earliest} ms, arrived {} ms)\"",
+                job.id, d.ms, self.vnow,
             );
             Some((line, Outcome::Expired))
         } else {
@@ -1054,7 +1067,7 @@ impl<W: Write> Session<'_, W> {
                 self.pending.push(QueuedJob {
                     job,
                     arrival_ms: self.vnow,
-                    deadline_ms,
+                    deadline,
                 });
                 self.dispatch_ready()
             }

@@ -81,9 +81,10 @@ impl VariantAxes {
         self.expansion_factor() == 1
     }
 
-    /// A modest default expansion for scale runs: 2 size shifts ×
-    /// precision flip × 3 unroll factors × 2 fused chains = 48 variants
-    /// per base program.
+    /// A modest default expansion for scale runs: 2 size shifts,
+    /// precision flip, 3 unroll factors and 2 fused chains, each axis
+    /// also keeping its identity: 3 × 2 × 4 × 3 = 72 variants per base
+    /// program.
     pub fn scale() -> VariantAxes {
         VariantAxes {
             size_shifts: vec![-2, 2],

@@ -3,19 +3,21 @@
 //! Encoding is the hot path of the dataset pipeline (every corpus program
 //! is token-counted to enforce the 8e3 cutoff), so `encode_chunk` uses a
 //! linked-list + min-heap merge — O(n log n) per chunk instead of the
-//! naive rescan-per-merge O(n²) — plus a sharded chunk-result cache that
-//! exploits how heavily generated CUDA/OMP source repeats identifiers,
-//! keywords, and punctuation. Batch entry points (`encode_batch`,
-//! `count_batch`) fan work across threads while sharing the cache.
+//! naive rescan-per-merge O(n²) — behind a segment memo. No chunk crosses
+//! the end of a newline run (see [`pretokenize`]), so text encodes segment
+//! by segment, and generated sources (above all the variants of one base
+//! program) repeat most of their lines. Each call, or in `count_batch`
+//! each worker's group of texts, owns its memo: no lock, no shared
+//! mutable state.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Mutex;
+use std::ops::Range;
 
 use rayon::prelude::*;
 
-use crate::pretokenizer::pretokenize;
+use crate::pretokenizer::{pretokenize, segments};
 
 /// A trained BPE vocabulary: 256 byte tokens plus learned merges.
 ///
@@ -51,84 +53,44 @@ impl Vocab {
     }
 }
 
-/// Number of cache shards (power of two; sharding keeps lock contention
-/// negligible under `encode_batch`).
-const CACHE_SHARDS: usize = 16;
-/// Per-shard entry cap: bounds memory; generated source repeats a small
-/// identifier/keyword set, so the cap is rarely reached.
-const CACHE_SHARD_CAP: usize = 4096;
-/// Only chunks up to this many bytes are cached (longer chunks are rare
-/// one-offs; caching them would just churn memory).
-const CACHE_MAX_CHUNK: usize = 64;
-
-/// One cache shard: interned chunk text -> its token ids.
-type Shard = Mutex<HashMap<Box<str>, Box<[u32]>>>;
-
-/// Sharded memo of `chunk -> token ids`.
-#[derive(Debug, Default)]
-struct ChunkCache {
-    shards: Vec<Shard>,
+/// A private memo of token ids per newline-terminated segment and, on a
+/// segment miss, per pre-token chunk. Keys borrow the encoded texts, so
+/// none is allocated; each maps to its ids' range in one arena.
+#[derive(Default)]
+struct SegmentMemo<'a> {
+    segments: HashMap<&'a str, Range<usize>>,
+    chunks: HashMap<&'a str, Range<usize>>,
+    ids: Vec<u32>,
 }
 
-impl ChunkCache {
-    fn new() -> Self {
-        ChunkCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+impl<'a> SegmentMemo<'a> {
+    /// The ids of `segment`, as a range of `self.ids`.
+    fn segment(&mut self, tok: &Tokenizer, segment: &'a str) -> Range<usize> {
+        if let Some(ids) = self.segments.get(segment) {
+            return ids.clone();
         }
-    }
-
-    #[inline]
-    fn shard(&self, chunk: &str) -> &Shard {
-        // FNV-1a over the chunk bytes picks the shard.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in chunk.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        &self.shards[(h as usize) & (CACHE_SHARDS - 1)]
-    }
-
-    /// Append the ids for `chunk` to `out`, returning `true` on a hit.
-    fn extend_hit(&self, chunk: &str, out: &mut Vec<u32>) -> bool {
-        let shard = self.shard(chunk).lock().unwrap_or_else(|e| e.into_inner());
-        match shard.get(chunk) {
-            Some(ids) => {
-                out.extend_from_slice(ids);
-                true
+        let start = self.ids.len();
+        for chunk in pretokenize(segment) {
+            let at = self.ids.len();
+            match self.chunks.get(chunk) {
+                Some(ids) => self.ids.extend_from_within(ids.clone()),
+                None => {
+                    tok.encode_chunk(chunk.as_bytes(), &mut self.ids);
+                    self.chunks.insert(chunk, at..self.ids.len());
+                }
             }
-            None => false,
         }
-    }
-
-    fn insert(&self, chunk: &str, ids: &[u32]) {
-        let mut shard = self.shard(chunk).lock().unwrap_or_else(|e| e.into_inner());
-        if shard.len() < CACHE_SHARD_CAP {
-            shard.insert(Box::from(chunk), Box::from(ids));
-        }
+        self.segments.insert(segment, start..self.ids.len());
+        start..self.ids.len()
     }
 }
 
 /// A BPE encoder/decoder over a trained [`Vocab`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tokenizer {
     vocab: Vocab,
     /// merge pair -> (rank, produced id)
     ranks: HashMap<(u32, u32), (u32, u32)>,
-    /// chunk -> ids memo, shared across threads in batch encodes.
-    cache: ChunkCache,
-}
-
-impl Clone for Tokenizer {
-    fn clone(&self) -> Self {
-        // The cache is a derived memo: a clone starts cold.
-        Tokenizer {
-            vocab: self.vocab.clone(),
-            ranks: self.ranks.clone(),
-            cache: ChunkCache::new(),
-        }
-    }
 }
 
 /// A merge candidate in the encode heap: ordered by (rank, position) so
@@ -170,11 +132,7 @@ impl Tokenizer {
         for (rank, &(l, r)) in vocab.merges.iter().enumerate() {
             ranks.insert((l, r), (rank as u32, 256 + rank as u32));
         }
-        Tokenizer {
-            vocab,
-            ranks,
-            cache: ChunkCache::new(),
-        }
+        Tokenizer { vocab, ranks }
     }
 
     /// The underlying vocabulary.
@@ -190,47 +148,45 @@ impl Tokenizer {
 
     /// Encode text to token ids.
     pub fn encode(&self, text: &str) -> Vec<u32> {
+        let mut memo = SegmentMemo::default();
         let mut out = Vec::with_capacity(text.len() / 3 + 1);
-        for chunk in pretokenize(text) {
-            self.encode_chunk_cached(chunk, &mut out);
+        for segment in segments(text) {
+            let ids = memo.segment(self, segment);
+            out.extend_from_slice(&memo.ids[ids]);
         }
         out
     }
 
     /// Number of tokens `text` encodes to.
     pub fn count(&self, text: &str) -> usize {
-        let mut scratch = Vec::with_capacity(64);
-        let mut n = 0;
-        for chunk in pretokenize(text) {
-            scratch.clear();
-            self.encode_chunk_cached(chunk, &mut scratch);
-            n += scratch.len();
-        }
-        n
+        self.count_with(text, &mut SegmentMemo::default())
     }
 
-    /// Encode a batch of texts in parallel, sharing the chunk cache.
+    /// Encode a batch of texts in parallel, one segment memo per text.
     pub fn encode_batch(&self, texts: &[&str]) -> Vec<Vec<u32>> {
         texts.par_iter().map(|t| self.encode(t)).collect()
     }
 
-    /// Token counts for a batch of texts, in parallel, sharing the chunk
-    /// cache. This is the pipeline's pruning hot path.
+    /// Token counts for a batch of texts, in parallel: one contiguous
+    /// group of texts per rayon worker, each sharing one segment memo.
+    /// This is the pipeline's pruning hot path.
     pub fn count_batch(&self, texts: &[&str]) -> Vec<usize> {
-        texts.par_iter().map(|t| self.count(t)).collect()
+        let group = texts.len().div_ceil(rayon::current_num_threads()).max(1);
+        let counts: Vec<Vec<usize>> = texts
+            .par_chunks(group)
+            .map(|group| {
+                let mut memo = SegmentMemo::default();
+                group
+                    .iter()
+                    .map(|t| self.count_with(t, &mut memo))
+                    .collect()
+            })
+            .collect();
+        counts.concat()
     }
 
-    /// Encode one pre-token chunk, consulting the shared cache.
-    fn encode_chunk_cached(&self, chunk: &str, out: &mut Vec<u32>) {
-        let cacheable = chunk.len() <= CACHE_MAX_CHUNK && !self.ranks.is_empty();
-        if cacheable && self.cache.extend_hit(chunk, out) {
-            return;
-        }
-        let start = out.len();
-        self.encode_chunk(chunk.as_bytes(), out);
-        if cacheable {
-            self.cache.insert(chunk, &out[start..]);
-        }
+    fn count_with<'a>(&self, text: &'a str, memo: &mut SegmentMemo<'a>) -> usize {
+        segments(text).map(|s| memo.segment(self, s).len()).sum()
     }
 
     /// Merge one chunk with a linked list + min-heap: every adjacent pair
@@ -442,15 +398,26 @@ mod tests {
     }
 
     #[test]
-    fn cache_does_not_change_results() {
+    fn segment_edges_match_naive() {
         let tok = trained();
-        let text = "float float float float"; // identical chunks -> cache hits
-        let first = tok.encode(text);
-        let second = tok.encode(text);
-        assert_eq!(first, second);
-        assert_eq!(tok.decode(&first), text);
-        // A cold clone agrees with the warmed original.
-        assert_eq!(tok.clone().encode(text), first);
+        let texts = [
+            "x \n",
+            "a\r\n\r\nb",
+            " \n",
+            "int i = 0;\n  float x;",
+            "\n",
+            "",
+        ];
+        let counts = tok.count_batch(&texts);
+        for (text, n) in texts.iter().zip(counts) {
+            let naive = naive_encode(&tok, text);
+            assert_eq!(tok.encode(text), naive, "on {text:?}");
+            assert_eq!(
+                (tok.count(text), n),
+                (naive.len(), naive.len()),
+                "on {text:?}"
+            );
+        }
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //!   instead of O(vocab × corpus) — with rayon-parallel initial chunk
 //!   counting.
 //! * [`Tokenizer::encode`](bpe::Tokenizer::encode) merges each chunk with
-//!   a linked list + min-heap in O(n log n) and memoizes per-chunk results
-//!   in a sharded cache; [`encode_batch`](bpe::Tokenizer::encode_batch) /
-//!   [`count_batch`](bpe::Tokenizer::count_batch) fan out across threads.
+//!   a linked list + min-heap in O(n log n) behind a lock-free memo of
+//!   newline-terminated segments: one per call or, in
+//!   [`count_batch`](bpe::Tokenizer::count_batch), one per worker.
 //!
 //! The original naive algorithms live on in [`reference`] as the
 //! correctness oracle (property-tested bit-identical) and the benchmark

@@ -9,6 +9,14 @@
 
 /// Split `text` into pre-token chunks. Concatenating the chunks always
 /// reproduces `text` exactly (losslessness is what decoding relies on).
+///
+/// Must hold, because the tokenizer memoizes per newline-terminated
+/// segment (see `segments`): a chunk always ends at the end of a newline
+/// run, newline runs are their own chunks, no identifier, digit,
+/// punctuation or space chunk runs into a `\n` or `\r` (a single space
+/// before a newline is not glued to it), and a scan started at a chunk
+/// boundary depends only on the bytes after it. BPE merges never cross
+/// chunks, so a text encodes as its segments' encodings, concatenated.
 pub fn pretokenize(text: &str) -> Vec<&str> {
     let bytes = text.as_bytes();
     let mut chunks = Vec::with_capacity(text.len() / 4 + 1);
@@ -72,6 +80,20 @@ pub fn pretokenize(text: &str) -> Vec<&str> {
         chunks.push(&text[start..i]);
     }
     chunks
+}
+
+/// Split `text` right after each maximal run of `\n`/`\r` bytes; the last
+/// segment ends at the end of the text. Every segment boundary is a
+/// [`pretokenize`] chunk boundary.
+pub(crate) fn segments(mut rest: &str) -> impl Iterator<Item = &str> {
+    let newline = |b: &u8| matches!(b, b'\n' | b'\r');
+    std::iter::from_fn(move || {
+        let run = rest.bytes().position(|b| newline(&b)).unwrap_or(rest.len());
+        let end = run + rest[run..].bytes().take_while(newline).count();
+        let (segment, tail) = rest.split_at(end);
+        rest = tail;
+        (!segment.is_empty()).then_some(segment)
+    })
 }
 
 #[inline]
@@ -143,5 +165,12 @@ mod tests {
     #[test]
     fn empty_input_gives_no_chunks() {
         assert!(pretokenize("").is_empty());
+    }
+
+    #[test]
+    fn segments_end_after_newline_runs() {
+        let split: Vec<&str> = segments("a\r\n\r\nb c\n \n\nd").collect();
+        assert_eq!(split, vec!["a\r\n\r\n", "b c\n", " \n\n", "d"]);
+        assert_eq!(segments("").count(), 0);
     }
 }

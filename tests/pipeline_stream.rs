@@ -2,7 +2,9 @@
 //! byte-identically from a streamed spec and from the materialized
 //! corpus, for *any* shard size and *any* rayon thread count, and match a
 //! digest pinned from the separate eager implementation it replaced;
-//! re-streaming the same spec must profile zero new kernels.
+//! re-streaming the same spec must profile zero new kernels. Token
+//! counts over every variant axis are pinned too, and must not depend on
+//! the thread count or on batching.
 //!
 //! The vendored rayon re-reads `RAYON_NUM_THREADS` on every parallel
 //! call, which lets the identity test toggle thread budgets in-process.
@@ -15,6 +17,7 @@ use parallel_code_estimation::dataset::{
 };
 use parallel_code_estimation::gpu_sim::SimCaches;
 use parallel_code_estimation::kernels::{CorpusSpec, VariantAxes};
+use parallel_code_estimation::tokenizer::{BpeTrainer, Tokenizer};
 
 /// The full observable output of one pipeline run: dataset JSON, split
 /// JSON, and the funnel report JSON — everything a downstream consumer
@@ -50,9 +53,60 @@ fn smoke_spec() -> (CorpusSpec, Study) {
     (spec, study)
 }
 
+/// FNV-1a digest of the `count_batch` token counts over
+/// [`variant_axes_sources`], each as little-endian `u64` bytes, pinned
+/// while the tokenizer still counted through a shared chunk cache.
+const VARIANT_AXES_COUNT_DIGEST: u64 = 0x2ac9_73c3_7c5b_bf9a;
+/// The exact token total of those counts.
+const VARIANT_AXES_TOKEN_TOTAL: usize = 3_240_624;
+
+/// Stream slices of the smoke base × `VariantAxes::scale()` spec (72
+/// variants per base, CUDA bases first): every variant of the first five
+/// CUDA and the first five OMP base programs, so size shifts, precision
+/// flips, unroll pragmas and fused epilogues are all counted.
+const VARIANT_AXES_SLICES: [std::ops::Range<usize>; 2] = [0..360, 8640..9000];
+
+/// The pinned slices' sources, and a tokenizer trained on them the way
+/// the pipeline trains one: every `tokenizer_stride`-th source at
+/// `tokenizer_vocab`.
+fn variant_axes_sources() -> (Vec<String>, Tokenizer) {
+    let study = Study::smoke();
+    let spec = CorpusSpec {
+        base: study.corpus,
+        axes: VariantAxes::scale(),
+    };
+    assert_eq!(spec.axes.expansion_factor(), 72);
+    assert_eq!(spec.base.cuda_programs * 72, VARIANT_AXES_SLICES[1].start);
+    let sources: Vec<String> = VARIANT_AXES_SLICES
+        .iter()
+        .flat_map(|r| spec.stream_range(r.start, r.end))
+        .map(|p| p.expect("variant generates").source)
+        .collect();
+    let cfg = &study.pipeline;
+    let vocab = BpeTrainer::new(cfg.tokenizer_vocab).train(
+        sources
+            .iter()
+            .step_by(cfg.tokenizer_stride.max(1))
+            .map(String::as_str),
+    );
+    (sources, Tokenizer::new(vocab))
+}
+
 #[test]
 fn streamed_pipeline_is_byte_identical_across_shards_and_threads() {
     let (spec, study) = smoke_spec();
+    let (sources, tokenizer) = variant_axes_sources();
+    let texts: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let per_text: Vec<usize> = texts.iter().map(|t| tokenizer.count(t)).collect();
+    let count_bytes: Vec<u8> = per_text
+        .iter()
+        .flat_map(|&n| (n as u64).to_le_bytes())
+        .collect();
+    assert_eq!(
+        (fnv1a64(&count_bytes), per_text.iter().sum::<usize>()),
+        (VARIANT_AXES_COUNT_DIGEST, VARIANT_AXES_TOKEN_TOTAL),
+        "variant-axes token counts moved"
+    );
 
     // The ground truth: materialize the whole expanded corpus and run the
     // in-memory pipeline over it.
@@ -77,6 +131,11 @@ fn streamed_pipeline_is_byte_identical_across_shards_and_threads() {
             rayon::current_num_threads(),
             threads.parse::<usize>().expect("thread count parses"),
             "vendored rayon must honor RAYON_NUM_THREADS"
+        );
+        assert_eq!(
+            tokenizer.count_batch(&texts),
+            per_text,
+            "count_batch diverged from per-text count at threads={threads}"
         );
         for shard_size in [1, 37, 256, usize::MAX] {
             let caches = SimCaches::default();

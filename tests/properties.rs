@@ -10,6 +10,22 @@ use parallel_code_estimation::metrics::{chi_squared_independence, ConfusionMatri
 use parallel_code_estimation::roofline::{Boundedness, HardwareSpec, OpClass, OpCounts, Roofline};
 use parallel_code_estimation::tokenizer::{reference, token_quartiles, BpeTrainer, Tokenizer};
 
+/// Pieces of the segment-rule texts: every newline kind, blank-line runs,
+/// single and multiple spaces or tabs before a newline, identifiers,
+/// digits, punctuation and one multibyte character.
+const SEGMENT_PIECES: [&str; 24] = [
+    "\n", "\r", "\r\n", "\n\n\n", "\r\n\r\n", " \n", "  \n", "\t\n", " \t\r\n", " ", "  ", "\t",
+    " x", "idx", "blockDim", "_tmp", "42", " 7", "(", ";", "+=", " {", "}", "λ",
+];
+
+/// A tokenizer whose merges cover the segment pieces, newline runs
+/// included.
+fn segment_tokenizer() -> Tokenizer {
+    let corpus =
+        "for (int idx = 0; idx < 42; ++idx) {\r\n  x[idx] += _tmp * blockDim;\n}\n\n\n \t\n";
+    Tokenizer::new(BpeTrainer::new(360).train([corpus, corpus]))
+}
+
 proptest! {
     #[test]
     fn roofline_attainable_never_exceeds_either_bound(
@@ -151,6 +167,51 @@ proptest! {
             prop_assert_eq!(&batch_ids[i], &tok.encode(doc));
             prop_assert_eq!(batch_counts[i], batch_ids[i].len());
         }
+    }
+
+    #[test]
+    fn token_counts_split_at_newline_runs(
+        pieces in prop::collection::vec(prop::sample::select(SEGMENT_PIECES.to_vec()), 0..48),
+    ) {
+        // The segment memo counts each newline-terminated segment on its
+        // own; the naive encoder of the whole text is the oracle.
+        let tok = segment_tokenizer();
+        let text = pieces.concat();
+        let naive = reference::naive_encode(&tok, &text);
+        prop_assert_eq!(tok.count(&text), naive.len(), "{:?}", text);
+        prop_assert_eq!(tok.encode(&text), naive, "{:?}", text);
+    }
+
+    #[test]
+    fn batches_of_shared_lines_count_like_naive(
+        pool in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(SEGMENT_PIECES.to_vec()), 0..10),
+            1..8,
+        ),
+        picks in prop::collection::vec(prop::collection::vec(0usize..64, 0..12), 1..10),
+    ) {
+        // Texts drawn from one pool of lines repeat segments, so the
+        // per-worker memo hits. Each text ends with its last line again,
+        // without the newline, so texts also end mid-segment.
+        let tok = segment_tokenizer();
+        let lines: Vec<String> = pool.iter().map(|p| p.concat() + "\n").collect();
+        let texts: Vec<String> = picks
+            .iter()
+            .map(|pick| {
+                let mut text: String =
+                    pick.iter().map(|&i| lines[i % lines.len()].as_str()).collect();
+                if let Some(&last) = pick.last() {
+                    text.push_str(&pool[last % pool.len()].concat());
+                }
+                text
+            })
+            .collect();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let naive: Vec<Vec<u32>> =
+            texts.iter().map(|t| reference::naive_encode(&tok, t)).collect();
+        let want: Vec<usize> = naive.iter().map(Vec::len).collect();
+        prop_assert_eq!(tok.count_batch(&refs), want);
+        prop_assert_eq!(tok.encode_batch(&refs), naive);
     }
 
     #[test]

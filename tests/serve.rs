@@ -1,16 +1,17 @@
 //! Integration tests for the prediction service: the line protocol end
 //! to end, transcript invariance across admission batch sizes and cache
-//! bounds, and ledger balance.
+//! bounds, ledger balance, and deadlines that must saturate.
 //!
-//! Everything runs inside one `#[test]` so the `RAYON_NUM_THREADS` flip
-//! cannot race another test in this binary (same pattern as
-//! `tests/determinism.rs` and `tests/cache_golden.rs`).
+//! Everything that flips `RAYON_NUM_THREADS` runs inside one `#[test]`
+//! so the flip cannot race another env-flipping test in this binary (same
+//! pattern as `tests/determinism.rs` and `tests/cache_golden.rs`).
 
 use std::io::Cursor;
 
 use parallel_code_estimation::core::caches::CacheBudget;
 use parallel_code_estimation::core::serve::{Command, Job, PredictionService, ServeConfig};
-use parallel_code_estimation::core::study::Study;
+use parallel_code_estimation::core::study::{ChaosConfig, Study};
+use parallel_code_estimation::fault::{WireFault, WireRates};
 use parallel_code_estimation::prompt::ShotStyle;
 
 /// FNV-1a digest of the `ok`/`err` lines of the batch-24 reference
@@ -159,6 +160,52 @@ fn serve_protocol_is_deterministic_bounded_and_ledger_balanced() {
             src: None,
         }))
     );
+}
+
+#[test]
+fn maximal_deadlines_survive_wire_stalls() {
+    // Twenty jobs whose lines the wire plan stalls: every stall moves the
+    // virtual clock past 0 before admission, so a u64::MAX ms deadline
+    // must saturate its expiry, never overflow it or expire the job.
+    let mut chaos = ChaosConfig::uniform(0, 0.0);
+    chaos.plan = chaos.plan.with_wire(WireRates::uniform(0.3));
+    let wire = chaos.plan.wire_plan();
+    let mut study = Study::smoke();
+    study.chaos = Some(chaos);
+    let service = PredictionService::new(study, None).expect("service builds");
+    let programs = service.programs();
+    let lines: Vec<String> = (0..)
+        .map(|i| {
+            format!(
+                "predict id=d{i} kernel={} spec=rtx-3080 model=o3-mini shots=zero deadline_ms={}",
+                programs[i % programs.len()].id,
+                u64::MAX,
+            )
+        })
+        .filter(|line| matches!(wire.draw(line), Some(WireFault::Stall { .. })))
+        .take(20)
+        .collect();
+    let mut out = Vec::new();
+    service
+        .serve_session(
+            Cursor::new(format!("{}\n", lines.join("\n")).into_bytes()),
+            &mut out,
+            &ServeConfig {
+                batch: 4,
+                queue_depth: Some(8),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("session runs");
+    let transcript = String::from_utf8(out).expect("transcript is UTF-8");
+    let rows: Vec<&str> = transcript.lines().collect();
+    assert_eq!(rows.len(), 21, "{transcript}");
+    for row in &rows[..20] {
+        assert!(row.starts_with("ok id=d"), "{transcript}");
+    }
+    assert!(rows[20].contains("ledger_balanced=true"), "{transcript}");
+    assert!(service.ledger_balanced());
+    assert_eq!(service.ledger().admitted, 20);
 }
 
 /// Digest of a transcript's `ok`/`err` lines. `stats` lines are left out

@@ -61,10 +61,20 @@ fn predict_line(code: u64) -> String {
 /// line: mostly predicts, with control verbs, junk, deadline-carrying
 /// jobs (when `deadlines` — an expired job answers out of request
 /// order, so the strict-order property excludes them), and truncations.
+/// Half the deadlines are tight and half lie near `u64::MAX`, where the
+/// expiry arithmetic must saturate once wire stalls move the clock.
 fn build_line(code: u64, junk: &[String], deadlines: bool) -> String {
     match code % 8 {
         0..=2 => predict_line(code),
-        3 if deadlines => format!("{} deadline_ms={}", predict_line(code), (code >> 20) % 40),
+        3 if deadlines => {
+            let spread = (code >> 20) % 40;
+            let deadline = if code & 0x200 == 0 {
+                spread
+            } else {
+                u64::MAX - spread
+            };
+            format!("{} deadline_ms={deadline}", predict_line(code))
+        }
         3 => predict_line(code),
         4 => "stats".to_string(),
         5 => {
