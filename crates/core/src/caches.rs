@@ -17,37 +17,24 @@
 //! `Clone` is shallow (clones share storage), and every cached function
 //! is pure, so warm and cold bundles produce byte-identical artifacts —
 //! the golden tests in `tests/cache_golden.rs` hold the suite to that.
+//!
+//! [`SuiteCaches::new`] leaves all five memo tables unbounded;
+//! [`SuiteCaches::with_budget`] gives each the one per-table capacity of
+//! a [`CacheBudget`] (the workspace's [`pce_memo::Budget`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use pce_gpu_sim::{SimBudget, SimCaches};
-use pce_llm::{LlmBudget, LlmCaches};
+use pce_gpu_sim::SimCaches;
+use pce_llm::LlmCaches;
 use pce_memo::CacheCounters;
 
-/// Byte budgets for every memo layer a suite (or service) threads its
-/// caches through. The default is fully unbounded — one-shot batch runs
-/// cannot leak; long-lived services should bound everything (see
-/// [`CacheBudget::uniform`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheBudget {
-    /// Simulator layers (body summaries, profiles).
-    pub sim: SimBudget,
-    /// Engine layers (static analyses, prompt parses).
-    pub llm: LlmBudget,
-}
-
-impl CacheBudget {
-    /// Bound every layer to the same per-cache capacity in bytes.
-    pub fn uniform(bytes_per_cache: u64) -> CacheBudget {
-        CacheBudget {
-            sim: SimBudget::uniform(bytes_per_cache),
-            llm: LlmBudget::uniform(bytes_per_cache),
-        }
-    }
-}
+/// The suite's name for the workspace memo budget, kept so callers that
+/// import `pce_core::caches::CacheBudget` (the `serve` binary and the
+/// benchmark harness among them) build their bundles unchanged.
+pub use pce_memo::Budget as CacheBudget;
 
 /// The shared cache bundle one suite run (or several) threads through
 /// every layer.
@@ -66,14 +53,14 @@ impl SuiteCaches {
         SuiteCaches::default()
     }
 
-    /// A fresh bundle with every layer bounded per `budget`. Purity makes
-    /// evictions unobservable in the rendered artifacts — bounded and
-    /// unbounded runs stay byte-identical; only the eviction and
-    /// resident-byte counters differ.
+    /// A fresh bundle with every layer bounded to `budget`'s per-table
+    /// capacity. Purity makes evictions unobservable in the rendered
+    /// artifacts — bounded and unbounded runs stay byte-identical; only
+    /// the eviction and resident-byte counters differ.
     pub fn with_budget(budget: CacheBudget) -> SuiteCaches {
         SuiteCaches {
-            sim: SimCaches::with_budget(budget.sim),
-            llm: LlmCaches::with_budget(budget.llm),
+            sim: SimCaches::with_budget(budget),
+            llm: LlmCaches::with_budget(budget),
             prompt_renders: Arc::new(AtomicU64::new(0)),
         }
     }

@@ -104,7 +104,7 @@ use pce_kernels::{build_corpus, Program};
 use pce_llm::{SamplingParams, SurrogateEngine};
 use pce_memo::Fnv;
 use pce_prompt::{render_classify_prompt, ClassifyRequest, ShotStyle};
-use pce_roofline::{classify_joint, Boundedness, HardwareSpec};
+use pce_roofline::{classify_joint, static_verdict, Boundedness, HardwareSpec, OpClass};
 
 use crate::caches::{CacheBudget, SuiteCaches};
 use crate::study::Study;
@@ -172,8 +172,12 @@ pub fn decode_src(enc: &str) -> Result<String, PceError> {
             let hex = enc
                 .get(i + 1..i + 3)
                 .ok_or_else(|| PceError::parse("truncated %-escape in src"))?;
-            let v = u8::from_str_radix(hex, 16)
-                .map_err(|_| PceError::parse(format!("bad %-escape '%{hex}' in src")))?;
+            // Exactly two hex digits: `from_str_radix` alone would also
+            // take a sign, decoding `%+A` as a newline.
+            let v = Some(hex)
+                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                .and_then(|h| u8::from_str_radix(h, 16).ok())
+                .ok_or_else(|| PceError::parse(format!("bad %-escape '%{hex}' in src")))?;
             out.push(v);
             i += 3;
         } else {
@@ -718,29 +722,12 @@ impl PredictionService {
         let kernel = analysis.kernels.first().ok_or_else(|| {
             PceError::spec("src contains no CUDA __global__ kernel or OMP target region")
         })?;
-        // Static roofline label: the best margin (in decades) of any op
-        // class's static AI over the spec's ridge point decides the side,
-        // mirroring the deep readers' mental model in `pce_llm`.
-        let mut verdict = Boundedness::Bandwidth;
-        let mut best_margin = f64::NEG_INFINITY;
-        for (idx, class) in pce_roofline::OpClass::ALL.iter().enumerate() {
-            let ai = kernel.tally.ai(idx);
-            if ai <= 0.0 {
-                continue;
-            }
-            let m = if ai.is_infinite() {
-                3.0
-            } else {
-                (ai / spec.ridge_point(*class)).log10()
-            };
-            best_margin = best_margin.max(m);
-            if m >= 0.0 {
-                verdict = Boundedness::Compute;
-            }
-        }
-        if best_margin == f64::NEG_INFINITY {
-            best_margin = -1.0; // no ops counted at all: far-bandwidth guess
-        }
+        // Static roofline label: the same best-margin rule the deep
+        // readers in `pce_llm` apply, over the spec's ridge points.
+        let (verdict, best_margin) = static_verdict(
+            std::array::from_fn(|idx| kernel.tally.ai(idx)),
+            OpClass::ALL.map(|class| spec.ridge_point(class)),
+        );
         Ok(format!(
             "ok id={} kernel={} model={STATIC_MODEL} prediction={} margin={:+.2} warnings={}",
             job.id,
@@ -1158,6 +1145,20 @@ mod tests {
         assert!(decode_src("abc%2").is_err());
         assert!(decode_src("abc%zz").is_err());
         assert!(decode_src("%FF%FE").is_err(), "invalid UTF-8 rejected");
+    }
+
+    #[test]
+    fn escapes_take_exactly_two_hex_digits() {
+        // `u8::from_str_radix` accepts a leading sign, so `%+A` once
+        // decoded to a newline although `encode_src` never writes it.
+        let err = decode_src("%+A").expect_err("sign is not a hex digit");
+        assert_eq!(err.kind(), "parse");
+        assert!(err.to_string().contains("bad %-escape '%+A'"), "{err}");
+        let err = Command::parse("predict id=a src=%+A spec=rtx-3080").expect_err("bad escape");
+        assert_eq!(err.kind(), "parse");
+        // Both hex cases still decode.
+        assert_eq!(decode_src("%0A").expect("upper"), "\n");
+        assert_eq!(decode_src("%0a").expect("lower"), "\n");
     }
 
     #[test]

@@ -407,29 +407,6 @@ impl HazardAudit {
     }
 }
 
-/// Fingerprint of the profiling work one program induces: the (kernel
-/// IR, launch, routed hardware) tuple, folded with the same word-granular
-/// FNV the profile memo keys on. Two programs with equal fingerprints
-/// profile identically — the second one's profile is a memo hit.
-///
-/// Computed with a standalone [`Fnv`] accumulator, never through the
-/// [`SimCaches`] tables, so dedup accounting adds zero hit/miss traffic
-/// to the profile memo counters.
-pub(crate) fn profile_fingerprint(p: &Program, hw_name: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(p.ir.fingerprint());
-    h.map_u64(&p.launch.params);
-    for d in [p.launch.grid, p.launch.block] {
-        h.u64(d.x as u64);
-        h.u64(d.y as u64);
-        h.u64(d.z as u64);
-    }
-    h.u64(p.launch.regs_per_thread as u64);
-    h.u64(p.launch.shared_bytes_per_block as u64);
-    h.str(hw_name);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

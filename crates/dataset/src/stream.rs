@@ -39,15 +39,15 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use pce_fault::PceError;
-use pce_gpu_sim::{Profiler, SimCaches};
+use pce_gpu_sim::{profile_fingerprint, Profiler, SimCaches};
 use pce_kernels::{CorpusSpec, Program};
 use pce_memo::StreamDedup;
 use pce_roofline::{classify_joint, SpecClass};
 use pce_tokenizer::{token_quartiles, BpeTrainer, Tokenizer};
 
 use crate::pipeline::{
-    hazard_counts, merge_sorted, profile_fingerprint, select_and_balance, Dataset, HazardAudit,
-    PipelineConfig, PipelineReport, SampleMeta, Split, TokenizedCorpus,
+    hazard_counts, merge_sorted, select_and_balance, Dataset, HazardAudit, PipelineConfig,
+    PipelineReport, SampleMeta, Split, TokenizedCorpus,
 };
 use crate::sample::Sample;
 
@@ -237,7 +237,7 @@ pub(crate) fn run_sharded(
                         counts: profile.counts,
                         runtime_s: profile.runtime_s,
                     },
-                    profile_fingerprint(p, &hw.name),
+                    profile_fingerprint(&p.ir, &p.launch, &hw.name),
                     src_fp,
                     diag_counts,
                 ));

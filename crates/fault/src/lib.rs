@@ -36,9 +36,11 @@ pub use plan::{corrupt_text, is_refusal_text, FaultKind, FaultPlan, FaultRates, 
 pub use retry::{attempt_seed, RetryPolicy};
 pub use wire::{WireFault, WirePlan, WireRates};
 
-/// FNV-1a over a byte stream — the same digest the rest of the workspace
-/// keys its caches with, kept local so this crate stays dependency-free.
-pub(crate) fn fnv1a(parts: &[&[u8]]) -> u64 {
+/// Byte-level FNV-1a over the concatenation of `parts` — the one owner of
+/// the byte-serial digest: the chaos draws here, the surrogate engine's
+/// response noise stream, and the fine-tune head's feature hash all call
+/// it. (Cache keys use `pce_memo::Fnv`, which folds whole words instead.)
+pub fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for part in parts {
         for &b in *part {

@@ -19,11 +19,17 @@
 //! surface a wrong value: cached and cold paths are bit-identical by
 //! construction (the [`pce_memo::Memo`] contract). Hit/miss counters feed
 //! the bench harness's cache-effectiveness report.
+//!
+//! [`SimCaches::new`] builds both tables unbounded;
+//! [`SimCaches::with_budget`] bounds each to the one per-table capacity
+//! of a [`pce_memo::Budget`]. [`profile_fingerprint`] is the launch
+//! identity the profile memo keys on, public so the dataset pipeline's
+//! dedup accounting folds exactly the same fields.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pce_memo::{Fnv, Memo};
+use pce_memo::{Budget, Fnv, Memo};
 use pce_roofline::HardwareSpec;
 
 use crate::ir::{BodySummary, KernelIr};
@@ -32,25 +38,30 @@ use crate::profiler::KernelProfile;
 
 pub use pce_memo::CacheCounters;
 
-/// Byte budgets for the simulator's two memo layers. `None` leaves that
-/// layer unbounded (no size accounting, no eviction) — the right choice
-/// for one-shot batch runs; long-lived services should bound both.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimBudget {
-    /// Capacity of the body-summary cache, in approximate bytes.
-    pub summary_bytes: Option<u64>,
-    /// Capacity of the profile cache, in approximate bytes.
-    pub profile_bytes: Option<u64>,
-}
+/// The simulator's name for the workspace memo budget, kept so callers
+/// that import `pce_gpu_sim::SimBudget` (the benchmark harness among
+/// them) build their bundles unchanged.
+pub use pce_memo::Budget as SimBudget;
 
-impl SimBudget {
-    /// Bound both layers to the same capacity.
-    pub fn uniform(bytes: u64) -> SimBudget {
-        SimBudget {
-            summary_bytes: Some(bytes),
-            profile_bytes: Some(bytes),
-        }
+/// The launch identity a profile depends on besides the L2 ablation flag:
+/// kernel IR, launch parameters and geometry, and the hardware name,
+/// folded with the word-granular [`Fnv`]. The profile memo keys on this
+/// plus the flag; the dataset pipeline's dedup accounting folds it alone,
+/// so two programs with equal fingerprints profile identically. It reads
+/// no memo table, so dedup accounting adds no hit/miss traffic.
+pub fn profile_fingerprint(ir: &KernelIr, launch: &LaunchConfig, hw_name: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(ir.fingerprint());
+    h.map_u64(&launch.params);
+    for d in [launch.grid, launch.block] {
+        h.u64(d.x as u64);
+        h.u64(d.y as u64);
+        h.u64(d.z as u64);
     }
+    h.u64(launch.regs_per_thread as u64);
+    h.u64(launch.shared_bytes_per_block as u64);
+    h.str(hw_name);
+    h.finish()
 }
 
 /// Approximate heap bytes of a launch-parameter map.
@@ -73,22 +84,19 @@ pub struct SummaryCache {
 }
 
 impl SummaryCache {
-    /// A cache bounded to `bytes` (`None` = unbounded), charging each
-    /// entry its key's IR/params footprint plus the summary itself.
-    fn with_budget(bytes: Option<u64>) -> SummaryCache {
-        let cost = |k: &SummaryKey, v: &BodySummary| {
-            k.ir.approx_bytes()
-                + map_bytes(&k.params)
-                + std::mem::size_of::<BodySummary>() as u64
-                + v.demands.len() as u64 * 64
-        };
+    /// A cache bounded by `budget`, charging each entry its key's
+    /// IR/params footprint plus the summary itself.
+    fn with_budget(budget: Budget) -> SummaryCache {
         SummaryCache {
-            memo: match bytes {
-                Some(b) => Memo::bounded(b, cost),
-                None => Memo::new(),
-            },
+            memo: budget.memo(|k: &SummaryKey, v: &BodySummary| {
+                k.ir.approx_bytes()
+                    + map_bytes(&k.params)
+                    + std::mem::size_of::<BodySummary>() as u64
+                    + v.demands.len() as u64 * 64
+            }),
         }
     }
+
     /// The folded summary of `ir` under `params`, computed at most once
     /// per distinct (IR, params) pair.
     pub fn summary(&self, ir: &KernelIr, params: &BTreeMap<String, u64>) -> Arc<BodySummary> {
@@ -139,25 +147,21 @@ pub struct ProfileCache {
 }
 
 impl ProfileCache {
-    /// A cache bounded to `bytes` (`None` = unbounded), charging each
-    /// entry its full launch-identity key plus the profile.
-    fn with_budget(bytes: Option<u64>) -> ProfileCache {
-        let cost = |k: &ProfileKey, v: &KernelProfile| {
-            k.ir.approx_bytes()
-                + map_bytes(&k.launch.params)
-                + std::mem::size_of::<LaunchConfig>() as u64
-                + std::mem::size_of::<HardwareSpec>() as u64
-                + k.hw.name.len() as u64
-                + std::mem::size_of::<KernelProfile>() as u64
-                + v.kernel.len() as u64
-                + v.hardware.len() as u64
-                + v.buffers.len() as u64 * 64
-        };
+    /// A cache bounded by `budget`, charging each entry its full
+    /// launch-identity key plus the profile.
+    fn with_budget(budget: Budget) -> ProfileCache {
         ProfileCache {
-            memo: match bytes {
-                Some(b) => Memo::bounded(b, cost),
-                None => Memo::new(),
-            },
+            memo: budget.memo(|k: &ProfileKey, v: &KernelProfile| {
+                k.ir.approx_bytes()
+                    + map_bytes(&k.launch.params)
+                    + std::mem::size_of::<LaunchConfig>() as u64
+                    + std::mem::size_of::<HardwareSpec>() as u64
+                    + k.hw.name.len() as u64
+                    + std::mem::size_of::<KernelProfile>() as u64
+                    + v.kernel.len() as u64
+                    + v.hardware.len() as u64
+                    + v.buffers.len() as u64 * 64
+            }),
         }
     }
 
@@ -170,17 +174,7 @@ impl ProfileCache {
         l2_enabled: bool,
         compute: impl FnOnce() -> KernelProfile,
     ) -> Arc<KernelProfile> {
-        let mut h = Fnv::new();
-        h.u64(ir.fingerprint());
-        h.map_u64(&launch.params);
-        for d in [launch.grid, launch.block] {
-            h.u64(d.x as u64);
-            h.u64(d.y as u64);
-            h.u64(d.z as u64);
-        }
-        h.u64(launch.regs_per_thread as u64);
-        h.u64(launch.shared_bytes_per_block as u64);
-        h.str(&hw.name);
+        let mut h = Fnv::resume(profile_fingerprint(ir, launch, &hw.name));
         h.u64(l2_enabled as u64);
         self.memo.get_or_insert_with(
             h.finish(),
@@ -231,15 +225,15 @@ impl SimCaches {
         SimCaches::default()
     }
 
-    /// A fresh bundle with each layer bounded per `budget` (`None` fields
-    /// stay unbounded). Bounded and unbounded bundles produce
-    /// byte-identical results — every cached function is pure, so an
-    /// eviction only costs recomputation.
-    pub fn with_budget(budget: SimBudget) -> SimCaches {
+    /// A fresh bundle with both layers bounded to `budget`'s per-table
+    /// capacity. Bounded and unbounded bundles produce byte-identical
+    /// results — every cached function is pure, so an eviction only costs
+    /// recomputation.
+    pub fn with_budget(budget: Budget) -> SimCaches {
         SimCaches {
             inner: Arc::new(SimCachesInner {
-                summaries: SummaryCache::with_budget(budget.summary_bytes),
-                profiles: ProfileCache::with_budget(budget.profile_bytes),
+                summaries: SummaryCache::with_budget(budget),
+                profiles: ProfileCache::with_budget(budget),
             }),
         }
     }

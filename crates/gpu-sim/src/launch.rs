@@ -141,11 +141,6 @@ impl LaunchConfig {
         self.grid.count() * self.block.count()
     }
 
-    /// Total warps (32-thread groups, padded per block).
-    pub fn total_warps(&self) -> u64 {
-        self.grid.count() * self.threads_per_block().div_ceil(32)
-    }
-
     /// Theoretical occupancy in `(0, 1]`: fraction of each SM's warp slots
     /// this launch can keep resident, limited by warps, registers, and
     /// shared memory (an Ampere-like SM: 48 warp slots, 65 536 registers,
@@ -203,7 +198,6 @@ mod tests {
         assert_eq!(lc.grid.x, 4);
         assert_eq!(lc.total_threads(), 1024);
         assert_eq!(lc.threads_per_block(), 256);
-        assert_eq!(lc.total_warps(), 4 * 8);
     }
 
     #[test]

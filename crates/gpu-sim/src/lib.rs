@@ -19,8 +19,9 @@
 //!   (`max(compute, memory) + launch overhead`, scaled by occupancy and
 //!   divergence efficiency),
 //! * [`profiler`] — the nvprof-like front end producing
-//!   [`KernelProfile`](profiler::KernelProfile)s, with a rayon-parallel
-//!   batch API.
+//!   [`KernelProfile`]s,
+//! * [`cache`] — the summary and profile memos a suite shares across
+//!   hardware specs and runs.
 //!
 //! Everything is pure arithmetic over the IR: the same (kernel, launch,
 //! hardware) triple always produces bit-identical profiles, which keeps the
@@ -66,7 +67,7 @@ pub mod prelude {
     pub use crate::profiler::{KernelProfile, Profiler};
 }
 
-pub use cache::{CacheCounters, SimBudget, SimCaches};
+pub use cache::{profile_fingerprint, CacheCounters, SimBudget, SimCaches};
 pub use ir::{AccessPattern, Extent, IntKind, KernelIr, Op, Precision, SpecialFn};
 pub use launch::{Dim3, LaunchConfig};
 pub use profiler::{KernelProfile, Profiler};

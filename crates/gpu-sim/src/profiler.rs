@@ -16,7 +16,6 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use pce_roofline::{HardwareSpec, KernelObservation, OpCounts};
@@ -209,22 +208,6 @@ impl Profiler {
                 }),
         }
     }
-
-    /// Profile a batch of launches in parallel (rayon).
-    ///
-    /// Takes the jobs by reference so call sites iterate owned or borrowed
-    /// storage without cloning kernel IR: pass
-    /// `jobs.iter().map(|(k, lc)| (k, lc))` for a `Vec<(KernelIr,
-    /// LaunchConfig)>`, or zip two slices.
-    pub fn profile_batch<'a>(
-        &self,
-        jobs: impl IntoIterator<Item = (&'a KernelIr, &'a LaunchConfig)>,
-    ) -> Vec<KernelProfile> {
-        let jobs: Vec<(&KernelIr, &LaunchConfig)> = jobs.into_iter().collect();
-        jobs.par_iter()
-            .map(|&(k, lc)| self.profile(k, lc))
-            .collect()
-    }
 }
 
 /// The no-cache ablation: requested bytes (after coalescing) go straight
@@ -289,17 +272,6 @@ mod tests {
         let a = prof.profile(&k, &lc);
         let b = prof.profile(&k, &lc);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batch_matches_sequential() {
-        let jobs: Vec<_> = (18..24).map(|s| saxpy(1 << s)).collect();
-        let prof = Profiler::new(HardwareSpec::rtx_3080());
-        // The batch API borrows: no IR clone at the call site.
-        let batch = prof.profile_batch(jobs.iter().map(|(k, lc)| (k, lc)));
-        for (job, p) in jobs.iter().zip(&batch) {
-            assert_eq!(*p, prof.profile(&job.0, &job.1));
-        }
     }
 
     #[test]

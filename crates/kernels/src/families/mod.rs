@@ -112,11 +112,6 @@ pub fn registry() -> Vec<Family> {
     fams
 }
 
-/// Names of all registered families.
-pub fn family_names() -> Vec<&'static str> {
-    registry().into_iter().map(|f| f.name).collect()
-}
-
 /// Look up a family by name.
 pub fn family(name: &str) -> Option<Family> {
     registry().into_iter().find(|f| f.name == name)

@@ -53,5 +53,5 @@ pub mod source;
 pub mod stream;
 
 pub use corpus::{build_corpus, CorpusConfig, Language, Program};
-pub use families::{family_names, Variant};
+pub use families::Variant;
 pub use stream::{CorpusSpec, CorpusStream, VariantAxes};

@@ -76,11 +76,6 @@ impl VariantAxes {
             * (1 + self.fused.len())
     }
 
-    /// Whether these axes expand nothing.
-    pub fn is_identity(&self) -> bool {
-        self.expansion_factor() == 1
-    }
-
     /// A modest default expansion for scale runs: 2 size shifts,
     /// precision flip, 3 unroll factors and 2 fused chains, each axis
     /// also keeping its identity: 3 × 2 × 4 × 3 = 72 variants per base
@@ -588,7 +583,7 @@ mod tests {
         let spec: CorpusSpec =
             serde_json::from_str(r#"{"base":{"seed":1,"cuda_programs":2,"omp_programs":1}}"#)
                 .expect("spec parses");
-        assert!(spec.axes.is_identity());
+        assert_eq!(spec.axes.expansion_factor(), 1);
         assert_eq!(spec.len(), 3);
     }
 }

@@ -23,40 +23,21 @@
 //! [`pce_memo::Memo`] tables (full-equality-verified, so collisions can
 //! only cost a scan). Clones share storage: one bundle can serve every
 //! model, hardware spec, and repeated run of a suite.
+//!
+//! [`LlmCaches::new`] builds the three tables unbounded;
+//! [`LlmCaches::with_budget`] bounds each to the one per-table capacity
+//! of a [`pce_memo::Budget`]. Both parse tables are looked up by the
+//! prompt fingerprint the engine computes once per request.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pce_memo::{Fnv, Memo};
+use pce_memo::{Budget, Fnv, Memo};
 use pce_static_analysis::{analyze, AnalyzeOptions, SourceAnalysis};
 
 use crate::parse::{bind_args_to_params, parse_classify, parse_rq1, ClassifyQuestion, Rq1Question};
 
 pub use pce_memo::CacheCounters;
-
-/// Byte budgets for the engine's three memo layers. `None` leaves that
-/// layer unbounded — fine for one-shot batch runs; long-lived services
-/// should bound all three.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LlmBudget {
-    /// Capacity of the static-analysis cache, in approximate bytes.
-    pub analysis_bytes: Option<u64>,
-    /// Capacity of the classify prompt-parse cache.
-    pub classify_bytes: Option<u64>,
-    /// Capacity of the RQ1 prompt-parse cache.
-    pub rq1_bytes: Option<u64>,
-}
-
-impl LlmBudget {
-    /// Bound all three layers to the same capacity.
-    pub fn uniform(bytes: u64) -> LlmBudget {
-        LlmBudget {
-            analysis_bytes: Some(bytes),
-            classify_bytes: Some(bytes),
-            rq1_bytes: Some(bytes),
-        }
-    }
-}
 
 /// Fingerprint a prompt: word-granular FNV-1a over its bytes.
 ///
@@ -111,35 +92,25 @@ impl LlmCaches {
         LlmCaches::default()
     }
 
-    /// A fresh bundle with each layer bounded per `budget` (`None` fields
-    /// stay unbounded). Entry costs are approximations dominated by the
-    /// cached source/prompt text; evictions only cost recomputation, so
-    /// bounded and unbounded bundles stay byte-identical.
-    pub fn with_budget(budget: LlmBudget) -> LlmCaches {
-        let analysis_cost = |k: &AnalysisKey, v: &SourceAnalysis| {
-            k.source.len() as u64
-                + k.params.keys().map(|p| p.len() as u64 + 16).sum::<u64>()
-                + std::mem::size_of::<SourceAnalysis>() as u64
-                + v.kernels.len() as u64 * 256
-        };
-        // Parsed questions carry the source text extracted from the
-        // prompt, so a parse entry weighs roughly two prompt lengths.
-        let classify_cost = |k: &String, _: &Option<ParsedClassify>| 2 * k.len() as u64 + 512;
-        let rq1_cost = |k: &String, _: &Option<Rq1Question>| k.len() as u64 + 256;
-        fn build<K: PartialEq, V>(
-            bytes: Option<u64>,
-            cost: impl Fn(&K, &V) -> u64 + Send + Sync + 'static,
-        ) -> Memo<K, V> {
-            match bytes {
-                Some(b) => Memo::bounded(b, cost),
-                None => Memo::new(),
-            }
-        }
+    /// A fresh bundle with each layer bounded to `budget`'s per-table
+    /// capacity. Entry costs are approximations dominated by the cached
+    /// source/prompt text; evictions only cost recomputation, so bounded
+    /// and unbounded bundles stay byte-identical.
+    pub fn with_budget(budget: Budget) -> LlmCaches {
         LlmCaches {
             inner: Arc::new(LlmCachesInner {
-                analyses: build(budget.analysis_bytes, analysis_cost),
-                classify: build(budget.classify_bytes, classify_cost),
-                rq1: build(budget.rq1_bytes, rq1_cost),
+                analyses: budget.memo(|k: &AnalysisKey, v: &SourceAnalysis| {
+                    k.source.len() as u64
+                        + k.params.keys().map(|p| p.len() as u64 + 16).sum::<u64>()
+                        + std::mem::size_of::<SourceAnalysis>() as u64
+                        + v.kernels.len() as u64 * 256
+                }),
+                // Parsed questions carry the source text extracted from
+                // the prompt, so a parse entry weighs roughly two prompt
+                // lengths.
+                classify: budget
+                    .memo(|k: &String, _: &Option<ParsedClassify>| 2 * k.len() as u64 + 512),
+                rq1: budget.memo(|k: &String, _: &Option<Rq1Question>| k.len() as u64 + 256),
             }),
         }
     }
@@ -188,12 +159,8 @@ impl LlmCaches {
     /// Parse (or recall) a classification prompt, including the deep
     /// readers' CLI-argument binding. `None` is cached too: a malformed
     /// prompt is re-answered from the prior without re-scanning.
-    pub fn classify(&self, prompt: &str) -> Arc<Option<ParsedClassify>> {
-        self.classify_fp(prompt, prompt_fingerprint(prompt))
-    }
-
-    /// [`LlmCaches::classify`] with the prompt's fingerprint precomputed
-    /// (callers that already digested the prompt skip a second pass).
+    /// `prompt_fp` is the prompt's [`prompt_fingerprint`], computed once
+    /// per request by the caller.
     pub fn classify_fp(&self, prompt: &str, prompt_fp: u64) -> Arc<Option<ParsedClassify>> {
         let mut h = Fnv::resume(prompt_fp);
         h.u64(0xc1);
@@ -213,12 +180,8 @@ impl LlmCaches {
         )
     }
 
-    /// Parse (or recall) the last RQ1 roofline question in a prompt.
-    pub fn rq1(&self, prompt: &str) -> Arc<Option<Rq1Question>> {
-        self.rq1_fp(prompt, prompt_fingerprint(prompt))
-    }
-
-    /// [`LlmCaches::rq1`] with the prompt's fingerprint precomputed.
+    /// Parse (or recall) the last RQ1 roofline question in a prompt, by
+    /// its precomputed [`prompt_fingerprint`].
     pub fn rq1_fp(&self, prompt: &str, prompt_fp: u64) -> Arc<Option<Rq1Question>> {
         let mut h = Fnv::resume(prompt_fp);
         h.u64(0x51);
@@ -306,11 +269,12 @@ mod tests {
              int main(int argc, char* argv[]) {{\n\
              \x20 long n = (argc > 1) ? (long)atol(argv[1]) : 1048576;\n}}\n{SRC}"
         );
-        let a = caches.classify(&prompt);
+        let fp = prompt_fingerprint(&prompt);
+        let a = caches.classify_fp(&prompt, fp);
         let parsed = a.as_ref().as_ref().expect("prompt parses");
         assert_eq!(parsed.question.kernel_name, "burn");
         assert_eq!(parsed.deep_params["n"], 4096);
-        let b = caches.classify(&prompt);
+        let b = caches.classify_fp(&prompt, fp);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(caches.classify_counters().hits, 1);
     }
@@ -318,10 +282,11 @@ mod tests {
     #[test]
     fn unparseable_prompts_cache_their_none() {
         let caches = LlmCaches::new();
-        assert!(caches.classify("hello").is_none());
-        assert!(caches.classify("hello").is_none());
+        let fp = prompt_fingerprint("hello");
+        assert!(caches.classify_fp("hello", fp).is_none());
+        assert!(caches.classify_fp("hello", fp).is_none());
         assert_eq!(caches.classify_counters().hits, 1);
-        assert!(caches.rq1("hello").is_none());
+        assert!(caches.rq1_fp("hello", fp).is_none());
         assert_eq!(caches.rq1_counters().misses, 1);
     }
 
@@ -332,9 +297,10 @@ mod tests {
                       of 45.9 GB/s and a peak performance of 52.22 GFLOP/s, if a program \
                       executed with an Arithmetic Intensity of 0.6 FLOP/Byte ... \
                       does the roofline model consider the program as compute-bound?\nAnswer:";
-        let cached = caches.rq1(prompt);
+        let fp = prompt_fingerprint(prompt);
+        let cached = caches.rq1_fp(prompt, fp);
         assert_eq!(*cached, parse_rq1(prompt).ok());
-        let again = caches.rq1(prompt);
+        let again = caches.rq1_fp(prompt, fp);
         assert!(Arc::ptr_eq(&cached, &again));
     }
 

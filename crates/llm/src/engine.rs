@@ -17,10 +17,10 @@
 use std::collections::BTreeMap;
 
 use pce_fault::{
-    attempt_seed, corrupt_text, is_refusal_text, FaultKind, FaultPlan, PceError,
+    attempt_seed, corrupt_text, fnv1a, is_refusal_text, FaultKind, FaultPlan, PceError,
     ResponseAccounting, RetryPolicy,
 };
-use pce_roofline::Boundedness;
+use pce_roofline::{static_verdict, Boundedness};
 
 use crate::api::{approx_tokens, ChatRequest, ChatResponse, SamplingParams, Usage, UsageMeter};
 use crate::cache::{prompt_fingerprint, LlmCaches, ParsedClassify};
@@ -64,11 +64,7 @@ impl SurrogateEngine {
     /// [`LlmCaches`] so analyses and prompt parses are shared across the
     /// whole hardware matrix; billing stays per-engine.
     pub fn with_caches(caches: LlmCaches) -> Self {
-        SurrogateEngine {
-            meter: UsageMeter::new(),
-            caches,
-            faults: None,
-        }
+        Self::with_caches_and_faults(caches, None)
     }
 
     /// [`SurrogateEngine::with_caches`] with a chaos plan attached: every
@@ -92,46 +88,38 @@ impl SurrogateEngine {
         &self.caches
     }
 
-    /// The attached chaos plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Complete a request.
     ///
     /// Fails with [`PceError::Spec`] when the requested model is not in
     /// the zoo, or with an injected [`PceError::Timeout`]/[`PceError::Io`]
     /// when an attached chaos plan fires a transport-level fault.
     pub fn complete(&self, req: &ChatRequest) -> Result<ChatResponse, PceError> {
-        self.complete_prompt(&req.model, &req.prompt, req.sampling, req.seed)
-    }
-
-    /// Complete a request given by parts, borrowing the prompt.
-    ///
-    /// Identical to [`SurrogateEngine::complete`] on the equivalent
-    /// [`ChatRequest`], but lets bulk callers share one rendered prompt
-    /// across the whole model zoo without cloning it per request.
-    pub fn complete_prompt(
-        &self,
-        model_name: &str,
-        prompt: &str,
-        sampling: Option<SamplingParams>,
-        seed: u64,
-    ) -> Result<ChatResponse, PceError> {
-        self.complete_attempt(model_name, prompt, sampling, seed, 0)
-            .0
+        let prompt_fp = prompt_fingerprint(&req.prompt);
+        self.complete_attempt(
+            &req.model,
+            &req.prompt,
+            prompt_fp,
+            req.sampling,
+            req.seed,
+            0,
+        )
+        .0
     }
 
     /// One attempt of a completion: resolve the model, consult the chaos
     /// plan, answer, corrupt if injected, and bill. Returns the result
     /// plus whether a fault was injected into this attempt.
     ///
-    /// Attempt 0 with no plan attached is byte- and billing-identical to
-    /// the historical always-succeeds path.
+    /// `prompt_fp` is the request's one pass over the prompt text
+    /// ([`prompt_fingerprint`]): it keys the parse caches, seeds the noise
+    /// stream, and addresses the fault plan on every attempt. Attempt 0
+    /// with no plan attached is byte- and billing-identical to the
+    /// historical always-succeeds path.
     fn complete_attempt(
         &self,
         model_name: &str,
         prompt: &str,
+        prompt_fp: u64,
         sampling: Option<SamplingParams>,
         seed: u64,
         attempt: u32,
@@ -145,9 +133,6 @@ impl SurrogateEngine {
             );
         };
         let sampling = sampling.unwrap_or_default();
-        // One pass over the prompt text: the fingerprint keys the parse
-        // caches, seeds the noise stream, and addresses the fault plan.
-        let prompt_fp = prompt_fingerprint(prompt);
         let fault = self
             .faults
             .as_ref()
@@ -171,27 +156,7 @@ impl SurrogateEngine {
         // from the first answer reproducibly.
         let eff_seed = attempt_seed(seed, attempt);
         let mut rng = NoiseStream::new(&spec.name, prompt_fp, eff_seed, sampling);
-
-        let (clean, trace) = if is_rq1_prompt(prompt) {
-            self.answer_rq1(spec, prompt, prompt_fp, &mut rng)
-        } else {
-            let parsed = self.caches.classify_fp(prompt, prompt_fp);
-            match parsed.as_ref() {
-                Some(p) => self.answer_classify(spec, p, prompt, &mut rng),
-                None => {
-                    // Unrecognized prompt: fall back to the model's prior.
-                    let answer = if spec.caps.bias_bandwidth {
-                        Boundedness::Bandwidth
-                    } else {
-                        Boundedness::Compute
-                    };
-                    (
-                        answer.answer_token().to_string(),
-                        Some("prior-only guess".to_string()),
-                    )
-                }
-            }
-        };
+        let (clean, trace) = self.answer(spec, prompt, prompt_fp, &mut rng);
 
         // Body-level faults corrupt the clean answer but are still billed:
         // a truncated or refused hosted response costs real tokens.
@@ -233,10 +198,11 @@ impl SurrogateEngine {
         seed: u64,
         policy: &RetryPolicy,
     ) -> CompletionOutcome {
+        let prompt_fp = prompt_fingerprint(prompt);
         // Jitter fingerprint: the request identity, independent of attempt.
         let mut fp = pce_memo::Fnv::new();
         fp.str(model_name);
-        fp.u64(prompt_fingerprint(prompt));
+        fp.u64(prompt_fp);
         fp.u64(seed);
         let fingerprint = fp.finish();
 
@@ -263,7 +229,7 @@ impl SurrogateEngine {
                 acc.backoff_ms += delay;
             }
             let (result, injected) =
-                self.complete_attempt(model_name, prompt, sampling, seed, attempt);
+                self.complete_attempt(model_name, prompt, prompt_fp, sampling, seed, attempt);
             injected_any |= injected;
             match result {
                 Ok(resp) => {
@@ -320,6 +286,35 @@ impl SurrogateEngine {
             verdict: None,
             error: Some(last_error),
             accounting: acc,
+        }
+    }
+
+    /// The task dispatch every completion shares: RQ1 prompts go to the
+    /// balance-point arithmetic, parseable classify prompts to the source
+    /// reader, and anything else to the model's prior.
+    fn answer(
+        &self,
+        spec: &ModelSpec,
+        prompt: &str,
+        prompt_fp: u64,
+        rng: &mut NoiseStream,
+    ) -> (String, Option<String>) {
+        if is_rq1_prompt(prompt) {
+            return self.answer_rq1(spec, prompt, prompt_fp, rng);
+        }
+        match self.caches.classify_fp(prompt, prompt_fp).as_ref() {
+            Some(p) => self.answer_classify(spec, p, prompt, rng),
+            None => {
+                let answer = if spec.caps.bias_bandwidth {
+                    Boundedness::Bandwidth
+                } else {
+                    Boundedness::Compute
+                };
+                (
+                    answer.answer_token().to_string(),
+                    Some("prior-only guess".to_string()),
+                )
+            }
         }
     }
 
@@ -414,26 +409,10 @@ impl SurrogateEngine {
             q.peak_dp / q.bandwidth,
             q.peak_int / q.bandwidth,
         ];
-        let mut verdict = Boundedness::Bandwidth;
-        let mut best_margin = f64::NEG_INFINITY; // max over classes of log10(ai/balance)
-        for (class_idx, balance) in balances.iter().enumerate() {
-            let ai = tally.ai(class_idx) * reuse_boost;
-            if ai <= 0.0 {
-                continue;
-            }
-            let m = if ai.is_infinite() {
-                3.0
-            } else {
-                (ai / balance).log10()
-            };
-            best_margin = best_margin.max(m);
-            if m >= 0.0 {
-                verdict = Boundedness::Compute;
-            }
-        }
-        if best_margin == f64::NEG_INFINITY {
-            best_margin = -1.0; // no ops seen at all: far-BB guess
-        }
+        let (verdict, best_margin) = static_verdict(
+            std::array::from_fn(|class_idx| tally.ai(class_idx) * reuse_boost),
+            balances,
+        );
 
         // Classification noise. Two regimes:
         //
@@ -495,20 +474,10 @@ impl SurrogateEngine {
 /// Evaluate an arbitrary (possibly unregistered) model spec on a prompt
 /// and return just the answer text. This is the hook the capability
 /// ablation uses to sweep synthetic specs without registering them in the
-/// zoo; it shares the exact answer path with [`SurrogateEngine::complete`].
-///
-/// Builds a throwaway engine per call. Bulk sweeps should create one
-/// engine and call [`complete_with_spec_on`] so parses and analyses are
-/// cached across the sweep instead of re-deriving (and re-allocating) per
-/// completion.
-pub fn complete_with_spec(spec: &ModelSpec, prompt: &str, seed: u64) -> String {
-    complete_with_spec_on(&SurrogateEngine::new(), spec, prompt, seed)
-}
-
-/// [`complete_with_spec`] against an existing engine: the engine's parse
+/// zoo; it shares the exact answer path with [`SurrogateEngine::complete`]
+/// (default sampling, first attempt, no chaos plan). The engine's parse
 /// and analysis caches serve the unregistered spec exactly as they serve
-/// zoo models (nothing is billed — the answer path never touches the
-/// meter). Bit-identical to the throwaway-engine variant.
+/// zoo models, and nothing is billed.
 pub fn complete_with_spec_on(
     engine: &SurrogateEngine,
     spec: &ModelSpec,
@@ -517,16 +486,7 @@ pub fn complete_with_spec_on(
 ) -> String {
     let prompt_fp = prompt_fingerprint(prompt);
     let mut rng = NoiseStream::new(&spec.name, prompt_fp, seed, SamplingParams::default());
-    let (text, _) = if is_rq1_prompt(prompt) {
-        engine.answer_rq1(spec, prompt, prompt_fp, &mut rng)
-    } else {
-        let parsed = engine.caches.classify_fp(prompt, prompt_fp);
-        match parsed.as_ref() {
-            Some(p) => engine.answer_classify(spec, p, prompt, &mut rng),
-            None => ("Bandwidth".to_string(), None),
-        }
-    };
-    text
+    engine.answer(spec, prompt, prompt_fp, &mut rng).0
 }
 
 /// Clip a response body for embedding in an error message.
@@ -571,18 +531,13 @@ impl NoiseStream {
     const STREAM_SALT: u64 = 0xa5a5_0010;
 
     fn new(model: &str, prompt_fp: u64, seed: u64, sampling: SamplingParams) -> Self {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(model.as_bytes());
-        eat(&(prompt_fp ^ Self::STREAM_SALT).to_le_bytes());
-        eat(&seed.to_le_bytes());
-        eat(&sampling.temperature.to_bits().to_le_bytes());
-        eat(&sampling.top_p.to_bits().to_le_bytes());
+        let h = fnv1a(&[
+            model.as_bytes(),
+            &(prompt_fp ^ Self::STREAM_SALT).to_le_bytes(),
+            &seed.to_le_bytes(),
+            &sampling.temperature.to_bits().to_le_bytes(),
+            &sampling.top_p.to_bits().to_le_bytes(),
+        ]);
         NoiseStream { state: h | 1 }
     }
 
@@ -776,29 +731,6 @@ __global__ void reduce(float* out, const float* in) {
     }
 
     #[test]
-    fn complete_prompt_matches_complete() {
-        let suite = generate_rq1_suite(5, 1);
-        let prompt = render_rq1_prompt(&suite, 0, 2, false);
-        let engine = SurrogateEngine::new();
-        let via_req = engine
-            .complete(
-                &ChatRequest::new("o3-mini", prompt.clone())
-                    .with_sampling(SamplingParams::default())
-                    .with_seed(3),
-            )
-            .unwrap();
-        let via_parts = engine
-            .complete_prompt("o3-mini", &prompt, Some(SamplingParams::default()), 3)
-            .unwrap();
-        assert_eq!(via_req, via_parts);
-        // Both billed.
-        assert_eq!(
-            engine.meter().snapshot()["o3-mini"].0.prompt_tokens,
-            2 * via_req.usage.prompt_tokens
-        );
-    }
-
-    #[test]
     fn unparseable_prompt_falls_back_to_prior() {
         let engine = SurrogateEngine::new();
         let resp = engine
@@ -863,7 +795,7 @@ __global__ void reduce(float* out, const float* in) {
         for i in 0..suite.items.len() {
             let prompt = render_rq1_prompt(&suite, i, 2, false);
             let single = engine
-                .complete_prompt("gpt-4o-mini", &prompt, None, i as u64)
+                .complete(&ChatRequest::new("gpt-4o-mini", prompt.clone()).with_seed(i as u64))
                 .unwrap();
             let retried = engine.complete_with_retry(
                 "gpt-4o-mini",
@@ -889,8 +821,9 @@ __global__ void reduce(float* out, const float* in) {
             LlmCaches::new(),
             Some(FaultPlan::uniform(42, 0.0)),
         );
-        let a = clean.complete_prompt("o3-mini", &prompt, None, 5).unwrap();
-        let b = zeroed.complete_prompt("o3-mini", &prompt, None, 5).unwrap();
+        let req = ChatRequest::new("o3-mini", prompt).with_seed(5);
+        let a = clean.complete(&req).unwrap();
+        let b = zeroed.complete(&req).unwrap();
         assert_eq!(a, b);
         assert_eq!(clean.meter().snapshot(), zeroed.meter().snapshot());
     }
@@ -954,7 +887,9 @@ __global__ void reduce(float* out, const float* in) {
             wire: pce_fault::WireRates::zero(),
         };
         let engine = SurrogateEngine::with_caches_and_faults(LlmCaches::new(), Some(plan));
-        let err = engine.complete_prompt("o1", "hello", None, 0).unwrap_err();
+        let err = engine
+            .complete(&ChatRequest::new("o1", "hello"))
+            .unwrap_err();
         assert_eq!(err.to_string(), "request timed out after 30000 ms");
         let out = engine.complete_with_retry("o1", "hello", None, 0, &RetryPolicy::default());
         assert_eq!(out.accounting.invalid, 1);

@@ -28,6 +28,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use pce_fault::fnv1a;
 use pce_roofline::Boundedness;
 
 /// Fine-tuning hyperparameters.
@@ -185,11 +186,7 @@ fn hash_features(text: &str, dim: usize) -> Vec<(usize, f64)> {
         if token.is_empty() {
             continue;
         }
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in token.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = fnv1a(&[token.as_bytes()]);
         *counts.entry((h % dim as u64) as usize).or_insert(0.0f64) += 1.0;
     }
     let norm: f64 = counts.values().map(|v| v * v).sum::<f64>().sqrt();

@@ -17,7 +17,16 @@
 //!   variables by reading the program's `argv` parsing, runs the
 //!   `pce-static-analysis` estimator at a fidelity set by the model's
 //!   insight, optionally applies a reuse correction (reasoning models
-//!   only), and classifies against the three parsed rooflines.
+//!   only), and classifies against the three parsed rooflines with
+//!   `pce_roofline::static_verdict`, the rule serve's static path shares.
+//!
+//! Every answer takes one path: [`SurrogateEngine::complete`] and
+//! [`SurrogateEngine::complete_with_retry`] fingerprint the prompt once
+//! per request and dispatch it through the engine's single task router,
+//! which [`engine::complete_with_spec_on`] also uses for the capability
+//! ablation's unregistered specs. [`LlmCaches`] memoizes the analyses and
+//! prompt parses behind that router, unbounded by default or bounded per
+//! table by a `pce_memo::Budget`.
 //!
 //! The *structure* of the paper's findings — reasoning ≫ non-reasoning in
 //! zero-shot, ~100 % with profiled values, fine-tuning collapse — emerges
@@ -36,7 +45,7 @@ pub mod parse;
 pub mod zoo;
 
 pub use api::{ChatRequest, ChatResponse, SamplingParams, Usage, UsageMeter};
-pub use cache::{CacheCounters, LlmBudget, LlmCaches};
+pub use cache::{CacheCounters, LlmCaches};
 pub use engine::{CompletionOutcome, SurrogateEngine};
 pub use finetune::{FineTuneConfig, FineTuneJob, FineTunedModel};
 pub use zoo::{model_zoo, Capability, ModelSpec};

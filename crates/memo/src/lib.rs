@@ -13,7 +13,9 @@
 //!   to a wrong value. That property is what lets the caches guarantee
 //!   bit-identical warm and cold runs,
 //! * [`CacheCounters`] — hit/miss/eviction counters every cache exposes
-//!   to the bench harness's effectiveness report.
+//!   to the bench harness's effectiveness report,
+//! * [`Budget`] — the one per-table byte capacity every bounded cache
+//!   bundle is built with.
 //!
 //! ## Bounding
 //!
@@ -52,6 +54,35 @@ fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_mul(0x94d049bb133111eb);
     x ^= x >> 31;
     x
+}
+
+/// The byte capacity bounded caches are built with: one capacity per
+/// memo table, charged through that table's own cost function.
+///
+/// There is deliberately no `Default`: a zero-byte budget would make
+/// every lookup miss, whereas "no budget" means unbounded — which is what
+/// the caches' plain `new()` constructors build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Budget {
+    bytes_per_table: u64,
+}
+
+impl Budget {
+    /// Bound every memo table to `bytes` (approximate, per the table's
+    /// cost function).
+    pub fn uniform(bytes: u64) -> Budget {
+        Budget {
+            bytes_per_table: bytes,
+        }
+    }
+
+    /// A [`Memo::bounded`] table at this budget's per-table capacity.
+    pub fn memo<K: PartialEq, V>(
+        self,
+        cost: impl Fn(&K, &V) -> u64 + Send + Sync + 'static,
+    ) -> Memo<K, V> {
+        Memo::bounded(self.bytes_per_table, cost)
+    }
 }
 
 /// Hit/miss/eviction counters for one cache, as reported by the bench

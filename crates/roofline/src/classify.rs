@@ -148,6 +148,38 @@ pub fn classify_joint(hw: &HardwareSpec, counts: &OpCounts) -> JointClassificati
     JointClassification { per_class, label }
 }
 
+/// The static roofline verdict from source-level estimates: the best
+/// per-class margin, in decades, of arithmetic intensity over the ridge
+/// point decides the side. `ai` and `ridge` are in [`OpClass::ALL`]
+/// order. Returns the verdict and the best margin.
+///
+/// Classes with no estimated operations (AI ≤ 0) are skipped, and an
+/// infinite AI (operations but no memory traffic) counts as a margin of
+/// 3 decades. The kernel is compute-bound when any margin is ≥ 0; the
+/// best margin is −1 (a far bandwidth-bound guess) when no class counted.
+pub fn static_verdict(ai: [f64; 3], ridge: [f64; 3]) -> (Boundedness, f64) {
+    let mut verdict = Boundedness::Bandwidth;
+    let mut best_margin = f64::NEG_INFINITY;
+    for (ai, ridge) in ai.into_iter().zip(ridge) {
+        if ai <= 0.0 {
+            continue;
+        }
+        let m = if ai.is_infinite() {
+            3.0
+        } else {
+            (ai / ridge).log10()
+        };
+        best_margin = best_margin.max(m);
+        if m >= 0.0 {
+            verdict = Boundedness::Compute;
+        }
+    }
+    if best_margin == f64::NEG_INFINITY {
+        best_margin = -1.0;
+    }
+    (verdict, best_margin)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,6 +284,32 @@ mod tests {
         );
         assert_eq!(Boundedness::parse("dunno"), None);
         assert_eq!(Boundedness::parse(""), None);
+    }
+
+    #[test]
+    fn static_verdict_takes_the_best_counted_margin() {
+        let ridge = [10.0, 1.0, 5.0];
+        // Every class below its ridge: bandwidth-bound by the closest one.
+        let (v, m) = static_verdict([1.0, 0.1, 0.5], ridge);
+        assert_eq!(v, Boundedness::Bandwidth);
+        assert!((m + 1.0).abs() < 1e-12, "{m}");
+        // One class at its ridge is enough for compute-bound.
+        let (v, m) = static_verdict([1.0, 1.0, 0.0], ridge);
+        assert_eq!((v, m), (Boundedness::Compute, 0.0));
+        // Classes with no operations are skipped, not scored as -inf.
+        let (v, m) = static_verdict([0.0, 0.01, -3.0], ridge);
+        assert_eq!(v, Boundedness::Bandwidth);
+        assert!((m + 2.0).abs() < 1e-12, "{m}");
+        // Traffic-free operations count as three decades above the ridge.
+        assert_eq!(
+            static_verdict([f64::INFINITY, 0.0, 0.0], ridge),
+            (Boundedness::Compute, 3.0)
+        );
+        // Nothing counted: the far bandwidth-bound guess.
+        assert_eq!(
+            static_verdict([0.0; 3], ridge),
+            (Boundedness::Bandwidth, -1.0)
+        );
     }
 
     #[test]

@@ -29,6 +29,9 @@
 //!   and the AI values derived from them,
 //! * [`classify_joint`] — the paper's three-roofline joint labeling rule
 //!   (§2.1: BB iff BB under *all* op-class rooflines, CB otherwise),
+//! * [`static_verdict`] — the same side decided from source-level AI
+//!   estimates by their best per-class margin over the ridge points, the
+//!   one rule the deep-reader surrogates and serve's static path share,
 //! * [`plot`] — generation of the data series behind the paper's Figure 1.
 //!
 //! ## Quick example
@@ -52,7 +55,9 @@ pub mod model;
 pub mod observation;
 pub mod plot;
 
-pub use classify::{classify_joint, classify_per_class, Boundedness, JointClassification};
+pub use classify::{
+    classify_joint, classify_per_class, static_verdict, Boundedness, JointClassification,
+};
 pub use hardware::{HardwareSpec, OpClass, PresetLookupError, SpecClass, SpecPair};
 pub use model::Roofline;
 pub use observation::{KernelObservation, OpCounts};

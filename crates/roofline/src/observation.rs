@@ -121,11 +121,6 @@ impl KernelObservation {
     pub fn achieved_gops(&self, class: OpClass) -> f64 {
         self.counts.ops(class) as f64 / self.runtime_s / 1e9
     }
-
-    /// Achieved DRAM bandwidth in GB/s.
-    pub fn achieved_bandwidth_gbs(&self) -> f64 {
-        self.counts.total_bytes() as f64 / self.runtime_s / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -192,8 +187,6 @@ mod tests {
         let obs = KernelObservation::new(saxpy_counts(), 1e-3);
         // 2e6 flops in 1 ms -> 2 GFLOP/s.
         assert!((obs.achieved_gops(OpClass::Sp) - 2.0).abs() < 1e-12);
-        // 12 MB in 1 ms -> 12 GB/s.
-        assert!((obs.achieved_bandwidth_gbs() - 12.0).abs() < 1e-12);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::structure::{find_kernels, match_paren, match_paren_like, KernelRegion};
+use crate::structure::{find_kernels, match_paren_like, KernelRegion};
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -543,7 +543,7 @@ fn walk_stmt(
 /// The token index of the `)` matching the `(` right after `i`, if any.
 fn paren_after(tokens: &[Token], i: usize, limit: usize) -> Option<usize> {
     if i + 1 < limit && tokens[i + 1].is("(") {
-        let end = match_paren(tokens, i + 1);
+        let end = match_paren_like(tokens, i + 1, "(", ")");
         (end < limit).then_some(end)
     } else {
         None
@@ -928,7 +928,7 @@ fn loop_vars(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> {
     let mut i = range.0;
     while i < hi {
         if tokens[i].is("for") && i + 1 < hi && tokens[i + 1].is("(") {
-            let header_end = match_paren(tokens, i + 1).min(hi);
+            let header_end = match_paren_like(tokens, i + 1, "(", ")").min(hi);
             // `for (type? var = ...` — the ident right before the first '='.
             let mut j = i + 2;
             while j + 1 < header_end {
@@ -1083,7 +1083,7 @@ fn all_loop_bodies(tokens: &[Token], range: (usize, usize)) -> Vec<(usize, usize
     let mut i = range.0;
     while i < hi {
         if tokens[i].is("for") && i + 1 < hi && tokens[i + 1].is("(") {
-            let header_end = match_paren(tokens, i + 1);
+            let header_end = match_paren_like(tokens, i + 1, "(", ")");
             if header_end < hi {
                 let (body, _) = stmt_or_block(tokens, header_end + 1, hi);
                 out.push(body);
@@ -1183,7 +1183,7 @@ fn innermost_loop_vars(tokens: &[Token], range: (usize, usize)) -> BTreeSet<Stri
     let mut i = range.0;
     while i < hi {
         if tokens[i].is("for") && i + 1 < hi && tokens[i + 1].is("(") {
-            let header_end = match_paren(tokens, i + 1);
+            let header_end = match_paren_like(tokens, i + 1, "(", ")");
             if header_end >= hi {
                 i += 1;
                 continue;

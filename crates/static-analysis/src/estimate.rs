@@ -306,11 +306,11 @@ fn tally_flat(
                         // an operand terminator.
                         if is_operand_end(tokens, i) => {
                             let ty = op_type(tokens, i, symbols);
-                            charge_arith(tally, ty, 1.0);
+                            charge_arith_n(tally, ty, 1.0);
                         }
                     "+=" | "-=" | "*=" | "/=" => {
                         let ty = op_type(tokens, i, symbols);
-                        charge_arith(tally, ty, 1.0);
+                        charge_arith_n(tally, ty, 1.0);
                     }
                     "%" | "&" | "|" | "^" | "<<" | ">>" | "%=" | "&=" | "|=" | "^=" | "<<="
                     | ">>="
@@ -383,10 +383,6 @@ fn elem_bytes(ty: Option<NumType>) -> f64 {
         Some(NumType::Int) => 4.0,
         _ => 4.0,
     }
-}
-
-fn charge_arith(tally: &mut OpTally, ty: NumType, n: f64) {
-    charge_arith_n(tally, ty, n)
 }
 
 fn charge_arith_n(tally: &mut OpTally, ty: NumType, n: f64) {

@@ -24,47 +24,9 @@ pub struct KernelRegion {
     pub is_omp: bool,
 }
 
-/// Find the matching `}` for the `{` at `open` (token indices).
-/// Returns the index of the closing brace, or `tokens.len()` if unbalanced.
-pub fn match_brace(tokens: &[Token], open: usize) -> usize {
-    debug_assert!(tokens[open].is("{"));
-    let mut depth = 0usize;
-    for (i, t) in tokens.iter().enumerate().skip(open) {
-        if t.kind == TokenKind::Punct {
-            if t.is("{") {
-                depth += 1;
-            } else if t.is("}") {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-        }
-    }
-    tokens.len()
-}
-
-/// Find the matching `)` for the `(` at `open`.
-pub fn match_paren(tokens: &[Token], open: usize) -> usize {
-    debug_assert!(tokens[open].is("("));
-    let mut depth = 0usize;
-    for (i, t) in tokens.iter().enumerate().skip(open) {
-        if t.kind == TokenKind::Punct {
-            if t.is("(") {
-                depth += 1;
-            } else if t.is(")") {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-        }
-    }
-    tokens.len()
-}
-
-/// Find the matching closer for an arbitrary bracket pair starting at
-/// `open` (e.g. `"["`/`"]"`). Returns `tokens.len()` if unbalanced.
+/// Find the matching closer for the bracket pair `open_s`/`close_s`
+/// (`"{"`/`"}"`, `"("`/`")"`, `"["`/`"]"`) whose opener is at token index
+/// `open`. Returns the closer's index, or `tokens.len()` if unbalanced.
 pub fn match_paren_like(tokens: &[Token], open: usize, open_s: &str, close_s: &str) -> usize {
     debug_assert!(tokens[open].is(open_s));
     let mut depth = 0usize;
@@ -130,7 +92,7 @@ fn parse_cuda_kernel(tokens: &[Token], at: usize) -> Option<KernelRegion> {
     if j >= tokens.len() || !tokens[j].is("(") {
         return None;
     }
-    let params_end = match_paren(tokens, j);
+    let params_end = match_paren_like(tokens, j, "(", ")");
     // Body must open right after the parameter list (modulo qualifiers).
     let mut k = params_end + 1;
     while k < tokens.len() && !tokens[k].is("{") {
@@ -142,7 +104,7 @@ fn parse_cuda_kernel(tokens: &[Token], at: usize) -> Option<KernelRegion> {
     if k >= tokens.len() {
         return None;
     }
-    let body_end = match_brace(tokens, k);
+    let body_end = match_paren_like(tokens, k, "{", "}");
     Some(KernelRegion {
         name: tokens[name_idx].text.clone(),
         body: (k + 1, body_end),
@@ -163,7 +125,7 @@ fn parse_omp_region(tokens: &[Token], at: usize, counter: usize) -> Option<Kerne
         return None;
     }
     if tokens[j].is("{") {
-        let end = match_brace(tokens, j);
+        let end = match_paren_like(tokens, j, "{", "}");
         return Some(KernelRegion {
             name: format!("target_region_{counter}"),
             body: (j + 1, end),
@@ -174,10 +136,10 @@ fn parse_omp_region(tokens: &[Token], at: usize, counter: usize) -> Option<Kerne
     if tokens[j].kind == TokenKind::Ident && tokens[j].text == "for" {
         // Find the loop body: after the for(...) header.
         let paren = (j + 1 < tokens.len() && tokens[j + 1].is("(")).then_some(j + 1)?;
-        let header_end = match_paren(tokens, paren);
+        let header_end = match_paren_like(tokens, paren, "(", ")");
         let mut k = header_end + 1;
         let end = if k < tokens.len() && tokens[k].is("{") {
-            match_brace(tokens, k)
+            match_paren_like(tokens, k, "{", "}")
         } else {
             // Single-statement body: up to the next ';' (crude but safe).
             while k < tokens.len() && !tokens[k].is(";") {
@@ -229,7 +191,7 @@ fn parse_for(tokens: &[Token], at: usize, limit: usize) -> Option<LoopInfo> {
     if at + 1 >= tokens.len() || !tokens[at + 1].is("(") {
         return None;
     }
-    let header_end = match_paren(tokens, at + 1);
+    let header_end = match_paren_like(tokens, at + 1, "(", ")");
     if header_end >= limit {
         return None;
     }
@@ -254,7 +216,7 @@ fn parse_for(tokens: &[Token], at: usize, limit: usize) -> Option<LoopInfo> {
     }
     let mut b = header_end + 1;
     let body = if b < tokens.len() && tokens[b].is("{") {
-        let end = match_brace(tokens, b);
+        let end = match_paren_like(tokens, b, "{", "}");
         (b + 1, end)
     } else {
         while b < tokens.len() && !tokens[b].is(";") && b < limit {
@@ -322,7 +284,7 @@ mod tests {
     #[test]
     fn brace_matching_is_balanced() {
         let toks = lex("{ { } { { } } }");
-        assert_eq!(match_brace(&toks, 0), toks.len() - 1);
+        assert_eq!(match_paren_like(&toks, 0, "{", "}"), toks.len() - 1);
     }
 
     #[test]

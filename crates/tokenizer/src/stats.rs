@@ -28,14 +28,6 @@ impl TokenStats {
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
-
-    /// Tukey whisker bounds (`1.5 × IQR` beyond the quartiles, clamped to
-    /// the data range).
-    pub fn whiskers(&self) -> (f64, f64) {
-        let lo = (self.q1 - 1.5 * self.iqr()).max(self.min);
-        let hi = (self.q3 + 1.5 * self.iqr()).min(self.max);
-        (lo, hi)
-    }
 }
 
 /// Compute quartile statistics over token counts.
@@ -103,14 +95,6 @@ mod tests {
         assert_eq!(s.max, 42.0);
         assert_eq!(s.median, 42.0);
         assert_eq!(s.iqr(), 0.0);
-    }
-
-    #[test]
-    fn whiskers_clamp_to_data_range() {
-        let s = token_quartiles(&[10, 11, 12, 13, 14]);
-        let (lo, hi) = s.whiskers();
-        assert!(lo >= 10.0);
-        assert!(hi <= 14.0);
     }
 
     #[test]

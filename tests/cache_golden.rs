@@ -10,15 +10,37 @@
 //! a concurrently running test in this binary (same pattern as
 //! `tests/determinism.rs`).
 
-use parallel_code_estimation::core::caches::{CacheBudget, SuiteCaches};
+use parallel_code_estimation::core::caches::{CacheBudget, CacheReport, SuiteCaches};
 use parallel_code_estimation::core::report::{
     render_flips_csv, render_suite, render_suite_csv, render_table1,
 };
 use parallel_code_estimation::core::study::{Study, StudyData};
 use parallel_code_estimation::core::suite::{run_suite_cached, Suite, SuiteOutcome};
 use parallel_code_estimation::core::table1::{build_table1_from_bank_cached, Rq1Bank};
-use parallel_code_estimation::llm::LlmCaches;
+use parallel_code_estimation::llm::{CacheCounters, LlmCaches};
 use parallel_code_estimation::roofline::HardwareSpec;
+
+/// Every counter of the 1-thread run of [`tiny_suite`] on a
+/// `CacheBudget::uniform(96 * 1024)` bundle, pinned before the three
+/// per-crate budget types became one. At one thread the vendored rayon
+/// runs in index order, so the eviction sequence is fixed.
+const TIGHT_SERIAL_REPORT: CacheReport = CacheReport {
+    summary: counters(82, 392, 298, 87_635),
+    profile: counters(12, 474, 405, 85_749),
+    analysis: counters(595, 1_303, 1_272, 46_549),
+    classify_parse: counters(0, 2_160, 2_149, 62_180),
+    rq1_parse: counters(0, 1_344, 1_340, 9_552),
+    prompt_renders: 240,
+};
+
+const fn counters(hits: u64, misses: u64, evictions: u64, resident_bytes: u64) -> CacheCounters {
+    CacheCounters {
+        hits,
+        misses,
+        evictions,
+        resident_bytes,
+    }
+}
 
 fn tiny_suite() -> Suite {
     let mut suite = Suite::smoke_with_specs(vec![
@@ -130,11 +152,12 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
         "resident bytes exceed the five per-cache budgets: {report:?}"
     );
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let bounded_serial =
-        render(&run_suite_cached(&suite, &SuiteCaches::with_budget(tight)).unwrap());
+    let serial_caches = SuiteCaches::with_budget(tight);
+    let bounded_serial = render(&run_suite_cached(&suite, &serial_caches).unwrap());
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(cold, bounded_parallel, "bounded (evicting) vs cold");
     assert_eq!(cold, bounded_serial, "bounded: 1 thread vs cold");
+    assert_eq!(serial_caches.report(), TIGHT_SERIAL_REPORT);
 
     // --- The degenerate budget: a 1-byte cap means every insert is
     // immediately evicted (all-miss), and the artifacts still hold.

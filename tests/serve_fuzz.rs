@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use parallel_code_estimation::core::serve::{
-    Command, Job, PredictionService, ServeConfig, STATIC_MODEL,
+    decode_src, Command, Job, PredictionService, ServeConfig, STATIC_MODEL,
 };
 use parallel_code_estimation::core::study::{ChaosConfig, Study};
 use parallel_code_estimation::fault::WireRates;
@@ -147,6 +147,32 @@ proptest! {
     #[test]
     fn command_parse_never_panics(line in "\\PC{0,120}") {
         let _ = Command::parse(&line);
+    }
+
+    #[test]
+    fn escapes_that_are_not_two_hex_digits_are_rejected(
+        prefix in "[!-$&-<>-~]{0,20}",
+        digit in "[0-9a-fA-F]",
+        bad in "[!-/:-<>-@G-`g-~]",
+        other in "[!-<>-~]",
+        shape in 0u8..4,
+        suffix in "[!-$&-<>-~]{0,20}",
+    ) {
+        // A signed digit (`%+A` is what `u8::from_str_radix` accepts), or
+        // a non-hex character on either side. No `%`, whitespace or `=`
+        // outside the escape, so the escape is the line's only defect.
+        let pair = match shape {
+            0 => format!("+{digit}"),
+            1 => format!("-{digit}"),
+            2 => format!("{bad}{other}"),
+            _ => format!("{other}{bad}"),
+        };
+        let src = format!("{prefix}%{pair}{suffix}");
+        let err = decode_src(&src).expect_err("non-hex escape decoded");
+        prop_assert_eq!(err.kind(), "parse");
+        let err = Command::parse(&format!("predict id=a src={src} spec=rtx-3080"))
+            .expect_err("non-hex escape accepted");
+        prop_assert_eq!(err.kind(), "parse");
     }
 
     #[test]
