@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use pce_gpu_sim::Profiler;
 use pce_kernels::{build_corpus, CorpusConfig};
 use pce_roofline::HardwareSpec;
-use pce_static_analysis::{analyze, AnalyzeOptions};
+use pce_static_analysis::{analyze, diagnose, lex, AnalyzeOptions};
 use pce_tokenizer::{BpeTrainer, Tokenizer};
 
 fn bench_profiler(c: &mut Criterion) {
@@ -72,6 +72,20 @@ fn bench_static_analysis(c: &mut Criterion) {
     let bytes: usize = corpus.iter().map(|p| p.source.len()).sum();
     let mut g = c.benchmark_group("static_analysis");
     g.throughput(Throughput::Bytes(bytes as u64));
+    g.bench_function("lex_corpus", |b| {
+        b.iter(|| {
+            for p in &corpus {
+                std::hint::black_box(lex(&p.source));
+            }
+        })
+    });
+    g.bench_function("diagnose_corpus", |b| {
+        b.iter(|| {
+            for p in &corpus {
+                std::hint::black_box(diagnose(&p.source));
+            }
+        })
+    });
     g.bench_function("analyze_corpus", |b| {
         b.iter(|| {
             for p in &corpus {

@@ -291,6 +291,9 @@ fn generate(
     if let Some(stages) = sel.fused {
         append_fused_chain(&mut source, &mut ir, stages, input.precision, language);
     }
+    // Consumers hold a shard or a whole corpus of programs at once: keep
+    // each one's text without the slack its assembly grew into.
+    source.shrink_to_fit();
 
     let lang_tag = match language {
         Language::Cuda => "cuda",
@@ -316,10 +319,13 @@ fn generate(
 /// Shift a problem size by `shift` log2 steps, clamped to `2^10..=2^28`
 /// (the launch shapes every family supports).
 fn shift_n(n: u64, shift: i8) -> u64 {
+    // `unsigned_abs` keeps `i8::MIN` in range; any step past 20 already
+    // lands on a clamp bound.
+    let steps = u32::from(shift.unsigned_abs().min(20));
     let scaled = if shift >= 0 {
-        n.saturating_mul(1u64 << shift.min(20) as u32)
+        n.saturating_mul(1u64 << steps)
     } else {
-        n >> (-shift).min(20) as u32
+        n >> steps
     };
     scaled.clamp(1 << 10, 1 << 28)
 }
@@ -576,6 +582,8 @@ mod tests {
         assert_eq!(shift_n(1 << 20, -2), 1 << 18);
         assert_eq!(shift_n(1 << 11, -8), 1 << 10);
         assert_eq!(shift_n(1 << 27, 8), 1 << 28);
+        assert_eq!(shift_n(1 << 20, i8::MIN), 1 << 10);
+        assert_eq!(shift_n(1 << 20, i8::MAX), 1 << 28);
     }
 
     #[test]

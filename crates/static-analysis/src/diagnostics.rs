@@ -188,7 +188,7 @@ pub fn diagnose(source: &str) -> Vec<Diagnostic> {
 /// callers that already ran the estimator don't lex twice.
 pub fn diagnose_tokens(
     source: &str,
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     kernels: &[KernelRegion],
 ) -> Vec<Diagnostic> {
     let mut sink = Sink::default();
@@ -218,7 +218,7 @@ struct Sink {
 }
 
 impl Sink {
-    fn emit(&mut self, source: &str, rule: RuleId, tok: &Token, kernel: &str, message: String) {
+    fn emit(&mut self, source: &str, rule: RuleId, tok: &Token<'_>, kernel: &str, message: String) {
         if !self.seen.insert((rule, tok.span.0)) {
             return;
         }
@@ -236,22 +236,24 @@ impl Sink {
 // Shared context for the CUDA rules.
 // ---------------------------------------------------------------------------
 
-struct CudaCtx<'a> {
-    tokens: &'a [Token],
-    kernel: &'a KernelRegion,
+/// What every CUDA rule reads; the name sets borrow from the source,
+/// like the tokens.
+struct CudaCtx<'t, 'a> {
+    tokens: &'t [Token<'a>],
+    kernel: &'t KernelRegion,
     /// `__shared__` array names declared in the kernel body.
-    shared: BTreeSet<String>,
+    shared: BTreeSet<&'a str>,
     /// Pointer/array parameter names (global memory).
-    params: BTreeSet<String>,
+    params: BTreeSet<&'a str>,
     /// Idents derived (transitively) from any threadIdx/blockIdx component.
-    thread_taint: BTreeSet<String>,
+    thread_taint: BTreeSet<&'a str>,
     /// Idents derived (transitively) from `threadIdx.x` specifically —
     /// the coalescing-relevant lane index.
-    lane_taint: BTreeSet<String>,
+    lane_taint: BTreeSet<&'a str>,
 }
 
-impl<'a> CudaCtx<'a> {
-    fn new(tokens: &'a [Token], kernel: &'a KernelRegion) -> Self {
+impl<'t, 'a> CudaCtx<'t, 'a> {
+    fn new(tokens: &'t [Token<'a>], kernel: &'t KernelRegion) -> Self {
         let shared = find_shared_arrays(tokens, kernel.body);
         let params = kernel
             .params
@@ -270,7 +272,7 @@ impl<'a> CudaCtx<'a> {
 }
 
 /// Names of `__shared__` arrays declared within a token range.
-fn find_shared_arrays(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> {
+fn find_shared_arrays<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> BTreeSet<&'a str> {
     let mut out = BTreeSet::new();
     let hi = range.1.min(tokens.len());
     let mut i = range.0;
@@ -280,7 +282,7 @@ fn find_shared_arrays(tokens: &[Token], range: (usize, usize)) -> BTreeSet<Strin
             let mut j = i + 1;
             while j + 1 < hi && !tokens[j].is(";") {
                 if tokens[j].kind == TokenKind::Ident && tokens[j + 1].is("[") {
-                    out.insert(tokens[j].text.clone());
+                    out.insert(tokens[j].text);
                 }
                 j += 1;
             }
@@ -294,7 +296,7 @@ fn find_shared_arrays(tokens: &[Token], range: (usize, usize)) -> BTreeSet<Strin
 
 /// Parameter names from a parameter-list token range: the last ident of
 /// each comma-separated declarator.
-fn find_param_names(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> {
+fn find_param_names<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> BTreeSet<&'a str> {
     let mut out = BTreeSet::new();
     let hi = range.1.min(tokens.len());
     let mut last_ident: Option<&str> = None;
@@ -303,22 +305,22 @@ fn find_param_names(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String>
         let t = &tokens[i];
         if t.is(",") {
             if let Some(name) = last_ident.take() {
-                out.insert(name.to_string());
+                out.insert(name);
             }
         } else if t.kind == TokenKind::Ident {
-            last_ident = Some(&t.text);
+            last_ident = Some(t.text);
         }
         i += 1;
     }
     if let Some(name) = last_ident {
-        out.insert(name.to_string());
+        out.insert(name);
     }
     out
 }
 
 /// Whether the token at `i` starts a `threadIdx.x` component reference;
 /// returns the matched component (`"x"`, `"y"`, `"z"`) when it does.
-fn thread_component(tokens: &[Token], i: usize, base: &str) -> Option<&'static str> {
+fn thread_component(tokens: &[Token<'_>], i: usize, base: &str) -> Option<&'static str> {
     if !tokens[i].is(base) {
         return None;
     }
@@ -336,9 +338,12 @@ fn thread_component(tokens: &[Token], i: usize, base: &str) -> Option<&'static s
 /// from an expression mentioning threadIdx/blockIdx (or an already-tainted
 /// ident) becomes tainted. The second set tracks `threadIdx.x` only — the
 /// lane index whose scaling breaks coalescing.
-fn compute_taint(tokens: &[Token], range: (usize, usize)) -> (BTreeSet<String>, BTreeSet<String>) {
-    let mut thread: BTreeSet<String> = BTreeSet::new();
-    let mut lane: BTreeSet<String> = BTreeSet::new();
+fn compute_taint<'a>(
+    tokens: &[Token<'a>],
+    range: (usize, usize),
+) -> (BTreeSet<&'a str>, BTreeSet<&'a str>) {
+    let mut thread = BTreeSet::new();
+    let mut lane = BTreeSet::new();
     let hi = range.1.min(tokens.len());
     for _pass in 0..2 {
         let mut i = range.0;
@@ -348,7 +353,7 @@ fn compute_taint(tokens: &[Token], range: (usize, usize)) -> (BTreeSet<String>, 
                 && tokens[i + 1].is("=")
                 && (i == range.0 || !tokens[i - 1].is("]"));
             if is_assign {
-                let lhs = &tokens[i].text;
+                let lhs = tokens[i].text;
                 let mut j = i + 2;
                 let mut rhs_thread = false;
                 let mut rhs_lane = false;
@@ -360,17 +365,17 @@ fn compute_taint(tokens: &[Token], range: (usize, usize)) -> (BTreeSet<String>, 
                                 rhs_lane = true;
                             }
                         } else {
-                            rhs_thread |= thread.contains(&tokens[j].text);
-                            rhs_lane |= lane.contains(&tokens[j].text);
+                            rhs_thread |= thread.contains(tokens[j].text);
+                            rhs_lane |= lane.contains(tokens[j].text);
                         }
                     }
                     j += 1;
                 }
                 if rhs_thread {
-                    thread.insert(lhs.clone());
+                    thread.insert(lhs);
                 }
                 if rhs_lane {
-                    lane.insert(lhs.clone());
+                    lane.insert(lhs);
                 }
                 i = j;
                 continue;
@@ -388,12 +393,12 @@ fn compute_taint(tokens: &[Token], range: (usize, usize)) -> (BTreeSet<String>, 
 /// Pending unsynchronized accesses per shared array: index-expression
 /// text → token index of the access.
 #[derive(Default, Clone)]
-struct RaceState {
-    writes: BTreeMap<String, BTreeMap<String, usize>>,
-    reads: BTreeMap<String, BTreeMap<String, usize>>,
+struct RaceState<'a> {
+    writes: BTreeMap<&'a str, BTreeMap<String, usize>>,
+    reads: BTreeMap<&'a str, BTreeMap<String, usize>>,
 }
 
-impl RaceState {
+impl RaceState<'_> {
     fn clear(&mut self) {
         self.writes.clear();
         self.reads.clear();
@@ -401,22 +406,22 @@ impl RaceState {
 }
 
 /// One extracted shared-array access within a statement.
-struct Access {
+struct Access<'a> {
     /// Token index of the array ident.
     at: usize,
-    array: String,
+    array: &'a str,
     /// Concatenated text of every subscript group, e.g. `[tid][k]`.
     index: String,
     is_write: bool,
 }
 
 /// Walk the statements of `range`, simulating barrier/race state.
-fn walk_range(
+fn walk_range<'a>(
     source: &str,
-    ctx: &CudaCtx<'_>,
+    ctx: &CudaCtx<'_, 'a>,
     range: (usize, usize),
     divergent: bool,
-    state: &mut RaceState,
+    state: &mut RaceState<'a>,
     sink: &mut Sink,
 ) {
     let hi = range.1.min(ctx.tokens.len());
@@ -429,13 +434,13 @@ fn walk_range(
 
 /// Walk one statement starting at `i`; returns the resume index.
 #[allow(clippy::too_many_arguments)]
-fn walk_stmt(
+fn walk_stmt<'a>(
     source: &str,
-    ctx: &CudaCtx<'_>,
+    ctx: &CudaCtx<'_, 'a>,
     i: usize,
     limit: usize,
     divergent: bool,
-    state: &mut RaceState,
+    state: &mut RaceState<'a>,
     sink: &mut Sink,
 ) -> usize {
     let tokens = ctx.tokens;
@@ -541,7 +546,7 @@ fn walk_stmt(
 }
 
 /// The token index of the `)` matching the `(` right after `i`, if any.
-fn paren_after(tokens: &[Token], i: usize, limit: usize) -> Option<usize> {
+fn paren_after(tokens: &[Token<'_>], i: usize, limit: usize) -> Option<usize> {
     if i + 1 < limit && tokens[i + 1].is("(") {
         let end = match_paren_like(tokens, i + 1, "(", ")");
         (end < limit).then_some(end)
@@ -552,7 +557,7 @@ fn paren_after(tokens: &[Token], i: usize, limit: usize) -> Option<usize> {
 
 /// Body range of the statement-or-block starting at `start`, plus the
 /// resume index after it.
-fn stmt_or_block(tokens: &[Token], start: usize, limit: usize) -> ((usize, usize), usize) {
+fn stmt_or_block(tokens: &[Token<'_>], start: usize, limit: usize) -> ((usize, usize), usize) {
     if start < limit && tokens[start].is("{") {
         let end = match_paren_like(tokens, start, "{", "}");
         ((start + 1, end.min(limit)), (end + 1).min(limit + 1))
@@ -568,19 +573,19 @@ fn stmt_or_block(tokens: &[Token], start: usize, limit: usize) -> ((usize, usize
 /// Whether a condition token range mentions threadIdx (any component) or
 /// a thread-tainted ident. blockIdx is uniform within a block, so it
 /// cannot diverge a `__syncthreads()`.
-fn cond_is_thread_divergent(ctx: &CudaCtx<'_>, range: (usize, usize)) -> bool {
+fn cond_is_thread_divergent(ctx: &CudaCtx<'_, '_>, range: (usize, usize)) -> bool {
     let hi = range.1.min(ctx.tokens.len());
     ctx.tokens[range.0..hi].iter().any(|t| {
-        t.kind == TokenKind::Ident && (t.is("threadIdx") || ctx.thread_taint.contains(&t.text))
+        t.kind == TokenKind::Ident && (t.is("threadIdx") || ctx.thread_taint.contains(t.text))
     })
 }
 
 /// Extract shared-array accesses from one statement and update race state.
-fn process_statement(
+fn process_statement<'a>(
     source: &str,
-    ctx: &CudaCtx<'_>,
+    ctx: &CudaCtx<'_, 'a>,
     range: (usize, usize),
-    state: &mut RaceState,
+    state: &mut RaceState<'a>,
     sink: &mut Sink,
 ) {
     // Declarations (`__shared__ float buf[256];`) are not accesses.
@@ -596,7 +601,7 @@ fn process_statement(
     // pairs like `cache[t] += cache[t+s]` are same-thread, not races).
     let prior_reads = state.reads.clone();
     for a in accesses.iter().filter(|a| !a.is_write) {
-        if let Some(pending) = state.writes.get(&a.array) {
+        if let Some(pending) = state.writes.get(a.array) {
             if let Some((other, _)) = pending.iter().find(|(idx, _)| **idx != a.index) {
                 sink.emit(
                     source,
@@ -613,12 +618,12 @@ fn process_statement(
         }
         state
             .reads
-            .entry(a.array.clone())
+            .entry(a.array)
             .or_default()
             .insert(a.index.clone(), a.at);
     }
     for a in accesses.iter().filter(|a| a.is_write) {
-        if let Some(pending) = prior_reads.get(&a.array) {
+        if let Some(pending) = prior_reads.get(a.array) {
             if let Some((other, _)) = pending.iter().find(|(idx, _)| **idx != a.index) {
                 sink.emit(
                     source,
@@ -634,7 +639,7 @@ fn process_statement(
         }
         state
             .writes
-            .entry(a.array.clone())
+            .entry(a.array)
             .or_default()
             .insert(a.index.clone(), a.at);
     }
@@ -642,23 +647,23 @@ fn process_statement(
 
 /// Find every `name[...]...` access in a statement range for arrays in
 /// `names`, classifying each as read or write.
-fn extract_accesses(
-    tokens: &[Token],
+fn extract_accesses<'a>(
+    tokens: &[Token<'a>],
     range: (usize, usize),
-    names: &BTreeSet<String>,
-) -> Vec<Access> {
+    names: &BTreeSet<&str>,
+) -> Vec<Access<'a>> {
     let mut out = Vec::new();
     let hi = range.1.min(tokens.len());
     let mut i = range.0;
     while i < hi {
         let t = &tokens[i];
-        if t.kind == TokenKind::Ident && names.contains(&t.text) && i + 1 < hi {
-            if let Some((index, after)) = subscript_group(tokens, i + 1, hi) {
+        if t.kind == TokenKind::Ident && names.contains(t.text) && i + 1 < hi {
+            if let Some(after) = subscript_end(tokens, i + 1, hi) {
                 let pre_incr = i > range.0 && (tokens[i - 1].is("++") || tokens[i - 1].is("--"));
                 let is_write = pre_incr
                     || (after < hi
                         && matches!(
-                            tokens[after].text.as_str(),
+                            tokens[after].text,
                             "=" | "+="
                                 | "-="
                                 | "*="
@@ -674,8 +679,8 @@ fn extract_accesses(
                         ));
                 out.push(Access {
                     at: i,
-                    array: t.text.clone(),
-                    index,
+                    array: t.text,
+                    index: joined_text(&tokens[i + 1..after]),
                     is_write,
                 });
                 i = after;
@@ -687,30 +692,29 @@ fn extract_accesses(
     out
 }
 
-/// Concatenated text of the consecutive `[...]` groups starting at `i`;
-/// returns `(text, index_after_last_bracket)` or `None` when `i` is not
-/// a `[`.
-fn subscript_group(tokens: &[Token], i: usize, limit: usize) -> Option<(String, usize)> {
+/// The index just past the consecutive `[...]` groups starting at `i`
+/// (`limit` for an unbalanced subscript), or `None` when `i` is not a
+/// `[`. [`joined_text`] of the covered tokens is the subscript key, e.g.
+/// `[tid][k]`.
+fn subscript_end(tokens: &[Token<'_>], i: usize, limit: usize) -> Option<usize> {
     if i >= limit || !tokens[i].is("[") {
         return None;
     }
-    let mut text = String::new();
     let mut j = i;
     while j < limit && tokens[j].is("[") {
         let close = match_paren_like(tokens, j, "[", "]");
         if close >= limit {
             // Unbalanced subscript: take what's there and stop.
-            for t in &tokens[j..limit] {
-                text.push_str(&t.text);
-            }
-            return Some((text, limit));
-        }
-        for t in &tokens[j..=close] {
-            text.push_str(&t.text);
+            return Some(limit);
         }
         j = close + 1;
     }
-    Some((text, j))
+    Some(j)
+}
+
+/// The tokens' texts concatenated without the whitespace between them.
+fn joined_text(tokens: &[Token<'_>]) -> String {
+    tokens.iter().map(|t| t.text).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -719,22 +723,19 @@ fn subscript_group(tokens: &[Token], i: usize, limit: usize) -> Option<(String, 
 
 /// Compound accumulation into a parameter array whose subscript is
 /// uniform across threads — every thread hammers the same element.
-fn check_global_race(source: &str, ctx: &CudaCtx<'_>, kernel: &KernelRegion, sink: &mut Sink) {
+fn check_global_race(source: &str, ctx: &CudaCtx<'_, '_>, kernel: &KernelRegion, sink: &mut Sink) {
     let tokens = ctx.tokens;
     let hi = kernel.body.1.min(tokens.len());
     let mut i = kernel.body.0;
     while i < hi {
         let t = &tokens[i];
         let is_target = t.kind == TokenKind::Ident
-            && ctx.params.contains(&t.text)
-            && !ctx.shared.contains(&t.text);
+            && ctx.params.contains(t.text)
+            && !ctx.shared.contains(t.text);
         if is_target {
-            if let Some((index_text, after)) = subscript_group(tokens, i + 1, hi) {
+            if let Some(after) = subscript_end(tokens, i + 1, hi) {
                 let accumulates = after < hi
-                    && matches!(
-                        tokens[after].text.as_str(),
-                        "+=" | "-=" | "*=" | "/=" | "++" | "--"
-                    );
+                    && matches!(tokens[after].text, "+=" | "-=" | "*=" | "/=" | "++" | "--");
                 if accumulates && !index_mentions_thread(ctx, (i + 1, after)) {
                     sink.emit(
                         source,
@@ -745,7 +746,8 @@ fn check_global_race(source: &str, ctx: &CudaCtx<'_>, kernel: &KernelRegion, sin
                             "'{}{}' accumulates into global memory with a \
                              thread-independent index and no atomicAdd: \
                              every thread races on the same element",
-                            t.text, index_text
+                            t.text,
+                            joined_text(&tokens[i + 1..after])
                         ),
                     );
                 }
@@ -761,7 +763,7 @@ fn check_global_race(source: &str, ctx: &CudaCtx<'_>, kernel: &KernelRegion, sin
 /// thread-tainted ident (if it does, threads hit distinct elements).
 /// Idents inside *nested* subscripts don't count: in `bins[data[i]]` the
 /// bin index is a loaded value, not a thread-distinct coordinate.
-fn index_mentions_thread(ctx: &CudaCtx<'_>, range: (usize, usize)) -> bool {
+fn index_mentions_thread(ctx: &CudaCtx<'_, '_>, range: (usize, usize)) -> bool {
     let hi = range.1.min(ctx.tokens.len());
     let mut depth = 0i32;
     for t in &ctx.tokens[range.0..hi] {
@@ -775,7 +777,7 @@ fn index_mentions_thread(ctx: &CudaCtx<'_>, range: (usize, usize)) -> bool {
         }
         if depth == 1
             && t.kind == TokenKind::Ident
-            && (t.is("threadIdx") || t.is("blockIdx") || ctx.thread_taint.contains(&t.text))
+            && (t.is("threadIdx") || t.is("blockIdx") || ctx.thread_taint.contains(t.text))
         {
             return true;
         }
@@ -788,13 +790,13 @@ fn index_mentions_thread(ctx: &CudaCtx<'_>, range: (usize, usize)) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Pragma text lines immediately preceding an OMP region body.
-fn region_pragmas(tokens: &[Token], kernel: &KernelRegion) -> Vec<String> {
+fn region_pragmas<'a>(tokens: &[Token<'a>], kernel: &KernelRegion) -> Vec<&'a str> {
     let mut out = Vec::new();
     let mut i = kernel.body.0;
     while i > 0 {
         i -= 1;
         if tokens[i].kind == TokenKind::Pragma {
-            out.push(tokens[i].text.clone());
+            out.push(tokens[i].text);
         } else if tokens[i].is("{") || out.is_empty() {
             // Walk past the opening brace / `for` header tokens that sit
             // between the pragma stack and the body start.
@@ -810,10 +812,10 @@ fn region_pragmas(tokens: &[Token], kernel: &KernelRegion) -> Vec<String> {
 }
 
 /// Variable names listed in `reduction(op: a, b)` clauses.
-fn reduction_vars(pragmas: &[String]) -> BTreeSet<String> {
+fn reduction_vars<'a>(pragmas: &[&'a str]) -> BTreeSet<&'a str> {
     let mut out = BTreeSet::new();
-    for p in pragmas {
-        let mut rest = p.as_str();
+    for &p in pragmas {
+        let mut rest = p;
         while let Some(at) = rest.find("reduction") {
             rest = &rest[at + "reduction".len()..];
             let Some(open) = rest.find('(') else { break };
@@ -825,7 +827,7 @@ fn reduction_vars(pragmas: &[String]) -> BTreeSet<String> {
                 for name in clause[colon + 1..].split(',') {
                     let name = name.trim();
                     if !name.is_empty() {
-                        out.insert(name.to_string());
+                        out.insert(name);
                     }
                 }
             }
@@ -856,12 +858,12 @@ fn is_type_keyword(text: &str) -> bool {
 
 /// Idents declared inside a token range (`type name ...`), including
 /// for-header inductions and comma-separated declarators.
-fn declared_idents(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> {
+fn declared_idents<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> BTreeSet<&'a str> {
     let mut out = BTreeSet::new();
     let hi = range.1.min(tokens.len());
     let mut i = range.0;
     while i + 1 < hi {
-        if tokens[i].kind == TokenKind::Ident && is_type_keyword(&tokens[i].text) {
+        if tokens[i].kind == TokenKind::Ident && is_type_keyword(tokens[i].text) {
             // Consume the declarator list: idents separated by ',' until
             // ';', '=', or anything that ends a simple declaration.
             let mut j = i + 1;
@@ -869,12 +871,12 @@ fn declared_idents(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> 
             while j < hi {
                 let t = &tokens[j];
                 if t.kind == TokenKind::Ident {
-                    if is_type_keyword(&t.text) || t.is("omp") {
+                    if is_type_keyword(t.text) || t.is("omp") {
                         j += 1;
                         continue;
                     }
                     if expecting_name {
-                        out.insert(t.text.clone());
+                        out.insert(t.text);
                         expecting_name = false;
                         j += 1;
                         continue;
@@ -922,7 +924,7 @@ fn declared_idents(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> 
 }
 
 /// Induction variables of every `for` header in a range.
-fn loop_vars(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> {
+fn loop_vars<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> BTreeSet<&'a str> {
     let mut out = BTreeSet::new();
     let hi = range.1.min(tokens.len());
     let mut i = range.0;
@@ -933,7 +935,7 @@ fn loop_vars(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> {
             let mut j = i + 2;
             while j + 1 < header_end {
                 if tokens[j].kind == TokenKind::Ident && tokens[j + 1].is("=") {
-                    out.insert(tokens[j].text.clone());
+                    out.insert(tokens[j].text);
                     break;
                 }
                 j += 1;
@@ -946,7 +948,7 @@ fn loop_vars(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> {
 
 /// Scalar accumulation in a parallel OMP region without a matching
 /// `reduction` clause, declared-inside privatization, or atomic guard.
-fn check_omp_reduction(source: &str, tokens: &[Token], kernel: &KernelRegion, sink: &mut Sink) {
+fn check_omp_reduction(source: &str, tokens: &[Token<'_>], kernel: &KernelRegion, sink: &mut Sink) {
     let pragmas = region_pragmas(tokens, kernel);
     let parallel = pragmas
         .iter()
@@ -961,18 +963,15 @@ fn check_omp_reduction(source: &str, tokens: &[Token], kernel: &KernelRegion, si
     let mut i = kernel.body.0;
     while i + 1 < hi {
         let t = &tokens[i];
-        if t.kind == TokenKind::Ident && !is_type_keyword(&t.text) {
+        if t.kind == TokenKind::Ident && !is_type_keyword(t.text) {
             let prev_subscripted = i > 0 && tokens[i - 1].is("]");
-            let compound = matches!(
-                tokens[i + 1].text.as_str(),
-                "+=" | "-=" | "*=" | "/=" | "++" | "--"
-            );
+            let compound = matches!(tokens[i + 1].text, "+=" | "-=" | "*=" | "/=" | "++" | "--");
             // `x = x + ...` self-accumulation, same hazard as `x += ...`.
             let self_assign = tokens[i + 1].is("=") && {
                 let mut j = i + 2;
                 let mut found = false;
                 while j < hi && !tokens[j].is(";") {
-                    if tokens[j].is(&t.text) {
+                    if tokens[j].is(t.text) {
                         found = true;
                         break;
                     }
@@ -983,9 +982,9 @@ fn check_omp_reduction(source: &str, tokens: &[Token], kernel: &KernelRegion, si
             let scalar = i + 1 < hi && !tokens[i + 1].is("[") && !prev_subscripted;
             if scalar
                 && (compound || self_assign)
-                && !reductions.contains(&t.text)
-                && !declared.contains(&t.text)
-                && !inductions.contains(&t.text)
+                && !reductions.contains(t.text)
+                && !declared.contains(t.text)
+                && !inductions.contains(t.text)
                 && !atomic_guarded(tokens, kernel.body.0, i)
             {
                 sink.emit(
@@ -1007,7 +1006,7 @@ fn check_omp_reduction(source: &str, tokens: &[Token], kernel: &KernelRegion, si
 
 /// Whether the statement containing token `i` is immediately preceded by
 /// an `#pragma omp atomic` / `critical` guard.
-fn atomic_guarded(tokens: &[Token], lo: usize, i: usize) -> bool {
+fn atomic_guarded(tokens: &[Token<'_>], lo: usize, i: usize) -> bool {
     let mut j = i;
     while j > lo {
         j -= 1;
@@ -1039,7 +1038,7 @@ fn atomic_guarded(tokens: &[Token], lo: usize, i: usize) -> bool {
 
 /// Scalar compound accumulation inside a loop body: each iteration waits
 /// on the previous one's result (a serialized FMA chain).
-fn check_loop_carried(source: &str, tokens: &[Token], kernel: &KernelRegion, sink: &mut Sink) {
+fn check_loop_carried(source: &str, tokens: &[Token<'_>], kernel: &KernelRegion, sink: &mut Sink) {
     let inductions = loop_vars(tokens, kernel.body);
     let hi = kernel.body.1.min(tokens.len());
     // Token ranges covered by some loop body.
@@ -1053,8 +1052,8 @@ fn check_loop_carried(source: &str, tokens: &[Token], kernel: &KernelRegion, sin
             if t.kind == TokenKind::Ident
                 && !prev_subscripted
                 && !tokens[i + 1].is("[")
-                && matches!(tokens[i + 1].text.as_str(), "+=" | "-=" | "*=")
-                && !inductions.contains(&t.text)
+                && matches!(tokens[i + 1].text, "+=" | "-=" | "*=")
+                && !inductions.contains(t.text)
                 && !t.is("threadIdx")
                 && !t.is("blockIdx")
             {
@@ -1077,7 +1076,7 @@ fn check_loop_carried(source: &str, tokens: &[Token], kernel: &KernelRegion, sin
 }
 
 /// Every loop body range (at any nesting depth) within `range`.
-fn all_loop_bodies(tokens: &[Token], range: (usize, usize)) -> Vec<(usize, usize)> {
+fn all_loop_bodies(tokens: &[Token<'_>], range: (usize, usize)) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let hi = range.1.min(tokens.len());
     let mut i = range.0;
@@ -1103,17 +1102,17 @@ fn all_loop_bodies(tokens: &[Token], range: (usize, usize)) -> Vec<(usize, usize
 /// CUDA: a lane-index-derived ident (from `threadIdx.x`) scaled by a
 /// multiplication inside a global-array subscript — adjacent threads
 /// touch elements a stride apart.
-fn check_strided_cuda(source: &str, ctx: &CudaCtx<'_>, kernel: &KernelRegion, sink: &mut Sink) {
+fn check_strided_cuda(source: &str, ctx: &CudaCtx<'_, '_>, kernel: &KernelRegion, sink: &mut Sink) {
     let tokens = ctx.tokens;
     let hi = kernel.body.1.min(tokens.len());
     let mut i = kernel.body.0;
     while i < hi {
         let t = &tokens[i];
         let global_array = t.kind == TokenKind::Ident
-            && ctx.params.contains(&t.text)
-            && !ctx.shared.contains(&t.text);
+            && ctx.params.contains(t.text)
+            && !ctx.shared.contains(t.text);
         if global_array {
-            if let Some((_, after)) = subscript_group(tokens, i + 1, hi) {
+            if let Some(after) = subscript_end(tokens, i + 1, hi) {
                 if let Some(scaled) = find_scaled_ident(tokens, (i + 1, after), |name, k| {
                     ctx.lane_taint.contains(name)
                         || (k > 0 && thread_component(tokens, k, "threadIdx") == Some("x"))
@@ -1141,7 +1140,7 @@ fn check_strided_cuda(source: &str, ctx: &CudaCtx<'_>, kernel: &KernelRegion, si
 /// OMP: the innermost loop's induction variable scaled by a
 /// multiplication inside a subscript — consecutive iterations touch
 /// elements a stride apart (defeats vectorized/contiguous access).
-fn check_strided_omp(source: &str, tokens: &[Token], kernel: &KernelRegion, sink: &mut Sink) {
+fn check_strided_omp(source: &str, tokens: &[Token<'_>], kernel: &KernelRegion, sink: &mut Sink) {
     let innermost = innermost_loop_vars(tokens, kernel.body);
     if innermost.is_empty() {
         return;
@@ -1150,7 +1149,7 @@ fn check_strided_omp(source: &str, tokens: &[Token], kernel: &KernelRegion, sink
     let mut i = kernel.body.0;
     while i < hi {
         if tokens[i].kind == TokenKind::Ident && i + 1 < hi {
-            if let Some((_, after)) = subscript_group(tokens, i + 1, hi) {
+            if let Some(after) = subscript_end(tokens, i + 1, hi) {
                 if let Some(scaled) =
                     find_scaled_ident(tokens, (i + 1, after), |name, _| innermost.contains(name))
                 {
@@ -1177,7 +1176,7 @@ fn check_strided_omp(source: &str, tokens: &[Token], kernel: &KernelRegion, sink
 }
 
 /// Induction variables of loops that contain no nested loop.
-fn innermost_loop_vars(tokens: &[Token], range: (usize, usize)) -> BTreeSet<String> {
+fn innermost_loop_vars<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> BTreeSet<&'a str> {
     let mut out = BTreeSet::new();
     let hi = range.1.min(tokens.len());
     let mut i = range.0;
@@ -1194,7 +1193,7 @@ fn innermost_loop_vars(tokens: &[Token], range: (usize, usize)) -> BTreeSet<Stri
                 let mut j = i + 2;
                 while j + 1 < header_end {
                     if tokens[j].kind == TokenKind::Ident && tokens[j + 1].is("=") {
-                        out.insert(tokens[j].text.clone());
+                        out.insert(tokens[j].text);
                         break;
                     }
                     j += 1;
@@ -1210,7 +1209,7 @@ fn innermost_loop_vars(tokens: &[Token], range: (usize, usize)) -> BTreeSet<Stri
 
 /// An ident inside `range` that is adjacent to a `*` (either side) and
 /// satisfies `pred(name, token_index)`; returns the ident's text.
-fn find_scaled_ident<F>(tokens: &[Token], range: (usize, usize), pred: F) -> Option<String>
+fn find_scaled_ident<F>(tokens: &[Token<'_>], range: (usize, usize), pred: F) -> Option<String>
 where
     F: Fn(&str, usize) -> bool,
 {
@@ -1234,11 +1233,11 @@ where
             && (tokens[k - 2].kind != TokenKind::Punct
                 || tokens[k - 2].is(")")
                 || tokens[k - 2].is("]"));
-        if (mul_after || mul_before) && pred(&t.text, k) {
+        if (mul_after || mul_before) && pred(t.text, k) {
             let name = if t.is("threadIdx") && k + 2 < hi && tokens[k + 1].is(".") {
                 format!("threadIdx.{}", tokens[k + 2].text)
             } else {
-                t.text.clone()
+                t.text.to_string()
             };
             return Some(name);
         }

@@ -169,7 +169,7 @@ pub fn analyze(source: &str, opts: &AnalyzeOptions) -> SourceAnalysis {
 }
 
 fn analyze_kernel(
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     region: &KernelRegion,
     opts: &AnalyzeOptions,
 ) -> KernelAnalysis {
@@ -210,9 +210,9 @@ fn analyze_kernel(
 /// which is the parallel dimension and counts once per "thread").
 #[allow(clippy::too_many_arguments)]
 fn walk(
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     range: (usize, usize),
-    symbols: &BTreeMap<String, NumType>,
+    symbols: &BTreeMap<&str, NumType>,
     opts: &AnalyzeOptions,
     weight: f64,
     depth: u32,
@@ -235,7 +235,7 @@ fn walk(
         let trip = if (omp_outer && depth == 0) || !opts.loop_aware {
             1.0
         } else {
-            resolve_trip(lp.bound.as_ref(), opts)
+            resolve_trip(lp.bound, opts)
         };
         if trip > 1.0 {
             *trip_weight *= trip;
@@ -261,14 +261,12 @@ fn walk(
     tally.add_scaled(&flat, weight);
 }
 
-fn resolve_trip(bound: Option<&Token>, opts: &AnalyzeOptions) -> f64 {
+fn resolve_trip(bound: Option<Token<'_>>, opts: &AnalyzeOptions) -> f64 {
     match bound {
-        Some(t) if t.kind == TokenKind::Number => {
-            parse_number(&t.text).unwrap_or(opts.default_trip)
-        }
+        Some(t) if t.kind == TokenKind::Number => parse_number(t.text).unwrap_or(opts.default_trip),
         Some(t) if t.kind == TokenKind::Ident => opts
             .params
-            .get(&t.text)
+            .get(t.text)
             .map(|&v| v as f64)
             .unwrap_or(opts.default_trip),
         _ => opts.default_trip,
@@ -288,9 +286,9 @@ fn parse_number(text: &str) -> Option<f64> {
 
 /// Count ops and memory accesses in a flat token stretch (no loop logic).
 fn tally_flat(
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     range: (usize, usize),
-    symbols: &BTreeMap<String, NumType>,
+    symbols: &BTreeMap<&str, NumType>,
     tally: &mut OpTally,
 ) {
     let (start, end) = (range.0, range.1.min(tokens.len()));
@@ -299,7 +297,7 @@ fn tally_flat(
         let t = &tokens[i];
         match t.kind {
             TokenKind::Punct => {
-                let text = t.text.as_str();
+                let text = t.text;
                 match text {
                     "+" | "-" | "*" | "/"
                         // Skip unary/pointer contexts: previous token must be
@@ -325,14 +323,14 @@ fn tally_flat(
                     "["
                         // Subscript on an identifier: a memory access.
                         if i > start && tokens[i - 1].kind == TokenKind::Ident => {
-                            let array = &tokens[i - 1].text;
+                            let array = tokens[i - 1].text;
                             if !is_builtin_index(array) {
                                 let elem = elem_bytes(symbols.get(array).copied());
                                 let close = crate::structure::match_paren_like(tokens, i, "[", "]");
                                 let is_write = close + 1 < end
                                     && tokens[close + 1].kind == TokenKind::Punct
                                     && matches!(
-                                        tokens[close + 1].text.as_str(),
+                                        tokens[close + 1].text,
                                         "=" | "+=" | "-=" | "*=" | "/="
                                     );
                                 if is_write {
@@ -354,7 +352,7 @@ fn tally_flat(
             TokenKind::Ident
                 // Intrinsic math calls.
                 if i + 1 < end && tokens[i + 1].is("(") => {
-                    if let Some((flops, ty)) = intrinsic_cost(&t.text) {
+                    if let Some((flops, ty)) = intrinsic_cost(t.text) {
                         charge_arith_n(tally, ty, flops);
                     }
                 }
@@ -364,7 +362,7 @@ fn tally_flat(
     }
 }
 
-fn is_operand_end(tokens: &[Token], i: usize) -> bool {
+fn is_operand_end(tokens: &[Token<'_>], i: usize) -> bool {
     if i == 0 {
         return false;
     }
@@ -394,17 +392,17 @@ fn charge_arith_n(tally: &mut OpTally, ty: NumType, n: f64) {
 }
 
 /// Resolve the numeric type of the operation at punct index `i`.
-fn op_type(tokens: &[Token], i: usize, symbols: &BTreeMap<String, NumType>) -> NumType {
+fn op_type(tokens: &[Token<'_>], i: usize, symbols: &BTreeMap<&str, NumType>) -> NumType {
     let left = operand_type(tokens, i, -1, symbols);
     let right = operand_type(tokens, i, 1, symbols);
     left.max(right)
 }
 
 fn operand_type(
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     op_at: usize,
     dir: isize,
-    symbols: &BTreeMap<String, NumType>,
+    symbols: &BTreeMap<&str, NumType>,
 ) -> NumType {
     let mut j = op_at as isize + dir;
     // Hop over one bracket group toward the operand's head.
@@ -434,7 +432,7 @@ fn operand_type(
     }
     let t = &tokens[j as usize];
     match t.kind {
-        TokenKind::Number => number_type(&t.text),
+        TokenKind::Number => number_type(t.text),
         TokenKind::Ident => {
             // Member access (`obj.x`, `ptr->x`): the member name must not
             // be confused with a like-named variable. Builtin thread-index
@@ -442,30 +440,32 @@ fn operand_type(
             if j >= 1 {
                 let prev = &tokens[(j - 1) as usize];
                 if prev.is(".") || prev.is("->") {
-                    if j >= 2 && is_builtin_index(&tokens[(j - 2) as usize].text) {
+                    if j >= 2 && is_builtin_index(tokens[(j - 2) as usize].text) {
                         return NumType::Int;
                     }
                     return NumType::Unknown;
                 }
             }
-            if let Some((_, ty)) = intrinsic_cost(&t.text) {
+            if let Some((_, ty)) = intrinsic_cost(t.text) {
                 return ty;
             }
-            symbols.get(&t.text).copied().unwrap_or(NumType::Unknown)
+            symbols.get(t.text).copied().unwrap_or(NumType::Unknown)
         }
         _ => NumType::Unknown,
     }
 }
 
+/// Literal type from its spelling, letters compared case-insensitively.
 fn number_type(text: &str) -> NumType {
-    let lower = text.to_ascii_lowercase();
-    if lower.starts_with("0x") {
+    let bytes = text.as_bytes();
+    let has = |letter: u8| bytes.iter().any(|b| b.eq_ignore_ascii_case(&letter));
+    if bytes.len() >= 2 && bytes[..2].eq_ignore_ascii_case(b"0x") {
         return NumType::Int;
     }
-    let is_floaty = lower.contains('.') || (lower.contains('e') && !lower.contains('x'));
+    let is_floaty = has(b'.') || (has(b'e') && !has(b'x'));
     if !is_floaty {
         NumType::Int
-    } else if lower.ends_with('f') {
+    } else if bytes.last().is_some_and(|b| b.eq_ignore_ascii_case(&b'f')) {
         NumType::Float
     } else {
         NumType::Double
@@ -492,25 +492,29 @@ fn intrinsic_cost(name: &str) -> Option<(f64, NumType)> {
     Some((flops, ty))
 }
 
-fn collect_symbols(tokens: &[Token], start: usize, end: usize) -> BTreeMap<String, NumType> {
+fn collect_symbols<'a>(
+    tokens: &[Token<'a>],
+    start: usize,
+    end: usize,
+) -> BTreeMap<&'a str, NumType> {
     let mut map = BTreeMap::new();
     collect_symbols_into(tokens, start, end, &mut map);
     map
 }
 
 /// Harvest `type ident` declarations (including pointers and qualifiers).
-fn collect_symbols_into(
-    tokens: &[Token],
+fn collect_symbols_into<'a>(
+    tokens: &[Token<'a>],
     start: usize,
     end: usize,
-    map: &mut BTreeMap<String, NumType>,
+    map: &mut BTreeMap<&'a str, NumType>,
 ) {
     let end = end.min(tokens.len());
     let mut i = start;
     while i < end {
         let t = &tokens[i];
         if t.kind == TokenKind::Ident {
-            let ty = match t.text.as_str() {
+            let ty = match t.text {
                 "float" => Some(NumType::Float),
                 "double" => Some(NumType::Double),
                 "int" | "unsigned" | "long" | "short" | "size_t" | "uint32_t" | "int32_t"
@@ -527,9 +531,9 @@ fn collect_symbols_into(
                         break;
                     }
                     if tj.kind == TokenKind::Ident
-                        && !matches!(tj.text.as_str(), "const" | "restrict" | "__restrict__")
+                        && !matches!(tj.text, "const" | "restrict" | "__restrict__")
                     {
-                        map.entry(tj.text.clone()).or_insert(ty);
+                        map.entry(tj.text).or_insert(ty);
                         // Only the first identifier after the type keyword:
                         // `float* a, float b` style lists re-enter via the
                         // next type keyword; `float a, b` is rare in kernels.

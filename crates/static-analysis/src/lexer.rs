@@ -7,16 +7,18 @@
 //! its byte span in the original source so downstream diagnostics can
 //! report stable locations.
 //!
+//! Tokens are zero-copy: a token's `text` is `&source[span.0..span.1]`,
+//! borrowed from the lexed source, so lexing allocates only the token
+//! vector and never a string per token.
+//!
 //! Pathological input degrades instead of mis-lexing: an unterminated
 //! block comment swallows the rest of the file silently, an unterminated
 //! string or char literal stops at the end of its line (it does not eat
 //! the remainder of the file), and preprocessor continuations accept both
 //! `\`+LF and `\`+CRLF line endings.
 
-use serde::{Deserialize, Serialize};
-
 /// Lexical category of a token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or keyword.
     Ident,
@@ -31,19 +33,22 @@ pub enum TokenKind {
 }
 
 /// One lexed token: kind, its exact source text, and its byte span.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Token {
+///
+/// The text is borrowed, never copied: `text == &source[span.0..span.1]`
+/// for the source the token was lexed from, which is why a token is
+/// `Copy` and lives no longer than that source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// Lexical category.
     pub kind: TokenKind,
-    /// Source text of the token.
-    pub text: String,
+    /// Source text of the token: the slice of the source at `span`.
+    pub text: &'a str,
     /// Half-open byte range `[start, end)` of the token in the source.
     /// For `Pragma` tokens the end excludes trailing trimmed whitespace.
-    #[serde(default)]
     pub span: (usize, usize),
 }
 
-impl Token {
+impl Token<'_> {
     /// Convenience check against literal text.
     pub fn is(&self, s: &str) -> bool {
         self.text == s
@@ -56,6 +61,18 @@ const MULTI_PUNCT: [&str; 26] = [
     "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "::", "##",
 ];
 
+/// Whether a byte can start one of [`MULTI_PUNCT`]: brackets, `;` and `,`
+/// skip the operator scan entirely.
+const MULTI_PUNCT_START: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut i = 0;
+    while i < MULTI_PUNCT.len() {
+        table[MULTI_PUNCT[i].as_bytes()[0] as usize] = true;
+        i += 1;
+    }
+    table
+};
+
 /// Lex a source string into tokens.
 ///
 /// The lexer never fails: unrecognized bytes become single-char `Punct`
@@ -63,7 +80,7 @@ const MULTI_PUNCT: [&str; 26] = [
 /// malformed input yields a shorter-than-ideal but well-formed token
 /// stream — the right degradation for an estimator that must accept
 /// arbitrary benchmark code.
-pub fn lex(source: &str) -> Vec<Token> {
+pub fn lex(source: &str) -> Vec<Token<'_>> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::with_capacity(source.len() / 4);
     let mut i = 0;
@@ -109,7 +126,7 @@ pub fn lex(source: &str) -> Vec<Token> {
             let text = source[start..i].trim_end();
             tokens.push(Token {
                 kind: TokenKind::Pragma,
-                text: text.to_string(),
+                text,
                 span: (start, start + text.len()),
             });
             continue;
@@ -122,7 +139,7 @@ pub fn lex(source: &str) -> Vec<Token> {
             }
             tokens.push(Token {
                 kind: TokenKind::Ident,
-                text: source[start..i].to_string(),
+                text: &source[start..i],
                 span: (start, i),
             });
             continue;
@@ -149,7 +166,7 @@ pub fn lex(source: &str) -> Vec<Token> {
             }
             tokens.push(Token {
                 kind: TokenKind::Number,
-                text: source[start..i].to_string(),
+                text: &source[start..i],
                 span: (start, i),
             });
             continue;
@@ -182,31 +199,28 @@ pub fn lex(source: &str) -> Vec<Token> {
             let end = i.min(bytes.len());
             tokens.push(Token {
                 kind: TokenKind::Str,
-                text: source[start..end].to_string(),
+                text: &source[start..end],
                 span: (start, end),
             });
             i = end;
             continue;
         }
-        // Multi-char punctuation, longest first.
+        // Multi-char punctuation, longest first; otherwise a single char
+        // (UTF-8 aware).
         let rest = &source[i..];
-        if let Some(op) = MULTI_PUNCT.iter().find(|op| rest.starts_with(**op)) {
-            tokens.push(Token {
-                kind: TokenKind::Punct,
-                text: (*op).to_string(),
-                span: (i, i + op.len()),
-            });
-            i += op.len();
-            continue;
-        }
-        // Single char (UTF-8 aware).
-        let ch_len = rest.chars().next().map(char::len_utf8).unwrap_or(1);
+        let multi = MULTI_PUNCT_START[usize::from(b)]
+            .then(|| MULTI_PUNCT.iter().find(|op| rest.starts_with(**op)))
+            .flatten();
+        let len = match multi {
+            Some(op) => op.len(),
+            None => rest.chars().next().map_or(1, char::len_utf8),
+        };
         tokens.push(Token {
             kind: TokenKind::Punct,
-            text: rest[..ch_len].to_string(),
-            span: (i, i + ch_len),
+            text: &rest[..len],
+            span: (i, i + len),
         });
-        i += ch_len;
+        i += len;
     }
     tokens
 }
@@ -215,8 +229,20 @@ pub fn lex(source: &str) -> Vec<Token> {
 mod tests {
     use super::*;
 
-    fn texts(src: &str) -> Vec<String> {
+    fn texts(src: &str) -> Vec<&str> {
         lex(src).into_iter().map(|t| t.text).collect()
+    }
+
+    #[test]
+    fn tokens_borrow_their_text() {
+        // `Copy` rules out an owned field; the text must be the source's
+        // own bytes at the span, not a copy of them.
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<Token<'static>>();
+        let src = "x += 1.5f; // tail";
+        for t in lex(src) {
+            assert_eq!(t.text.as_ptr(), src[t.span.0..].as_ptr(), "{t:?}");
+        }
     }
 
     #[test]
@@ -269,15 +295,15 @@ mod tests {
     #[test]
     fn cuda_launch_chevrons_lex_as_one_token() {
         let toks = texts("k<<<grid, block>>>(a);");
-        assert!(toks.contains(&"<<<".to_string()));
-        assert!(toks.contains(&">>>".to_string()));
+        assert!(toks.contains(&"<<<"));
+        assert!(toks.contains(&">>>"));
     }
 
     #[test]
     fn compound_assignment_operators() {
         let toks = texts("a += b; c <<= 2;");
-        assert!(toks.contains(&"+=".to_string()));
-        assert!(toks.contains(&"<<=".to_string()));
+        assert!(toks.contains(&"+="));
+        assert!(toks.contains(&"<<="));
     }
 
     #[test]

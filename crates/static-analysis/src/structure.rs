@@ -27,7 +27,7 @@ pub struct KernelRegion {
 /// Find the matching closer for the bracket pair `open_s`/`close_s`
 /// (`"{"`/`"}"`, `"("`/`")"`, `"["`/`"]"`) whose opener is at token index
 /// `open`. Returns the closer's index, or `tokens.len()` if unbalanced.
-pub fn match_paren_like(tokens: &[Token], open: usize, open_s: &str, close_s: &str) -> usize {
+pub fn match_paren_like(tokens: &[Token<'_>], open: usize, open_s: &str, close_s: &str) -> usize {
     debug_assert!(tokens[open].is(open_s));
     let mut depth = 0usize;
     for (i, t) in tokens.iter().enumerate().skip(open) {
@@ -46,7 +46,7 @@ pub fn match_paren_like(tokens: &[Token], open: usize, open_s: &str, close_s: &s
 }
 
 /// Locate all kernel regions in a token stream.
-pub fn find_kernels(tokens: &[Token]) -> Vec<KernelRegion> {
+pub fn find_kernels(tokens: &[Token<'_>]) -> Vec<KernelRegion> {
     let mut kernels = Vec::new();
     let mut omp_counter = 0usize;
     let mut i = 0;
@@ -74,7 +74,7 @@ pub fn find_kernels(tokens: &[Token]) -> Vec<KernelRegion> {
     kernels
 }
 
-fn parse_cuda_kernel(tokens: &[Token], at: usize) -> Option<KernelRegion> {
+fn parse_cuda_kernel(tokens: &[Token<'_>], at: usize) -> Option<KernelRegion> {
     // Scan forward for the function name: the identifier immediately before
     // the first '(' after `__global__`.
     let mut j = at + 1;
@@ -106,14 +106,14 @@ fn parse_cuda_kernel(tokens: &[Token], at: usize) -> Option<KernelRegion> {
     }
     let body_end = match_paren_like(tokens, k, "{", "}");
     Some(KernelRegion {
-        name: tokens[name_idx].text.clone(),
+        name: tokens[name_idx].text.to_string(),
         body: (k + 1, body_end),
         params: Some((j + 1, params_end)),
         is_omp: false,
     })
 }
 
-fn parse_omp_region(tokens: &[Token], at: usize, counter: usize) -> Option<KernelRegion> {
+fn parse_omp_region(tokens: &[Token<'_>], at: usize, counter: usize) -> Option<KernelRegion> {
     // The region body is either the following brace block or the following
     // `for` statement (take its body plus header).
     let mut j = at + 1;
@@ -160,18 +160,18 @@ fn parse_omp_region(tokens: &[Token], at: usize, counter: usize) -> Option<Kerne
 
 /// A `for` loop found inside a kernel body.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoopInfo {
+pub struct LoopInfo<'a> {
     /// Token index of the `for` keyword.
     pub at: usize,
     /// Trip-count bound expression: `Some(ident-or-number)` when the loop
     /// looks like `for (… ; i < BOUND; …)`, else `None`.
-    pub bound: Option<Token>,
+    pub bound: Option<Token<'a>>,
     /// Half-open token range of the loop body.
     pub body: (usize, usize),
 }
 
 /// Find the top-level `for` loops within a token range.
-pub fn find_loops(tokens: &[Token], range: (usize, usize)) -> Vec<LoopInfo> {
+pub fn find_loops<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> Vec<LoopInfo<'a>> {
     let mut loops = Vec::new();
     let mut i = range.0;
     while i < range.1.min(tokens.len()) {
@@ -187,7 +187,7 @@ pub fn find_loops(tokens: &[Token], range: (usize, usize)) -> Vec<LoopInfo> {
     loops
 }
 
-fn parse_for(tokens: &[Token], at: usize, limit: usize) -> Option<LoopInfo> {
+fn parse_for<'a>(tokens: &[Token<'a>], at: usize, limit: usize) -> Option<LoopInfo<'a>> {
     if at + 1 >= tokens.len() || !tokens[at + 1].is("(") {
         return None;
     }
@@ -209,7 +209,7 @@ fn parse_for(tokens: &[Token], at: usize, limit: usize) -> Option<LoopInfo> {
             if k + 1 < header_end
                 && matches!(tokens[k + 1].kind, TokenKind::Ident | TokenKind::Number)
             {
-                bound = Some(tokens[k + 1].clone());
+                bound = Some(tokens[k + 1]);
             }
         }
         k += 1;
@@ -292,14 +292,14 @@ mod tests {
         let toks = lex("for (int i = 0; i < 128; i++) { x += 1; }");
         let loops = find_loops(&toks, (0, toks.len()));
         assert_eq!(loops.len(), 1);
-        assert_eq!(loops[0].bound.as_ref().unwrap().text, "128");
+        assert_eq!(loops[0].bound.unwrap().text, "128");
     }
 
     #[test]
     fn loop_bound_identifier() {
         let toks = lex("for (int i = 0; i < n; ++i) y[i] = 0;");
         let loops = find_loops(&toks, (0, toks.len()));
-        assert_eq!(loops[0].bound.as_ref().unwrap().text, "n");
+        assert_eq!(loops[0].bound.unwrap().text, "n");
     }
 
     #[test]
@@ -309,7 +309,7 @@ mod tests {
         assert_eq!(outer.len(), 1);
         let inner = find_loops(&toks, outer[0].body);
         assert_eq!(inner.len(), 1);
-        assert_eq!(inner[0].bound.as_ref().unwrap().text, "8");
+        assert_eq!(inner[0].bound.unwrap().text, "8");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! back, `parse_classify`, `parse_rq1`, and `Boundedness::parse` must
 //! return a structured result — never panic — and whatever bytes a
 //! `predict src=...` client sends, `lex`/`analyze`/`diagnose` must do
-//! the same. Mutations mirror the chaos layer's fault kinds: truncation
-//! at arbitrary char boundaries, random splices, and refusal text.
+//! the same, with every token's text the source at its span. Mutations
+//! mirror the chaos layer's fault kinds: truncation at arbitrary char
+//! boundaries, random splices, and refusal text.
 
 use proptest::prelude::*;
 
@@ -14,7 +15,9 @@ use parallel_code_estimation::prompt::{
     generate_rq1_suite, render_classify_prompt, render_rq1_prompt, ClassifyRequest, ShotStyle,
 };
 use parallel_code_estimation::roofline::{Boundedness, HardwareSpec};
-use parallel_code_estimation::static_analysis::{analyze, diagnose, lex, AnalyzeOptions};
+use parallel_code_estimation::static_analysis::{
+    analyze, diagnose, lex, AnalyzeOptions, TokenKind,
+};
 
 /// A real Fig.-4 classification prompt to mutate.
 fn classify_prompt() -> String {
@@ -51,6 +54,25 @@ fn kernel_source() -> String {
      \x20 }\n\
      \x20 if (threadIdx.x == 0) out[blockIdx.x] = buf[0];\n}\n"
         .to_string()
+}
+
+/// The lexer's zero-copy contract over `src`: each token's text is the
+/// source at its span, spans increase without overlapping, and a pragma
+/// token starts with its `#`.
+fn assert_token_spans(src: &str) {
+    let mut prev_end = 0;
+    for t in lex(src) {
+        let (start, end) = t.span;
+        prop_assert!(
+            prev_end <= start && start < end,
+            "{t:?} after byte {prev_end}"
+        );
+        prop_assert_eq!(src.get(start..end), Some(t.text), "{:?}", t);
+        if t.kind == TokenKind::Pragma {
+            prop_assert!(t.text.starts_with('#'), "{t:?}");
+        }
+        prev_end = end;
+    }
 }
 
 /// Truncate at the nearest char boundary at or below `at`.
@@ -97,7 +119,7 @@ proptest! {
     fn static_analysis_never_panics_on_arbitrary_source(text in "\\PC{0,300}") {
         // Any source a raw `predict src=...` client can send must lex,
         // analyze, and diagnose to a structured (possibly empty) result.
-        let _ = lex(&text);
+        assert_token_spans(&text);
         let _ = analyze(&text, &AnalyzeOptions::default());
         let _ = diagnose(&text);
     }
@@ -124,7 +146,7 @@ proptest! {
             truncate_clean(&src, at),
             truncate_clean(&src, at / 2)
         );
-        let _ = lex(&mutated);
+        assert_token_spans(&mutated);
         let _ = analyze(&mutated, &AnalyzeOptions::default());
         let diags = diagnose(&mutated);
         // Whatever fires must carry spans inside the mutated source.

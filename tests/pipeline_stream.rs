@@ -4,7 +4,8 @@
 //! digest pinned from the separate eager implementation it replaced;
 //! re-streaming the same spec must profile zero new kernels. Token
 //! counts over every variant axis are pinned too, and must not depend on
-//! the thread count or on batching.
+//! the thread count or on batching, and so are the generated ids and
+//! sources themselves.
 //!
 //! The vendored rayon re-reads `RAYON_NUM_THREADS` on every parallel
 //! call, which lets the identity test toggle thread budgets in-process.
@@ -16,7 +17,9 @@ use parallel_code_estimation::dataset::{
     run_pipeline_cached, run_pipeline_streamed, tokenize_corpus, Dataset, PipelineReport, Split,
 };
 use parallel_code_estimation::gpu_sim::SimCaches;
-use parallel_code_estimation::kernels::{CorpusSpec, VariantAxes};
+use parallel_code_estimation::kernels::{
+    build_corpus, CorpusConfig, CorpusSpec, Program, VariantAxes,
+};
 use parallel_code_estimation::tokenizer::{BpeTrainer, Tokenizer};
 
 /// The full observable output of one pipeline run: dataset JSON, split
@@ -66,10 +69,17 @@ const VARIANT_AXES_TOKEN_TOTAL: usize = 3_240_624;
 /// flips, unroll pragmas and fused epilogues are all counted.
 const VARIANT_AXES_SLICES: [std::ops::Range<usize>; 2] = [0..360, 8640..9000];
 
-/// The pinned slices' sources, and a tokenizer trained on them the way
-/// the pipeline trains one: every `tokenizer_stride`-th source at
+/// FNV-1a digest of the ids and sources of the paper corpus
+/// (`build_corpus(&CorpusConfig::default())`), pinned before program
+/// generation rendered its fixed scaffolding once per process.
+const PAPER_CORPUS_SOURCE_DIGEST: u64 = 0x677d_1389_1074_1815;
+/// The same digest over the [`VARIANT_AXES_SLICES`] programs.
+const VARIANT_AXES_SOURCE_DIGEST: u64 = 0xb77c_3a83_5d85_f8c5;
+
+/// The pinned slices' programs, and a tokenizer trained on their sources
+/// the way the pipeline trains one: every `tokenizer_stride`-th source at
 /// `tokenizer_vocab`.
-fn variant_axes_sources() -> (Vec<String>, Tokenizer) {
+fn variant_axes_sources() -> (Vec<Program>, Tokenizer) {
     let study = Study::smoke();
     let spec = CorpusSpec {
         base: study.corpus,
@@ -77,26 +87,62 @@ fn variant_axes_sources() -> (Vec<String>, Tokenizer) {
     };
     assert_eq!(spec.axes.expansion_factor(), 72);
     assert_eq!(spec.base.cuda_programs * 72, VARIANT_AXES_SLICES[1].start);
-    let sources: Vec<String> = VARIANT_AXES_SLICES
+    let programs: Vec<Program> = VARIANT_AXES_SLICES
         .iter()
         .flat_map(|r| spec.stream_range(r.start, r.end))
-        .map(|p| p.expect("variant generates").source)
+        .map(|p| p.expect("variant generates"))
         .collect();
     let cfg = &study.pipeline;
     let vocab = BpeTrainer::new(cfg.tokenizer_vocab).train(
-        sources
+        programs
             .iter()
             .step_by(cfg.tokenizer_stride.max(1))
-            .map(String::as_str),
+            .map(|p| p.source.as_str()),
     );
-    (sources, Tokenizer::new(vocab))
+    (programs, Tokenizer::new(vocab))
+}
+
+/// FNV-1a over each program's id and source, each followed by a NUL so
+/// no two lists of programs frame to the same bytes.
+fn source_digest(programs: &[Program]) -> u64 {
+    let bytes: Vec<u8> = programs
+        .iter()
+        .flat_map(|p| [p.id.as_bytes(), b"\0", p.source.as_bytes(), b"\0"])
+        .flatten()
+        .copied()
+        .collect();
+    fnv1a64(&bytes)
 }
 
 #[test]
 fn streamed_pipeline_is_byte_identical_across_shards_and_threads() {
     let (spec, study) = smoke_spec();
-    let (sources, tokenizer) = variant_axes_sources();
-    let texts: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let (programs, tokenizer) = variant_axes_sources();
+
+    // Generated text, byte for byte. Only the paper corpus reaches
+    // verbosity 3: none of the variant-axes slices carries the reference
+    // table.
+    let paper = build_corpus(&CorpusConfig::default()).expect("paper corpus builds");
+    let with_table = paper
+        .iter()
+        .filter(|p| p.source.contains("kReferenceTable"))
+        .count();
+    let with_notes = paper
+        .iter()
+        .filter(|p| p.source.contains("tuning notes"))
+        .count();
+    assert_eq!(
+        (paper.len(), with_table, with_notes - with_table),
+        (749, 115, 224),
+        "paper corpus verbosity mix moved"
+    );
+    assert_eq!(
+        (source_digest(&paper), source_digest(&programs)),
+        (PAPER_CORPUS_SOURCE_DIGEST, VARIANT_AXES_SOURCE_DIGEST),
+        "generated ids or sources moved"
+    );
+
+    let texts: Vec<&str> = programs.iter().map(|p| p.source.as_str()).collect();
     let per_text: Vec<usize> = texts.iter().map(|t| tokenizer.count(t)).collect();
     let count_bytes: Vec<u8> = per_text
         .iter()

@@ -1,11 +1,13 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants: roofline algebra, counters, tokenizer losslessness,
-//! metric bounds, statistics, and the memory model.
+//! metric bounds, statistics, the memory model, and corpus specs at
+//! their extremes.
 
 use proptest::prelude::*;
 
 use parallel_code_estimation::gpu_sim::memory::coalescing_factor;
 use parallel_code_estimation::gpu_sim::AccessPattern;
+use parallel_code_estimation::kernels::{CorpusConfig, CorpusSpec, VariantAxes};
 use parallel_code_estimation::metrics::{chi_squared_independence, ConfusionMatrix};
 use parallel_code_estimation::roofline::{Boundedness, HardwareSpec, OpClass, OpCounts, Roofline};
 use parallel_code_estimation::tokenizer::{reference, token_quartiles, BpeTrainer, Tokenizer};
@@ -26,7 +28,36 @@ fn segment_tokenizer() -> Tokenizer {
     Tokenizer::new(BpeTrainer::new(360).train([corpus, corpus]))
 }
 
+/// Every `i8`, drawn uniformly.
+fn any_i8() -> impl Strategy<Value = i8> {
+    prop::sample::select((i8::MIN..=i8::MAX).collect())
+}
+
 proptest! {
+    #[test]
+    fn corpus_specs_build_at_any_size_shift(
+        seed in 0u64..1_000_000,
+        slot in 0usize..749,
+        shifts in prop::collection::vec(any_i8(), 0..4),
+    ) {
+        // Arbitrary shifts plus both extremes: every variant of one base
+        // program builds, and its problem size stays in the window every
+        // family supports.
+        let mut size_shifts = shifts.clone();
+        size_shifts.extend([i8::MIN, i8::MAX]);
+        let spec = CorpusSpec {
+            base: CorpusConfig { seed, ..CorpusConfig::default() },
+            axes: VariantAxes { size_shifts, ..VariantAxes::none() },
+        };
+        let factor = spec.axes.expansion_factor();
+        for k in slot * factor..(slot + 1) * factor {
+            let p = spec.program(k).expect("variant builds");
+            if let Some(&n) = p.launch.params.get("n") {
+                prop_assert!((1 << 10..=1 << 28).contains(&n), "{}: n={n}", p.id);
+            }
+        }
+    }
+
     #[test]
     fn roofline_attainable_never_exceeds_either_bound(
         peak in 1.0f64..1e5,
