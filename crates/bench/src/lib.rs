@@ -34,12 +34,6 @@ pub fn study_from_args() -> Study {
     }
 }
 
-/// A moderately sized study for criterion benches: big enough to be
-/// representative, small enough to iterate.
-pub fn bench_study() -> Study {
-    Study::smoke()
-}
-
 /// The value following `flag`, when present and not itself a flag.
 pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     let at = args.iter().position(|a| a == flag)?;

@@ -18,7 +18,7 @@
 //!    (borrowed, or regenerated) and token counts (precomputed, or
 //!    batch-counted), profile + label each against the language-routed
 //!    spec through the shared [`SimCaches`] memos, and keep only a
-//!    lightweight [`SampleMeta`] plus the dedup and hazard-audit inputs.
+//!    lightweight `SampleMeta` plus the dedup and hazard-audit inputs.
 //!    Variant expansion makes many programs map to an identical
 //!    (IR, launch, hardware) tuple — those profile as memo hits, and the
 //!    fingerprints are folded (sequentially, in corpus order, so the

@@ -2,6 +2,8 @@
 //! program counts — 446 CUDA and 303 OpenMP-offload programs (§2.1) — with
 //! seeded, reproducible parameter sampling.
 
+use std::sync::LazyLock;
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -65,12 +67,12 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The weighted family rotation the corpus draws from: compute-heavy
-/// families appear twice (HeCBench leans heavily on crypto/Monte-Carlo/
-/// finance kernels, and the balanced dataset needs enough compute-bound
-/// programs per language, §2.2), and the OMP rotation keeps only families
-/// with an OpenMP port.
-pub(crate) fn weighted_families() -> (Vec<Family>, Vec<Family>) {
+/// The weighted family rotations the corpus draws from, CUDA then OMP,
+/// built once per process: compute-heavy families appear twice (HeCBench
+/// leans heavily on crypto/Monte-Carlo/finance kernels, and the balanced
+/// dataset needs enough compute-bound programs per language, §2.2), and
+/// the OMP rotation keeps only families with an OpenMP port.
+pub(crate) static WEIGHTED_FAMILIES: LazyLock<(Vec<Family>, Vec<Family>)> = LazyLock::new(|| {
     let mut fams = Vec::new();
     for f in registry() {
         fams.push(f);
@@ -80,15 +82,15 @@ pub(crate) fn weighted_families() -> (Vec<Family>, Vec<Family>) {
     }
     let omp_fams: Vec<_> = fams.iter().filter(|f| f.has_omp).cloned().collect();
     (fams, omp_fams)
-}
+});
 
 /// Build the full corpus eagerly.
 ///
-/// This is now one consumer of the lazy [`CorpusStream`]
-/// (`crate::stream`): it materializes the identity-variant stream (no
-/// parametric expansion), which yields byte-identical programs to the
-/// historical eager builder. Fails with [`PceError::Spec`] if a family
-/// advertises an OMP port it does not render.
+/// This is one consumer of [`CorpusSpec::program`], the one generator: it
+/// collects the identity-variant stream (no parametric expansion), in
+/// which each program renders only its own slot's dialect. Fails with
+/// [`PceError::Spec`] if a family advertises an OMP port it does not
+/// render.
 pub fn build_corpus(cfg: &CorpusConfig) -> Result<Vec<Program>, PceError> {
     CorpusSpec::materialized(*cfg).stream().collect()
 }
@@ -158,6 +160,7 @@ pub(crate) fn sample_input(seed: u64, lang: Language, family: &str, index: usize
         iters,
         precision,
         verbosity,
+        language: lang,
     }
 }
 

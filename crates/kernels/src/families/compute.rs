@@ -4,9 +4,7 @@
 
 use pce_gpu_sim::{AccessPattern, Extent, IntKind, KernelIr, Op, SpecialFn};
 
-use crate::source::{assemble_cuda, assemble_omp, ProgramParts};
-
-use super::{guard_fraction, linear_launch, Family, FamilyInput, Variant};
+use super::{guard_fraction, linear_launch, n_iters_argv, Family, FamilyInput, Pieces, Variant};
 
 /// The compute-heavy family set.
 pub fn families() -> Vec<Family> {
@@ -59,48 +57,6 @@ pub fn families() -> Vec<Family> {
     ]
 }
 
-#[allow(clippy::too_many_arguments)]
-fn package(
-    input: &FamilyInput,
-    family: &'static str,
-    kernel_name: &str,
-    cuda_kernel: String,
-    cuda_launch: String,
-    omp_region: Option<String>,
-    buffers: Vec<(String, String, String)>,
-    scalars: Vec<(String, String, String)>,
-    args: Vec<String>,
-    ir: KernelIr,
-    launch: pce_gpu_sim::LaunchConfig,
-) -> Variant {
-    let parts = ProgramParts {
-        name: family.to_string(),
-        kernel_code: cuda_kernel,
-        launch_code: cuda_launch,
-        buffers,
-        scalars,
-        extra_helpers: String::new(),
-    };
-    let cuda = assemble_cuda(&parts, input.verb());
-    let omp = omp_region.map(|region| {
-        let omp_parts = ProgramParts {
-            kernel_code: String::new(),
-            launch_code: region,
-            ..parts.clone()
-        };
-        assemble_omp(&omp_parts, input.verb())
-    });
-    Variant {
-        family,
-        kernel_name: kernel_name.to_string(),
-        ir,
-        launch,
-        cuda,
-        omp,
-        args,
-    }
-}
-
 fn mandelbrot(input: &FamilyInput) -> Variant {
     let t = input.c_type();
     let launch = linear_launch(input);
@@ -121,11 +77,11 @@ fn mandelbrot(input: &FamilyInput) -> Variant {
         .build();
     let two = input.lit("2.0");
     let four = input.lit("4.0");
-    package(
-        input,
-        "mandelbrot",
-        "mandelbrot",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "mandelbrot",
+        kernel_name: "mandelbrot",
+        cuda_kernel: format!(
             "__global__ void mandelbrot(long n, int iters, int* out) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i >= n) return;\n\
@@ -141,8 +97,8 @@ fn mandelbrot(input: &FamilyInput) -> Variant {
              \x20 }}\n\
              \x20 out[i] = it;\n}}\n"
         ),
-        "  mandelbrot<<<(n + 255) / 256, 256>>>(n, iters, d_out);\n".to_string(),
-        Some(format!(
+        cuda_launch: "  mandelbrot<<<(n + 255) / 256, 256>>>(n, iters, d_out);\n".into(),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(from: out[0:n])\n\
              \x20 for (long i = 0; i < n; i++) {{\n\
              \x20   {t} cx = ({t})(i % 1024) / 512 - 1.5;\n\
@@ -158,15 +114,13 @@ fn mandelbrot(input: &FamilyInput) -> Variant {
              \x20   out[i] = it;\n\
              \x20 }}\n"
         )),
-        vec![("out".into(), "int".into(), "n".into())],
-        vec![
-            ("n".into(), "long".into(), format!("{}", input.n)),
-            ("iters".into(), "int".into(), format!("{}", input.iters)),
-        ],
-        vec![input.n.to_string(), input.iters.to_string()],
+        buffers: vec![("out".into(), "int".into(), "n".into())],
+        scalars,
+        args,
         ir,
         launch,
-    )
+    }
+    .package(input)
 }
 
 fn nbody(input: &FamilyInput) -> Variant {
@@ -202,11 +156,10 @@ fn nbody(input: &FamilyInput) -> Variant {
         .build();
     let soft = input.lit("1e-9");
     let rsq = input.fun("rsqrt");
-    package(
-        input,
-        "nbody",
-        "nbody_force",
-        format!(
+    Pieces {
+        name: "nbody",
+        kernel_name: "nbody_force",
+        cuda_kernel: format!(
             "struct Body {{ {t} x, y, z, m; }};\n\
              __global__ void nbody_force(long n, const Body* pos, Body* acc) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
@@ -224,8 +177,8 @@ fn nbody(input: &FamilyInput) -> Variant {
              \x20 }}\n\
              \x20 acc[i].x = ax; acc[i].y = ay; acc[i].z = az;\n}}\n"
         ),
-        "  nbody_force<<<(n + 255) / 256, 256>>>(n, d_pos, d_acc);\n".to_string(),
-        Some(format!(
+        cuda_launch: "  nbody_force<<<(n + 255) / 256, 256>>>(n, d_pos, d_acc);\n".into(),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(to: pos[0:n]) map(from: acc[0:n])\n\
              \x20 for (long i = 0; i < n; i++) {{\n\
              \x20   {t} ax = 0, ay = 0, az = 0;\n\
@@ -241,15 +194,16 @@ fn nbody(input: &FamilyInput) -> Variant {
              \x20   acc[i].x = ax; acc[i].y = ay; acc[i].z = az;\n\
              \x20 }}\n"
         )),
-        vec![
+        buffers: vec![
             ("pos".into(), "Body".into(), "n".into()),
             ("acc".into(), "Body".into(), "n".into()),
         ],
-        vec![("n".into(), "long".into(), format!("{bodies}"))],
-        vec![bodies.to_string()],
+        scalars: vec![("n".into(), "long".into(), format!("{bodies}"))],
+        args: vec![bodies.to_string()],
         ir,
         launch,
-    )
+    }
+    .package(input)
 }
 
 fn blackscholes(input: &FamilyInput) -> Variant {
@@ -277,11 +231,10 @@ fn blackscholes(input: &FamilyInput) -> Variant {
     let r = input.lit("0.02");
     let v = input.lit("0.30");
     let tm = input.lit("1.0");
-    package(
-        input,
-        "blackscholes",
-        "blackscholes",
-        format!(
+    Pieces {
+        name: "blackscholes",
+        kernel_name: "blackscholes",
+        cuda_kernel: format!(
             "__global__ void blackscholes(long n, const {t}* price, const {t}* strike, {t}* call, {t}* put) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i >= n) return;\n\
@@ -293,9 +246,9 @@ fn blackscholes(input: &FamilyInput) -> Variant {
              \x20 call[i] = s * nd1 - k * {expf}(-{r} * {tm}) * nd2;\n\
              \x20 put[i] = call[i] - s + k * {expf}(-{r} * {tm});\n}}\n"
         ),
-        "  blackscholes<<<(n + 255) / 256, 256>>>(n, d_price, d_strike, d_call, d_put);\n"
-            .to_string(),
-        Some(format!(
+        cuda_launch: "  blackscholes<<<(n + 255) / 256, 256>>>(n, d_price, d_strike, d_call, d_put);\n"
+            .into(),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(to: price[0:n], strike[0:n]) map(from: call[0:n], put[0:n])\n\
              \x20 for (long i = 0; i < n; i++) {{\n\
              \x20   {t} s = price[i], k = strike[i];\n\
@@ -307,17 +260,18 @@ fn blackscholes(input: &FamilyInput) -> Variant {
              \x20   put[i] = call[i] - s + k * {expf}(-{r} * {tm});\n\
              \x20 }}\n"
         )),
-        vec![
+        buffers: vec![
             ("price".into(), t.into(), "n".into()),
             ("strike".into(), t.into(), "n".into()),
             ("call".into(), t.into(), "n".into()),
             ("put".into(), t.into(), "n".into()),
         ],
-        vec![("n".into(), "long".into(), format!("{}", input.n))],
-        vec![input.n.to_string()],
+        scalars: vec![("n".into(), "long".into(), format!("{}", input.n))],
+        args: vec![input.n.to_string()],
         ir,
         launch,
-    )
+    }
+    .package(input)
 }
 
 fn montecarlo(input: &FamilyInput) -> Variant {
@@ -343,11 +297,11 @@ fn montecarlo(input: &FamilyInput) -> Variant {
         .build();
     let one = input.lit("1.0");
     let scale = input.lit("4.6566e-10");
-    package(
-        input,
-        "montecarlo",
-        "mc_pi",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "montecarlo",
+        kernel_name: "mc_pi",
+        cuda_kernel: format!(
             "__global__ void mc_pi(long n, int iters, int* counts) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i >= n) return;\n\
@@ -362,8 +316,8 @@ fn montecarlo(input: &FamilyInput) -> Variant {
              \x20 }}\n\
              \x20 counts[i] = inside;\n}}\n"
         ),
-        "  mc_pi<<<(n + 255) / 256, 256>>>(n, iters, d_counts);\n".to_string(),
-        Some(format!(
+        cuda_launch: "  mc_pi<<<(n + 255) / 256, 256>>>(n, iters, d_counts);\n".into(),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(from: counts[0:n])\n\
              \x20 for (long i = 0; i < n; i++) {{\n\
              \x20   unsigned state = (unsigned)(i * 2654435761u + 12345u);\n\
@@ -378,15 +332,13 @@ fn montecarlo(input: &FamilyInput) -> Variant {
              \x20   counts[i] = inside;\n\
              \x20 }}\n"
         )),
-        vec![("counts".into(), "int".into(), "n".into())],
-        vec![
-            ("n".into(), "long".into(), format!("{}", input.n)),
-            ("iters".into(), "int".into(), format!("{}", input.iters)),
-        ],
-        vec![input.n.to_string(), input.iters.to_string()],
+        buffers: vec![("counts".into(), "int".into(), "n".into())],
+        scalars,
+        args,
         ir,
         launch,
-    )
+    }
+    .package(input)
 }
 
 fn hashcrypt(input: &FamilyInput) -> Variant {
@@ -409,11 +361,11 @@ fn hashcrypt(input: &FamilyInput) -> Variant {
         .op(Op::store("digest", AccessPattern::Coalesced))
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    package(
-        input,
-        "hashcrypt",
-        "hash_rounds",
-        "__global__ void hash_rounds(long n, int iters, const unsigned* msg, unsigned* digest) {\n\
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "hashcrypt",
+        kernel_name: "hash_rounds",
+        cuda_kernel: "__global__ void hash_rounds(long n, int iters, const unsigned* msg, unsigned* digest) {\n\
          \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
          \x20 if (i >= n) return;\n\
          \x20 unsigned h = msg[i];\n\
@@ -425,21 +377,19 @@ fn hashcrypt(input: &FamilyInput) -> Variant {
          \x20   h = h * 5u + 0xe6546b64u;\n\
          \x20 }\n\
          \x20 digest[i] = h;\n}\n"
-            .to_string(),
-        "  hash_rounds<<<(n + 255) / 256, 256>>>(n, iters, d_msg, d_digest);\n".to_string(),
-        None,
-        vec![
+            .into(),
+        cuda_launch: "  hash_rounds<<<(n + 255) / 256, 256>>>(n, iters, d_msg, d_digest);\n".into(),
+        omp_region: None,
+        buffers: vec![
             ("msg".into(), "unsigned".into(), "n".into()),
             ("digest".into(), "unsigned".into(), "n".into()),
         ],
-        vec![
-            ("n".into(), "long".into(), format!("{}", input.n)),
-            ("iters".into(), "int".into(), format!("{}", input.iters)),
-        ],
-        vec![input.n.to_string(), input.iters.to_string()],
+        scalars,
+        args,
         ir,
         launch,
-    )
+    }
+    .package(input)
 }
 
 fn polyeval(input: &FamilyInput) -> Variant {
@@ -461,11 +411,10 @@ fn polyeval(input: &FamilyInput) -> Variant {
         .op(Op::store("y", AccessPattern::Coalesced))
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    package(
-        input,
-        "polyeval",
-        "polyeval",
-        format!(
+    Pieces {
+        name: "polyeval",
+        kernel_name: "polyeval",
+        cuda_kernel: format!(
             "__global__ void polyeval(long n, int degree, const {t}* x, const {t}* coef, {t}* y) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i >= n) return;\n\
@@ -476,8 +425,8 @@ fn polyeval(input: &FamilyInput) -> Variant {
              \x20 }}\n\
              \x20 y[i] = acc;\n}}\n"
         ),
-        "  polyeval<<<(n + 255) / 256, 256>>>(n, degree, d_x, d_coef, d_y);\n".to_string(),
-        Some(format!(
+        cuda_launch: "  polyeval<<<(n + 255) / 256, 256>>>(n, degree, d_x, d_coef, d_y);\n".into(),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(to: x[0:n], coef[0:512]) map(from: y[0:n])\n\
              \x20 for (long i = 0; i < n; i++) {{\n\
              \x20   {t} v = x[i];\n\
@@ -486,19 +435,20 @@ fn polyeval(input: &FamilyInput) -> Variant {
              \x20   y[i] = acc;\n\
              \x20 }}\n"
         )),
-        vec![
+        buffers: vec![
             ("x".into(), t.into(), "n".into()),
             ("coef".into(), t.into(), "512".into()),
             ("y".into(), t.into(), "n".into()),
         ],
-        vec![
+        scalars: vec![
             ("n".into(), "long".into(), format!("{}", input.n)),
             ("degree".into(), "int".into(), format!("{degree}")),
         ],
-        vec![input.n.to_string(), degree.to_string()],
+        args: vec![input.n.to_string(), degree.to_string()],
         ir,
         launch,
-    )
+    }
+    .package(input)
 }
 
 fn gelu(input: &FamilyInput) -> Variant {
@@ -519,11 +469,10 @@ fn gelu(input: &FamilyInput) -> Variant {
     let c1 = input.lit("0.044715");
     let half = input.lit("0.5");
     let one = input.lit("1.0");
-    package(
-        input,
-        "gelu",
-        "gelu_fwd",
-        format!(
+    Pieces {
+        name: "gelu",
+        kernel_name: "gelu_fwd",
+        cuda_kernel: format!(
             "__global__ void gelu_fwd(long n, const {t}* x, {t}* y) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i >= n) return;\n\
@@ -531,8 +480,8 @@ fn gelu(input: &FamilyInput) -> Variant {
              \x20 {t} inner = {c0} * (v + {c1} * v * v * v);\n\
              \x20 y[i] = {half} * v * ({one} + {tanhf}(inner));\n}}\n"
         ),
-        "  gelu_fwd<<<(n + 255) / 256, 256>>>(n, d_x, d_y);\n".to_string(),
-        Some(format!(
+        cuda_launch: "  gelu_fwd<<<(n + 255) / 256, 256>>>(n, d_x, d_y);\n".into(),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(to: x[0:n]) map(from: y[0:n])\n\
              \x20 for (long i = 0; i < n; i++) {{\n\
              \x20   {t} v = x[i];\n\
@@ -540,15 +489,16 @@ fn gelu(input: &FamilyInput) -> Variant {
              \x20   y[i] = {half} * v * ({one} + {tanhf}(inner));\n\
              \x20 }}\n"
         )),
-        vec![
+        buffers: vec![
             ("x".into(), t.into(), "n".into()),
             ("y".into(), t.into(), "n".into()),
         ],
-        vec![("n".into(), "long".into(), format!("{}", input.n))],
-        vec![input.n.to_string()],
+        scalars: vec![("n".into(), "long".into(), format!("{}", input.n))],
+        args: vec![input.n.to_string()],
         ir,
         launch,
-    )
+    }
+    .package(input)
 }
 
 fn rngstream(input: &FamilyInput) -> Variant {
@@ -566,11 +516,11 @@ fn rngstream(input: &FamilyInput) -> Variant {
         .op(Op::store("out", AccessPattern::Coalesced))
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    package(
-        input,
-        "rngstream",
-        "rng_fill",
-        "__global__ void rng_fill(long n, int iters, unsigned* out) {\n\
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "rngstream",
+        kernel_name: "rng_fill",
+        cuda_kernel: "__global__ void rng_fill(long n, int iters, unsigned* out) {\n\
          \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
          \x20 if (i >= n) return;\n\
          \x20 unsigned state = (unsigned)i + 88172645u;\n\
@@ -580,9 +530,9 @@ fn rngstream(input: &FamilyInput) -> Variant {
          \x20   state ^= state << 5;\n\
          \x20 }\n\
          \x20 out[i] = state;\n}\n"
-            .to_string(),
-        "  rng_fill<<<(n + 255) / 256, 256>>>(n, iters, d_out);\n".to_string(),
-        Some(
+            .into(),
+        cuda_launch: "  rng_fill<<<(n + 255) / 256, 256>>>(n, iters, d_out);\n".into(),
+        omp_region: Some(
             "#pragma omp target teams distribute parallel for map(from: out[0:n])\n\
              \x20 for (long i = 0; i < n; i++) {\n\
              \x20   unsigned state = (unsigned)i + 88172645u;\n\
@@ -593,17 +543,15 @@ fn rngstream(input: &FamilyInput) -> Variant {
              \x20   }\n\
              \x20   out[i] = state;\n\
              \x20 }\n"
-                .to_string(),
+                .into(),
         ),
-        vec![("out".into(), "unsigned".into(), "n".into())],
-        vec![
-            ("n".into(), "long".into(), format!("{}", input.n)),
-            ("iters".into(), "int".into(), format!("{}", input.iters)),
-        ],
-        vec![input.n.to_string(), input.iters.to_string()],
+        buffers: vec![("out".into(), "unsigned".into(), "n".into())],
+        scalars,
+        args,
         ir,
         launch,
-    )
+    }
+    .package(input)
 }
 
 fn matexp(input: &FamilyInput) -> Variant {
@@ -625,11 +573,11 @@ fn matexp(input: &FamilyInput) -> Variant {
         .op(Op::store("out", AccessPattern::Coalesced))
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    package(
-        input,
-        "matexp",
-        "matexp4",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "matexp",
+        kernel_name: "matexp4",
+        cuda_kernel: format!(
             "__global__ void matexp4(long n, int iters, const {t}* mats, {t}* out) {{\n\
              \x20 long idx = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (idx >= n) return;\n\
@@ -647,25 +595,24 @@ fn matexp(input: &FamilyInput) -> Variant {
              \x20 }}\n\
              \x20 out[idx] = r[0];\n}}\n"
         ),
-        "  matexp4<<<(n + 255) / 256, 256>>>(n, iters, d_mats, d_out);\n".to_string(),
-        None,
-        vec![
+        cuda_launch: "  matexp4<<<(n + 255) / 256, 256>>>(n, iters, d_mats, d_out);\n".into(),
+        omp_region: None,
+        buffers: vec![
             ("mats".into(), t.into(), "n".into()),
             ("out".into(), t.into(), "n".into()),
         ],
-        vec![
-            ("n".into(), "long".into(), format!("{}", input.n)),
-            ("iters".into(), "int".into(), format!("{}", input.iters)),
-        ],
-        vec![input.n.to_string(), input.iters.to_string()],
+        scalars,
+        args,
         ir,
         launch,
-    )
+    }
+    .package(input)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::Language;
     use pce_gpu_sim::{Precision, Profiler};
     use pce_roofline::{classify_joint, Boundedness, HardwareSpec, OpClass};
 
@@ -675,6 +622,7 @@ mod tests {
             iters,
             precision: Precision::F32,
             verbosity: 1,
+            language: Language::Cuda,
         }
     }
 
@@ -694,7 +642,7 @@ mod tests {
                 classify_joint(&hw, &p.counts).label,
                 Boundedness::Compute,
                 "{} with 500 iters must be CB",
-                v.family
+                v.kernel_name
             );
         }
     }
@@ -775,7 +723,7 @@ mod tests {
     #[test]
     fn sources_mention_their_iteration_args() {
         let v = montecarlo(&input(1000, 77));
-        assert!(v.cuda.contains("iters"));
+        assert!(v.source.unwrap().contains("iters"));
         assert_eq!(v.args, vec!["1000".to_string(), "77".to_string()]);
     }
 }

@@ -3,9 +3,7 @@
 
 use pce_gpu_sim::{AccessPattern, Extent, IntKind, KernelIr, Op};
 
-use crate::source::{assemble_cuda, assemble_omp, ProgramParts};
-
-use super::{guard_fraction, linear_launch, Family, FamilyInput, Variant};
+use super::{guard_fraction, linear_launch, n_iters_argv, Family, FamilyInput, Pieces, Variant};
 
 /// The streaming family set.
 pub fn families() -> Vec<Family> {
@@ -73,51 +71,6 @@ pub fn families() -> Vec<Family> {
     ]
 }
 
-/// Shared elementwise assembly: build a full Variant from kernel/source
-/// fragments for 1-D map-style kernels.
-#[allow(clippy::too_many_arguments)]
-fn elementwise(
-    input: &FamilyInput,
-    family: &'static str,
-    kernel_name: &str,
-    cuda_kernel: String,
-    cuda_launch: String,
-    omp_region: Option<String>,
-    buffers: Vec<(String, String, String)>,
-    ir: KernelIr,
-) -> Variant {
-    let parts = ProgramParts {
-        name: family.to_string(),
-        kernel_code: cuda_kernel,
-        launch_code: cuda_launch,
-        buffers: buffers.clone(),
-        scalars: vec![
-            ("n".into(), "long".into(), format!("{}", input.n)),
-            ("iters".into(), "int".into(), format!("{}", input.iters)),
-        ],
-        extra_helpers: String::new(),
-    };
-    let cuda = assemble_cuda(&parts, input.verb());
-    let omp = omp_region.map(|region| {
-        let omp_parts = ProgramParts {
-            kernel_code: String::new(),
-            launch_code: region,
-            ..parts.clone()
-        };
-        assemble_omp(&omp_parts, input.verb())
-    });
-    let launch = linear_launch(input);
-    Variant {
-        family,
-        kernel_name: kernel_name.to_string(),
-        ir,
-        launch,
-        cuda,
-        omp,
-        args: vec![input.n.to_string(), input.iters.to_string()],
-    }
-}
-
 fn vecadd(input: &FamilyInput) -> Variant {
     let t = input.c_type();
     let launch = linear_launch(input);
@@ -131,25 +84,32 @@ fn vecadd(input: &FamilyInput) -> Variant {
         .op(Op::store("c", AccessPattern::Coalesced))
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    elementwise(
-        input,
-        "vecadd",
-        "vecadd",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "vecadd",
+        kernel_name: "vecadd",
+        cuda_kernel: format!(
             "__global__ void vecadd(long n, const {t}* a, const {t}* b, {t}* c) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i < n) c[i] = a[i] + b[i];\n}}\n"
         ),
-        "  vecadd<<<(n + 255) / 256, 256>>>(n, d_a, d_b, d_c);\n".to_string(),
-        Some("#pragma omp target teams distribute parallel for map(to: a[0:n], b[0:n]) map(from: c[0:n])\n\
-             \x20 for (long i = 0; i < n; i++) c[i] = a[i] + b[i];\n".to_string()),
-        vec![
+        cuda_launch: "  vecadd<<<(n + 255) / 256, 256>>>(n, d_a, d_b, d_c);\n".into(),
+        omp_region: Some(
+            "#pragma omp target teams distribute parallel for map(to: a[0:n], b[0:n]) map(from: c[0:n])\n\
+             \x20 for (long i = 0; i < n; i++) c[i] = a[i] + b[i];\n"
+                .into(),
+        ),
+        buffers: vec![
             ("a".into(), t.into(), "n".into()),
             ("b".into(), t.into(), "n".into()),
             ("c".into(), t.into(), "n".into()),
         ],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn saxpy(input: &FamilyInput) -> Variant {
@@ -166,26 +126,30 @@ fn saxpy(input: &FamilyInput) -> Variant {
         .guard_fraction(guard_fraction(input, &launch))
         .build();
     let a = input.lit("2.5");
-    elementwise(
-        input,
-        "saxpy",
-        name,
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "saxpy",
+        kernel_name: name,
+        cuda_kernel: format!(
             "__global__ void {name}(long n, {t} a, const {t}* x, {t}* y) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i < n) y[i] = a * x[i] + y[i];\n}}\n"
         ),
-        format!("  {name}<<<(n + 255) / 256, 256>>>(n, {a}, d_x, d_y);\n"),
-        Some(format!(
+        cuda_launch: format!("  {name}<<<(n + 255) / 256, 256>>>(n, {a}, d_x, d_y);\n"),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(to: x[0:n]) map(tofrom: y[0:n])\n\
              \x20 for (long i = 0; i < n; i++) y[i] = {a} * x[i] + y[i];\n"
         )),
-        vec![
+        buffers: vec![
             ("x".into(), t.into(), "n".into()),
             ("y".into(), t.into(), "n".into()),
         ],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn triad(input: &FamilyInput) -> Variant {
@@ -202,27 +166,31 @@ fn triad(input: &FamilyInput) -> Variant {
         .guard_fraction(guard_fraction(input, &launch))
         .build();
     let s = input.lit("3.0");
-    elementwise(
-        input,
-        "triad",
-        "triad",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "triad",
+        kernel_name: "triad",
+        cuda_kernel: format!(
             "__global__ void triad(long n, {t} s, const {t}* b, const {t}* c, {t}* a) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i < n) a[i] = b[i] + s * c[i];\n}}\n"
         ),
-        format!("  triad<<<(n + 255) / 256, 256>>>(n, {s}, d_b, d_c, d_a);\n"),
-        Some(format!(
+        cuda_launch: format!("  triad<<<(n + 255) / 256, 256>>>(n, {s}, d_b, d_c, d_a);\n"),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(to: b[0:n], c[0:n]) map(from: a[0:n])\n\
              \x20 for (long i = 0; i < n; i++) a[i] = b[i] + {s} * c[i];\n"
         )),
-        vec![
+        buffers: vec![
             ("b".into(), t.into(), "n".into()),
             ("c".into(), t.into(), "n".into()),
             ("a".into(), t.into(), "n".into()),
         ],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn devicecopy(input: &FamilyInput) -> Variant {
@@ -235,24 +203,28 @@ fn devicecopy(input: &FamilyInput) -> Variant {
         .op(Op::store("dst", AccessPattern::Coalesced))
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    elementwise(
-        input,
-        "devicecopy",
-        "devicecopy",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "devicecopy",
+        kernel_name: "devicecopy",
+        cuda_kernel: format!(
             "__global__ void devicecopy(long n, const {t}* src, {t}* dst) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i < n) dst[i] = src[i];\n}}\n"
         ),
-        "  devicecopy<<<(n + 255) / 256, 256>>>(n, d_src, d_dst);\n".to_string(),
-        Some(
+        cuda_launch: "  devicecopy<<<(n + 255) / 256, 256>>>(n, d_src, d_dst);\n".into(),
+        omp_region: Some(
             "#pragma omp target teams distribute parallel for map(to: src[0:n]) map(from: dst[0:n])\n\
              \x20 for (long i = 0; i < n; i++) dst[i] = src[i];\n"
-                .to_string(),
+                .into(),
         ),
-        vec![("src".into(), t.into(), "n".into()), ("dst".into(), t.into(), "n".into())],
+        buffers: vec![("src".into(), t.into(), "n".into()), ("dst".into(), t.into(), "n".into())],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn vecscale(input: &FamilyInput) -> Variant {
@@ -266,23 +238,27 @@ fn vecscale(input: &FamilyInput) -> Variant {
         .guard_fraction(guard_fraction(input, &launch))
         .build();
     let k = input.lit("0.5");
-    elementwise(
-        input,
-        "vecscale",
-        "vecscale",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "vecscale",
+        kernel_name: "vecscale",
+        cuda_kernel: format!(
             "__global__ void vecscale(long n, {t} k, {t}* v) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i < n) v[i] = v[i] * k;\n}}\n"
         ),
-        format!("  vecscale<<<(n + 255) / 256, 256>>>(n, {k}, d_v);\n"),
-        Some(format!(
+        cuda_launch: format!("  vecscale<<<(n + 255) / 256, 256>>>(n, {k}, d_v);\n"),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(tofrom: v[0:n])\n\
              \x20 for (long i = 0; i < n; i++) v[i] = v[i] * {k};\n"
         )),
-        vec![("v".into(), t.into(), "n".into())],
+        buffers: vec![("v".into(), t.into(), "n".into())],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn dotprod(input: &FamilyInput) -> Variant {
@@ -310,39 +286,42 @@ fn dotprod(input: &FamilyInput) -> Variant {
         })
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    let kernel = format!(
-        "__global__ void dotprod(long n, const {t}* x, const {t}* y, {t}* partial) {{\n\
-         \x20 __shared__ {t} cache[256];\n\
-         \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
-         \x20 {t} acc = 0;\n\
-         \x20 if (i < n) acc = x[i] * y[i];\n\
-         \x20 cache[threadIdx.x] = acc;\n\
-         \x20 __syncthreads();\n\
-         \x20 for (int s = 128; s > 0; s >>= 1) {{\n\
-         \x20   if (threadIdx.x < s) cache[threadIdx.x] += cache[threadIdx.x + s];\n\
-         \x20   __syncthreads();\n\
-         \x20 }}\n\
-         \x20 if (threadIdx.x == 0) partial[blockIdx.x] = cache[0];\n}}\n"
-    );
-    elementwise(
-        input,
-        "dotprod",
-        "dotprod",
-        kernel,
-        "  dotprod<<<(n + 255) / 256, 256>>>(n, d_x, d_y, d_partial);\n".to_string(),
-        Some(format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "dotprod",
+        kernel_name: "dotprod",
+        cuda_kernel: format!(
+            "__global__ void dotprod(long n, const {t}* x, const {t}* y, {t}* partial) {{\n\
+             \x20 __shared__ {t} cache[256];\n\
+             \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
+             \x20 {t} acc = 0;\n\
+             \x20 if (i < n) acc = x[i] * y[i];\n\
+             \x20 cache[threadIdx.x] = acc;\n\
+             \x20 __syncthreads();\n\
+             \x20 for (int s = 128; s > 0; s >>= 1) {{\n\
+             \x20   if (threadIdx.x < s) cache[threadIdx.x] += cache[threadIdx.x + s];\n\
+             \x20   __syncthreads();\n\
+             \x20 }}\n\
+             \x20 if (threadIdx.x == 0) partial[blockIdx.x] = cache[0];\n}}\n"
+        ),
+        cuda_launch: "  dotprod<<<(n + 255) / 256, 256>>>(n, d_x, d_y, d_partial);\n".into(),
+        omp_region: Some(format!(
             "  {t} sum = 0;\n\
              #pragma omp target teams distribute parallel for reduction(+:sum) map(to: x[0:n], y[0:n])\n\
              \x20 for (long i = 0; i < n; i++) sum += x[i] * y[i];\n\
              \x20 printf(\"dot = %f\\n\", (double)sum);\n"
         )),
-        vec![
+        buffers: vec![
             ("x".into(), t.into(), "n".into()),
             ("y".into(), t.into(), "n".into()),
             ("partial".into(), t.into(), "4096".into()),
         ],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn reduction(input: &FamilyInput) -> Variant {
@@ -366,36 +345,39 @@ fn reduction(input: &FamilyInput) -> Variant {
         })
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    let kernel = format!(
-        "__global__ void reduce_sum(long n, const {t}* in, {t}* out) {{\n\
-         \x20 __shared__ {t} buf[256];\n\
-         \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
-         \x20 buf[threadIdx.x] = (i < n) ? in[i] : 0;\n\
-         \x20 __syncthreads();\n\
-         \x20 for (int s = 128; s > 0; s >>= 1) {{\n\
-         \x20   if (threadIdx.x < s) buf[threadIdx.x] += buf[threadIdx.x + s];\n\
-         \x20   __syncthreads();\n\
-         \x20 }}\n\
-         \x20 if (threadIdx.x == 0) out[blockIdx.x] = buf[0];\n}}\n"
-    );
-    elementwise(
-        input,
-        "reduction",
-        "reduce_sum",
-        kernel,
-        "  reduce_sum<<<(n + 255) / 256, 256>>>(n, d_in, d_out);\n".to_string(),
-        Some(format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "reduction",
+        kernel_name: "reduce_sum",
+        cuda_kernel: format!(
+            "__global__ void reduce_sum(long n, const {t}* in, {t}* out) {{\n\
+             \x20 __shared__ {t} buf[256];\n\
+             \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
+             \x20 buf[threadIdx.x] = (i < n) ? in[i] : 0;\n\
+             \x20 __syncthreads();\n\
+             \x20 for (int s = 128; s > 0; s >>= 1) {{\n\
+             \x20   if (threadIdx.x < s) buf[threadIdx.x] += buf[threadIdx.x + s];\n\
+             \x20   __syncthreads();\n\
+             \x20 }}\n\
+             \x20 if (threadIdx.x == 0) out[blockIdx.x] = buf[0];\n}}\n"
+        ),
+        cuda_launch: "  reduce_sum<<<(n + 255) / 256, 256>>>(n, d_in, d_out);\n".into(),
+        omp_region: Some(format!(
             "  {t} total = 0;\n\
              #pragma omp target teams distribute parallel for reduction(+:total) map(to: in[0:n])\n\
              \x20 for (long i = 0; i < n; i++) total += in[i];\n\
              \x20 printf(\"sum = %f\\n\", (double)total);\n"
         )),
-        vec![
+        buffers: vec![
             ("in".into(), t.into(), "n".into()),
             ("out".into(), t.into(), "4096".into()),
         ],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn stencil1d(input: &FamilyInput) -> Variant {
@@ -414,25 +396,29 @@ fn stencil1d(input: &FamilyInput) -> Variant {
         .guard_fraction(guard_fraction(input, &launch) * 0.999)
         .build();
     let third = input.lit("0.333333");
-    elementwise(
-        input,
-        "stencil1d",
-        "stencil1d",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "stencil1d",
+        kernel_name: "stencil1d",
+        cuda_kernel: format!(
             "__global__ void stencil1d(long n, const {t}* in, {t}* out) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i > 0 && i < n - 1) {{\n\
              \x20   out[i] = (in[i - 1] + in[i] + in[i + 1]) * {third};\n\
              \x20 }}\n}}\n"
         ),
-        "  stencil1d<<<(n + 255) / 256, 256>>>(n, d_in, d_out);\n".to_string(),
-        Some(format!(
+        cuda_launch: "  stencil1d<<<(n + 255) / 256, 256>>>(n, d_in, d_out);\n".into(),
+        omp_region: Some(format!(
             "#pragma omp target teams distribute parallel for map(to: in[0:n]) map(from: out[0:n])\n\
              \x20 for (long i = 1; i < n - 1; i++) out[i] = (in[i - 1] + in[i] + in[i + 1]) * {third};\n"
         )),
-        vec![("in".into(), t.into(), "n".into()), ("out".into(), t.into(), "n".into())],
+        buffers: vec![("in".into(), t.into(), "n".into()), ("out".into(), t.into(), "n".into())],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn transpose(input: &FamilyInput) -> Variant {
@@ -451,9 +437,10 @@ fn transpose(input: &FamilyInput) -> Variant {
         .op(Op::store("out", AccessPattern::Strided(32)))
         .guard_fraction((n2 as f64 / launch.total_threads() as f64).min(1.0))
         .build();
-    let parts = ProgramParts {
-        name: "transpose".into(),
-        kernel_code: format!(
+    Pieces {
+        name: "transpose",
+        kernel_name: "transpose",
+        cuda_kernel: format!(
             "__global__ void transpose(long dim, const {t}* in, {t}* out) {{\n\
              \x20 long x = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 long y = blockIdx.y * (long)blockDim.y + threadIdx.y;\n\
@@ -461,25 +448,20 @@ fn transpose(input: &FamilyInput) -> Variant {
              \x20   out[x * dim + y] = in[y * dim + x];\n\
              \x20 }}\n}}\n"
         ),
-        launch_code: "  dim3 block(16, 16);\n  dim3 grid((dim + 15) / 16, (dim + 15) / 16);\n\
+        cuda_launch: "  dim3 block(16, 16);\n  dim3 grid((dim + 15) / 16, (dim + 15) / 16);\n\
              \x20 transpose<<<grid, block>>>(dim, d_in, d_out);\n"
-            .to_string(),
+            .into(),
+        omp_region: None,
         buffers: vec![
             ("in".into(), t.into(), "dim * dim".into()),
             ("out".into(), t.into(), "dim * dim".into()),
         ],
         scalars: vec![("dim".into(), "long".into(), format!("{dim}"))],
-        extra_helpers: String::new(),
-    };
-    Variant {
-        family: "transpose",
-        kernel_name: "transpose".into(),
+        args: vec![dim.to_string()],
         ir,
         launch,
-        cuda: assemble_cuda(&parts, input.verb()),
-        omp: None,
-        args: vec![dim.to_string()],
     }
+    .package(input)
 }
 
 fn gather(input: &FamilyInput) -> Variant {
@@ -494,28 +476,32 @@ fn gather(input: &FamilyInput) -> Variant {
         .op(Op::store("dst", AccessPattern::Coalesced))
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    elementwise(
-        input,
-        "gather",
-        "gather",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "gather",
+        kernel_name: "gather",
+        cuda_kernel: format!(
             "__global__ void gather(long n, const int* idx, const {t}* src, {t}* dst) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i < n) dst[i] = src[idx[i]];\n}}\n"
         ),
-        "  gather<<<(n + 255) / 256, 256>>>(n, d_idx, d_src, d_dst);\n".to_string(),
-        Some(
+        cuda_launch: "  gather<<<(n + 255) / 256, 256>>>(n, d_idx, d_src, d_dst);\n".into(),
+        omp_region: Some(
             "#pragma omp target teams distribute parallel for map(to: idx[0:n], src[0:n]) map(from: dst[0:n])\n\
              \x20 for (long i = 0; i < n; i++) dst[i] = src[idx[i]];\n"
-                .to_string(),
+                .into(),
         ),
-        vec![
+        buffers: vec![
             ("idx".into(), "int".into(), "n".into()),
             ("src".into(), t.into(), "n".into()),
             ("dst".into(), t.into(), "n".into()),
         ],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn scatter(input: &FamilyInput) -> Variant {
@@ -530,24 +516,28 @@ fn scatter(input: &FamilyInput) -> Variant {
         .op(Op::store("dst", AccessPattern::Random))
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    elementwise(
-        input,
-        "scatter",
-        "scatter",
-        format!(
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "scatter",
+        kernel_name: "scatter",
+        cuda_kernel: format!(
             "__global__ void scatter(long n, const int* idx, const {t}* src, {t}* dst) {{\n\
              \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
              \x20 if (i < n) dst[idx[i]] = src[i];\n}}\n"
         ),
-        "  scatter<<<(n + 255) / 256, 256>>>(n, d_idx, d_src, d_dst);\n".to_string(),
-        None,
-        vec![
+        cuda_launch: "  scatter<<<(n + 255) / 256, 256>>>(n, d_idx, d_src, d_dst);\n".into(),
+        omp_region: None,
+        buffers: vec![
             ("idx".into(), "int".into(), "n".into()),
             ("src".into(), t.into(), "n".into()),
             ("dst".into(), t.into(), "n".into()),
         ],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 fn histogram(input: &FamilyInput) -> Variant {
@@ -562,38 +552,43 @@ fn histogram(input: &FamilyInput) -> Variant {
         .op(Op::store("bins", AccessPattern::Random))
         .guard_fraction(guard_fraction(input, &launch))
         .build();
-    elementwise(
-        input,
-        "histogram",
-        "histogram",
-        "__global__ void histogram(long n, const int* data, int* bins) {\n\
+    let (scalars, args) = n_iters_argv(input);
+    Pieces {
+        name: "histogram",
+        kernel_name: "histogram",
+        cuda_kernel: "__global__ void histogram(long n, const int* data, int* bins) {\n\
          \x20 long i = blockIdx.x * (long)blockDim.x + threadIdx.x;\n\
          \x20 if (i < n) {\n\
          \x20   int bin = (data[i] >> 4) & 255;\n\
          \x20   atomicAdd(&bins[bin], 1);\n\
          \x20 }\n}\n"
-            .to_string(),
-        "  histogram<<<(n + 255) / 256, 256>>>(n, d_data, d_bins);\n".to_string(),
-        Some(
+            .into(),
+        cuda_launch: "  histogram<<<(n + 255) / 256, 256>>>(n, d_data, d_bins);\n".into(),
+        omp_region: Some(
             "#pragma omp target teams distribute parallel for map(to: data[0:n]) map(tofrom: bins[0:256])\n\
              \x20 for (long i = 0; i < n; i++) {\n\
              \x20   int bin = (data[i] >> 4) & 255;\n\
              #pragma omp atomic\n\
              \x20   bins[bin]++;\n\
              \x20 }\n"
-                .to_string(),
+                .into(),
         ),
-        vec![
+        buffers: vec![
             ("data".into(), "int".into(), "n".into()),
             ("bins".into(), "int".into(), "256".into()),
         ],
+        scalars,
+        args,
         ir,
-    )
+        launch,
+    }
+    .package(input)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::Language;
     use pce_gpu_sim::{Precision, Profiler};
     use pce_roofline::{classify_joint, Boundedness, HardwareSpec};
 
@@ -603,6 +598,14 @@ mod tests {
             iters: 1,
             precision: Precision::F32,
             verbosity: 1,
+            language: Language::Cuda,
+        }
+    }
+
+    fn omp_input(n: u64) -> FamilyInput {
+        FamilyInput {
+            language: Language::Omp,
+            ..input(n)
         }
     }
 
@@ -631,24 +634,24 @@ mod tests {
         let summary = v.ir.summarize(&v.launch.params);
         assert_eq!(summary.costs.flops_sp, 2.0 * v.ir.active_fraction);
         // Source mentions the same computation.
-        assert!(v.cuda.contains("a * x[i] + y[i]"));
+        assert!(v.source.unwrap().contains("a * x[i] + y[i]"));
     }
 
     #[test]
     fn transpose_has_strided_store_and_2d_launch() {
         let v = transpose(&input(1 << 20));
-        assert!(v.cuda.contains("dim3 block(16, 16)"));
+        assert!(v.source.unwrap().contains("dim3 block(16, 16)"));
         assert_eq!(v.launch.block.count(), 256);
-        assert!(v.omp.is_none());
+        assert!(transpose(&omp_input(1 << 20)).source.is_none());
     }
 
     #[test]
     fn dot_and_reduce_carry_shared_memory_reductions() {
         for build in [dotprod as fn(&FamilyInput) -> Variant, reduction] {
-            let v = build(&input(1 << 20));
-            assert!(v.cuda.contains("__shared__"));
-            assert!(v.cuda.contains("__syncthreads"));
-            let omp = v.omp.expect("has OMP port");
+            let cuda = build(&input(1 << 20)).source.unwrap();
+            assert!(cuda.contains("__shared__"));
+            assert!(cuda.contains("__syncthreads"));
+            let omp = build(&omp_input(1 << 20)).source.expect("has OMP port");
             assert!(omp.contains("reduction(+:"));
         }
     }

@@ -5,12 +5,13 @@
 //! from 30 kernel families spanning streaming, dense linear algebra,
 //! stencil, and compute-heavy workloads.
 //!
-//! Every generated [`Program`](corpus::Program) carries *two consistent
-//! views* of the same computation:
+//! Every generated [`Program`] carries *two consistent views* of the same
+//! computation:
 //!
 //! * **source text** — a complete, compilable-looking CUDA or OpenMP C++
 //!   program (kernel + host harness + argument parsing), which is what the
-//!   LLMs see in the paper's prompts, and
+//!   LLMs see in the paper's prompts; each program renders only its own
+//!   dialect, and
 //! * **kernel IR + launch config** — the `pce-gpu-sim` lowering, which is
 //!   what the profiler executes to produce ground-truth labels.
 //!
@@ -29,9 +30,9 @@
 //! ```
 //!
 //! Corpora no longer have to be materialized: [`CorpusSpec`] describes a
-//! (possibly variant-expanded) corpus and [`CorpusSpec::stream`] walks it
-//! lazily, with random access to any index — the primitive the sharded
-//! dataset pipeline builds on:
+//! (possibly variant-expanded) corpus, [`CorpusSpec::program`] generates
+//! any index on its own — the primitive the sharded dataset pipeline
+//! builds on — and [`CorpusSpec::stream`] maps it over the whole corpus:
 //!
 //! ```
 //! use pce_kernels::{CorpusConfig, CorpusSpec, VariantAxes};
@@ -54,4 +55,4 @@ pub mod stream;
 
 pub use corpus::{build_corpus, CorpusConfig, Language, Program};
 pub use families::Variant;
-pub use stream::{CorpusSpec, CorpusStream, VariantAxes};
+pub use stream::{CorpusSpec, VariantAxes};

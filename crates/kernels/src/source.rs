@@ -1,6 +1,8 @@
-//! Program-text assembly: wrap a kernel body into a complete benchmark
-//! program (headers, helpers, host harness, argument parsing) in either
-//! CUDA or OpenMP-offload dialect.
+//! Program-text assembly: [`assemble`] wraps a family's pieces into one
+//! complete benchmark program (headers, helpers, host harness, argument
+//! parsing) in the one dialect its corpus slot asks for, CUDA or
+//! OpenMP offload. It is the only assembler; every family reaches it
+//! through [`Pieces::package`].
 //!
 //! The assembler's *verbosity* knob controls how much non-kernel scaffolding
 //! a program carries (validation code, timing helpers, long banners). This
@@ -11,6 +13,8 @@
 use std::sync::LazyLock;
 
 use serde::{Deserialize, Serialize};
+
+use crate::families::Pieces;
 
 /// Corpus language, matching the paper's two HeCBench subsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -48,65 +52,44 @@ impl std::fmt::Display for Language {
     }
 }
 
-/// Scaffolding richness of the generated program, 0 (bare) to 3 (bloated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Verbosity(pub u8);
-
-/// Everything needed to assemble one program's source text.
-#[derive(Debug, Clone)]
-pub struct ProgramParts {
-    /// Benchmark name (family + variant), used in banners and filenames.
-    pub name: String,
-    /// The kernel definition(s), already rendered in the target dialect.
-    pub kernel_code: String,
-    /// Host-side launch statement(s).
-    pub launch_code: String,
-    /// Buffer declarations: `(name, c_type, length_expr)`.
-    pub buffers: Vec<(String, String, String)>,
-    /// Scalar argument declarations parsed from argv:
-    /// `(name, c_type, default)` — position in this list = argv position.
-    pub scalars: Vec<(String, String, String)>,
-    /// Extra helper functions required by this family (verbatim).
-    pub extra_helpers: String,
-}
-
-/// Assemble a complete CUDA program.
-pub fn assemble_cuda(parts: &ProgramParts, verbosity: Verbosity) -> String {
+/// Assemble a family's complete program in `language`, at scaffolding
+/// verbosity 0 (bare) to 3 (bloated). Returns `None` when the family has
+/// no port in that language (no OpenMP region).
+///
+/// Both dialects share one skeleton. They differ only in the banner's
+/// dialect name and the include line, the `CUDA_CHECK` helper (CUDA,
+/// verbosity ≥ 1), the kernel definitions (CUDA only: the OpenMP region
+/// sits inside `main`), and, in `main`, the launch code, the CUDA device
+/// buffers and copies, and the host buffer names.
+pub fn assemble(p: &Pieces, language: Language, verbosity: u8) -> Option<String> {
+    let (dialect, include, launch_code) = match language {
+        Language::Cuda => ("CUDA", "#include <cuda.h>\n\n", p.cuda_launch.as_str()),
+        Language::Omp => (
+            "OpenMP offload",
+            "#include <omp.h>\n\n",
+            p.omp_region.as_deref()?,
+        ),
+    };
+    let cuda = language == Language::Cuda;
     let mut out = String::with_capacity(8 * 1024);
-    banner(&mut out, &parts.name, "CUDA", verbosity);
+    banner(&mut out, p.name, dialect, verbosity);
     out.push_str("#include <cstdio>\n#include <cstdlib>\n#include <cmath>\n");
-    out.push_str("#include <cuda.h>\n\n");
-    if verbosity.0 >= 1 {
+    out.push_str(include);
+    if cuda && verbosity >= 1 {
         out.push_str(CUDA_CHECK_HELPER);
     }
-    if verbosity.0 >= 2 {
+    if verbosity >= 2 {
         out.push_str(TIMER_HELPER);
         out.push_str(FILL_HELPERS);
     }
-    bulk_scaffolding(&mut out, &parts.name, verbosity);
-    out.push_str(&parts.extra_helpers);
+    bulk_scaffolding(&mut out, p.name, verbosity);
     out.push('\n');
-    out.push_str(&parts.kernel_code);
-    out.push('\n');
-    host_main(&mut out, parts, Language::Cuda, verbosity);
-    out
-}
-
-/// Assemble a complete OpenMP-offload program.
-pub fn assemble_omp(parts: &ProgramParts, verbosity: Verbosity) -> String {
-    let mut out = String::with_capacity(8 * 1024);
-    banner(&mut out, &parts.name, "OpenMP offload", verbosity);
-    out.push_str("#include <cstdio>\n#include <cstdlib>\n#include <cmath>\n");
-    out.push_str("#include <omp.h>\n\n");
-    if verbosity.0 >= 2 {
-        out.push_str(TIMER_HELPER);
-        out.push_str(FILL_HELPERS);
+    if cuda {
+        out.push_str(&p.cuda_kernel);
+        out.push('\n');
     }
-    bulk_scaffolding(&mut out, &parts.name, verbosity);
-    out.push_str(&parts.extra_helpers);
-    out.push('\n');
-    host_main(&mut out, parts, Language::Omp, verbosity);
-    out
+    host_main(&mut out, p, launch_code, language, verbosity);
+    Some(out)
 }
 
 /// Long-form scaffolding appended to mid/high-verbosity programs: tuning
@@ -119,11 +102,11 @@ pub fn assemble_omp(parts: &ProgramParts, verbosity: Verbosity) -> String {
 /// program (about 130 formatted lines and 576 float renders), so each is
 /// rendered once per process ([`TUNING_NOTES`], [`REFERENCE_TABLE`]) and
 /// copied in.
-fn bulk_scaffolding(out: &mut String, name: &str, verbosity: Verbosity) {
-    if verbosity.0 >= 2 {
+fn bulk_scaffolding(out: &mut String, name: &str, verbosity: u8) {
+    if verbosity >= 2 {
         out.push_str(&TUNING_NOTES);
     }
-    if verbosity.0 >= 3 {
+    if verbosity >= 3 {
         out.push_str(
             "// ---- usage ------------------------------------------------------\n\
              // This benchmark accepts positional arguments; see main() for the\n\
@@ -191,9 +174,9 @@ static REFERENCE_TABLE: LazyLock<String> = LazyLock::new(|| {
     out
 });
 
-fn banner(out: &mut String, name: &str, dialect: &str, verbosity: Verbosity) {
+fn banner(out: &mut String, name: &str, dialect: &str, verbosity: u8) {
     out.push_str(&format!("// {name} benchmark ({dialect} version)\n"));
-    if verbosity.0 >= 1 {
+    if verbosity >= 1 {
         out.push_str(
             "// Part of a heterogeneous computing benchmark collection.\n\
              // Ground-truth performance characteristics are obtained by\n\
@@ -201,7 +184,7 @@ fn banner(out: &mut String, name: &str, dialect: &str, verbosity: Verbosity) {
              // to source-level performance estimation studies.\n",
         );
     }
-    if verbosity.0 >= 3 {
+    if verbosity >= 3 {
         out.push_str(
             "//\n// Redistribution and use in source and binary forms, with or without\n\
              // modification, are permitted provided that the following conditions\n\
@@ -218,10 +201,21 @@ fn banner(out: &mut String, name: &str, dialect: &str, verbosity: Verbosity) {
     out.push('\n');
 }
 
-fn host_main(out: &mut String, parts: &ProgramParts, lang: Language, verbosity: Verbosity) {
+/// Host-side buffer names: CUDA keeps `h_x` beside the device copy
+/// `d_x`, an OpenMP program maps its one `x`.
+fn host_prefix(language: Language) -> &'static str {
+    match language {
+        Language::Cuda => "h_",
+        Language::Omp => "",
+    }
+}
+
+fn host_main(out: &mut String, p: &Pieces, launch_code: &str, language: Language, verbosity: u8) {
+    let cuda = language == Language::Cuda;
+    let h = host_prefix(language);
     out.push_str("int main(int argc, char* argv[]) {\n");
     // Argv parsing: positional scalars with defaults.
-    for (pos, (name, c_type, default)) in parts.scalars.iter().enumerate() {
+    for (pos, (name, c_type, default)) in p.scalars.iter().enumerate() {
         let idx = pos + 1;
         let parse = if c_type.contains("float") || c_type.contains("double") {
             format!("atof(argv[{idx}])")
@@ -233,95 +227,65 @@ fn host_main(out: &mut String, parts: &ProgramParts, lang: Language, verbosity: 
         ));
     }
     out.push('\n');
-    match lang {
-        Language::Cuda => {
-            for (name, c_type, len) in &parts.buffers {
-                out.push_str(&format!(
-                    "  {c_type}* h_{name} = ({c_type}*)malloc(sizeof({c_type}) * ({len}));\n"
-                ));
-                out.push_str(&format!("  {c_type}* d_{name};\n"));
-                out.push_str(&format!(
-                    "  cudaMalloc(&d_{name}, sizeof({c_type}) * ({len}));\n"
-                ));
-            }
-            if verbosity.0 >= 2 {
-                for (name, c_type, len) in &parts.buffers {
-                    out.push_str(&format!(
-                        "  fill_{}(h_{name}, ({len}));\n",
-                        short_type(c_type)
-                    ));
-                }
-            }
-            for (name, c_type, len) in &parts.buffers {
-                out.push_str(&format!(
-                    "  cudaMemcpy(d_{name}, h_{name}, sizeof({c_type}) * ({len}), cudaMemcpyHostToDevice);\n"
-                ));
-            }
-            out.push('\n');
-            if verbosity.0 >= 2 {
-                out.push_str("  double t0 = wall_time();\n");
-            }
-            out.push_str(&parts.launch_code);
-            out.push_str("  cudaDeviceSynchronize();\n");
-            if verbosity.0 >= 2 {
-                out.push_str(
-                    "  double t1 = wall_time();\n  printf(\"kernel time: %f s\\n\", t1 - t0);\n",
-                );
-            }
-            if let Some((name, c_type, len)) = parts.buffers.last() {
-                out.push_str(&format!(
-                    "  cudaMemcpy(h_{name}, d_{name}, sizeof({c_type}) * ({len}), cudaMemcpyDeviceToHost);\n"
-                ));
-            }
-            if verbosity.0 >= 3 {
-                validation_block(out, parts);
-            }
-            for (name, ..) in &parts.buffers {
-                out.push_str(&format!("  cudaFree(d_{name});\n  free(h_{name});\n"));
-            }
+    for (name, c_type, len) in &p.buffers {
+        out.push_str(&format!(
+            "  {c_type}* {h}{name} = ({c_type}*)malloc(sizeof({c_type}) * ({len}));\n"
+        ));
+        if cuda {
+            out.push_str(&format!("  {c_type}* d_{name};\n"));
+            out.push_str(&format!(
+                "  cudaMalloc(&d_{name}, sizeof({c_type}) * ({len}));\n"
+            ));
         }
-        Language::Omp => {
-            for (name, c_type, len) in &parts.buffers {
-                out.push_str(&format!(
-                    "  {c_type}* {name} = ({c_type}*)malloc(sizeof({c_type}) * ({len}));\n"
-                ));
-            }
-            if verbosity.0 >= 2 {
-                for (name, c_type, len) in &parts.buffers {
-                    out.push_str(&format!(
-                        "  fill_{}({name}, ({len}));\n",
-                        short_type(c_type)
-                    ));
-                }
-            }
-            out.push('\n');
-            if verbosity.0 >= 2 {
-                out.push_str("  double t0 = wall_time();\n");
-            }
-            out.push_str(&parts.launch_code);
-            if verbosity.0 >= 2 {
-                out.push_str(
-                    "  double t1 = wall_time();\n  printf(\"kernel time: %f s\\n\", t1 - t0);\n",
-                );
-            }
-            if verbosity.0 >= 3 {
-                validation_block(out, parts);
-            }
-            for (name, ..) in &parts.buffers {
-                out.push_str(&format!("  free({name});\n"));
-            }
+    }
+    if verbosity >= 2 {
+        for (name, c_type, len) in &p.buffers {
+            out.push_str(&format!(
+                "  fill_{}({h}{name}, ({len}));\n",
+                short_type(c_type)
+            ));
         }
+    }
+    if cuda {
+        for (name, c_type, len) in &p.buffers {
+            out.push_str(&format!(
+                "  cudaMemcpy(d_{name}, h_{name}, sizeof({c_type}) * ({len}), cudaMemcpyHostToDevice);\n"
+            ));
+        }
+    }
+    out.push('\n');
+    if verbosity >= 2 {
+        out.push_str("  double t0 = wall_time();\n");
+    }
+    out.push_str(launch_code);
+    if cuda {
+        out.push_str("  cudaDeviceSynchronize();\n");
+    }
+    if verbosity >= 2 {
+        out.push_str("  double t1 = wall_time();\n  printf(\"kernel time: %f s\\n\", t1 - t0);\n");
+    }
+    if cuda {
+        if let Some((name, c_type, len)) = p.buffers.last() {
+            out.push_str(&format!(
+                "  cudaMemcpy(h_{name}, d_{name}, sizeof({c_type}) * ({len}), cudaMemcpyDeviceToHost);\n"
+            ));
+        }
+    }
+    if verbosity >= 3 {
+        validation_block(out, p, language);
+    }
+    for (name, ..) in &p.buffers {
+        if cuda {
+            out.push_str(&format!("  cudaFree(d_{name});\n"));
+        }
+        out.push_str(&format!("  free({h}{name});\n"));
     }
     out.push_str("  return 0;\n}\n");
 }
 
-fn validation_block(out: &mut String, parts: &ProgramParts) {
-    if let Some((name, c_type, len)) = parts.buffers.last() {
-        let prefix = if parts.kernel_code.contains("__global__") {
-            "h_"
-        } else {
-            ""
-        };
+fn validation_block(out: &mut String, p: &Pieces, language: Language) {
+    if let Some((name, c_type, len)) = p.buffers.last() {
+        let prefix = host_prefix(language);
         out.push_str(&format!(
             "  // lightweight sanity check against NaNs and wild values\n\
              \x20 long bad = 0;\n\
@@ -375,25 +339,38 @@ static void fill_i32(int* p, long n) {\n\
 
 #[cfg(test)]
 mod tests {
+    use pce_gpu_sim::{AccessPattern, Extent, KernelIr, LaunchConfig, Op};
+
     use super::*;
 
-    fn demo_parts() -> ProgramParts {
-        ProgramParts {
-            name: "saxpy".into(),
-            kernel_code: "__global__ void saxpy(int n, float a, const float* x, float* y) {\n  int i = blockIdx.x * blockDim.x + threadIdx.x;\n  if (i < n) y[i] = a * x[i] + y[i];\n}\n".into(),
-            launch_code: "  saxpy<<<(n + 255) / 256, 256>>>(n, 2.0f, d_x, d_y);\n".into(),
+    fn demo_pieces() -> Pieces {
+        Pieces {
+            name: "saxpy",
+            kernel_name: "saxpy",
+            cuda_kernel: "__global__ void saxpy(int n, float a, const float* x, float* y) {\n  int i = blockIdx.x * blockDim.x + threadIdx.x;\n  if (i < n) y[i] = a * x[i] + y[i];\n}\n".into(),
+            cuda_launch: "  saxpy<<<(n + 255) / 256, 256>>>(n, 2.0f, d_x, d_y);\n".into(),
+            omp_region: Some("#pragma omp target teams distribute parallel for map(to: x[0:n]) map(tofrom: y[0:n])\n  for (int i = 0; i < n; i++) y[i] = 2.0f * x[i] + y[i];\n".into()),
             buffers: vec![
                 ("x".into(), "float".into(), "n".into()),
                 ("y".into(), "float".into(), "n".into()),
             ],
             scalars: vec![("n".into(), "int".into(), "1048576".into())],
-            extra_helpers: String::new(),
+            args: vec!["1048576".into()],
+            ir: KernelIr::builder("saxpy")
+                .buffer("x", 4, Extent::Param("n".into()))
+                .op(Op::load("x", AccessPattern::Coalesced))
+                .build(),
+            launch: LaunchConfig::linear(1 << 20, 256).expect("valid launch"),
         }
+    }
+
+    fn cuda(verbosity: u8) -> String {
+        assemble(&demo_pieces(), Language::Cuda, verbosity).expect("CUDA always renders")
     }
 
     #[test]
     fn cuda_program_has_expected_sections() {
-        let src = assemble_cuda(&demo_parts(), Verbosity(1));
+        let src = cuda(1);
         for needle in [
             "#include <cuda.h>",
             "__global__ void saxpy",
@@ -409,21 +386,21 @@ mod tests {
 
     #[test]
     fn omp_program_has_no_cuda_artifacts() {
-        let mut parts = demo_parts();
-        parts.kernel_code = String::new();
-        parts.launch_code = "#pragma omp target teams distribute parallel for map(to: x[0:n]) map(tofrom: y[0:n])\n  for (int i = 0; i < n; i++) y[i] = 2.0f * x[i] + y[i];\n".into();
-        let src = assemble_omp(&parts, Verbosity(1));
+        let mut pieces = demo_pieces();
+        let src = assemble(&pieces, Language::Omp, 3).expect("has an OMP region");
         assert!(src.contains("#include <omp.h>"));
         assert!(src.contains("#pragma omp target"));
-        assert!(!src.contains("cudaMalloc"));
+        assert!(src.contains("val = y[v];"), "host buffers keep their names");
+        for cuda_only in ["cudaMalloc", "__global__", "CUDA_CHECK", "h_x"] {
+            assert!(!src.contains(cuda_only), "leaked {cuda_only}");
+        }
+        pieces.omp_region = None;
+        assert_eq!(assemble(&pieces, Language::Omp, 1), None);
     }
 
     #[test]
     fn verbosity_strictly_grows_source() {
-        let parts = demo_parts();
-        let sizes: Vec<usize> = (0..4)
-            .map(|v| assemble_cuda(&parts, Verbosity(v)).len())
-            .collect();
+        let sizes: Vec<usize> = (0..4).map(|v| cuda(v).len()).collect();
         for w in sizes.windows(2) {
             assert!(w[0] < w[1], "verbosity must add text: {sizes:?}");
         }
@@ -431,16 +408,16 @@ mod tests {
 
     #[test]
     fn verbose_programs_carry_helpers_and_validation() {
-        let src = assemble_cuda(&demo_parts(), Verbosity(3));
+        let src = cuda(3);
         assert!(src.contains("wall_time"));
         assert!(src.contains("fill_f32"));
         assert!(src.contains("validation"));
+        assert!(src.contains("val = h_y[v];"));
     }
 
     #[test]
     fn scalar_defaults_appear() {
-        let src = assemble_cuda(&demo_parts(), Verbosity(0));
-        assert!(src.contains(": 1048576;"));
+        assert!(cuda(0).contains(": 1048576;"));
     }
 
     #[test]

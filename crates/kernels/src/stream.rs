@@ -7,13 +7,15 @@
 //!   cross product of problem-size shifts, datatype flips, unroll-pragma
 //!   factors, and fused-op chain lengths. A 210-program smoke corpus with
 //!   modest axes becomes a 10k+-variant corpus without new family code.
-//! * **Lazy streaming** ([`CorpusStream`]): programs are generated on
-//!   demand, in a deterministic order, from nothing but the spec and an
-//!   index. Nothing is materialized until a consumer asks, and any
-//!   sub-range can be regenerated independently — which is what lets the
-//!   dataset pipeline run in bounded-memory shards.
+//! * **Lazy streaming**: [`CorpusSpec::program`] is the one generator.
+//!   It builds the program at any index from nothing but the spec and
+//!   that index, rendering only the dialect of the index's corpus slot.
+//!   [`CorpusSpec::stream`] and [`CorpusSpec::stream_range`] map it over
+//!   an index range, so nothing is materialized until a consumer asks,
+//!   and any sub-range can be regenerated independently — which is what
+//!   lets the dataset pipeline run in bounded-memory shards.
 //!
-//! [`build_corpus`](crate::build_corpus) is now just the eager consumer:
+//! [`build_corpus`](crate::build_corpus) is just the eager consumer:
 //! `CorpusSpec::materialized(cfg).stream().collect()`. With all axes empty
 //! the stream yields byte-identical programs (same ids, same order) to the
 //! historical materialized builder — the invariant the whole refactor
@@ -30,8 +32,7 @@ use serde::{Deserialize, Serialize};
 use pce_fault::PceError;
 use pce_gpu_sim::{Op, Precision};
 
-use crate::corpus::{sample_input, weighted_families, CorpusConfig, Program};
-use crate::families::Family;
+use crate::corpus::{sample_input, CorpusConfig, Program, WEIGHTED_FAMILIES};
 use crate::source::Language;
 
 /// Parametric variant axes: every base program expands into the cross
@@ -125,85 +126,102 @@ impl CorpusSpec {
     /// A lazy iterator over the whole corpus, in deterministic order:
     /// base programs in the historical order, each immediately followed
     /// by its expanded variants.
-    pub fn stream(&self) -> CorpusStream {
-        CorpusStream::new(self.clone(), 0, self.len())
+    pub fn stream(&self) -> impl ExactSizeIterator<Item = Result<Program, PceError>> + '_ {
+        self.stream_range(0, self.len())
     }
 
     /// A lazy iterator over the index range `start..end` (clamped to the
     /// corpus length) — the shard primitive: any sub-range regenerates
     /// independently of the rest of the corpus.
-    pub fn stream_range(&self, start: usize, end: usize) -> CorpusStream {
+    pub fn stream_range(
+        &self,
+        start: usize,
+        end: usize,
+    ) -> impl ExactSizeIterator<Item = Result<Program, PceError>> + '_ {
         let end = end.min(self.len());
-        CorpusStream::new(self.clone(), start.min(end), end)
+        (start.min(end)..end).map(move |k| self.program(k))
     }
 
-    /// Generate the program at stream index `k` (random access). Every
-    /// program derives from the spec and its index alone, so shards never
-    /// need the rest of the corpus in memory.
+    /// Generate the program at stream index `k` (random access): the one
+    /// generator both streams map over. Every program derives from the
+    /// spec and its index alone, so shards never need the rest of the
+    /// corpus in memory, and it renders only its slot's dialect.
+    ///
+    /// Fails only on an index past the end or a family registry violation
+    /// (a family advertising an OMP port it does not render), surfaced as
+    /// [`PceError::Spec`] instead of a panic.
     pub fn program(&self, k: usize) -> Result<Program, PceError> {
-        let (fams, omp_fams) = weighted_families();
-        generate(self, &fams, &omp_fams, k)
-    }
-}
+        let (fams, omp_fams) = &*WEIGHTED_FAMILIES;
+        let factor = self.axes.expansion_factor();
+        let base_slot = k / factor;
+        let v = k % factor;
+        let (language, index, fam) = if base_slot < self.base.cuda_programs {
+            (Language::Cuda, base_slot, &fams[base_slot % fams.len()])
+        } else {
+            let i = base_slot - self.base.cuda_programs;
+            if i >= self.base.omp_programs {
+                return Err(PceError::spec(format!(
+                    "stream index {k} beyond corpus length {}",
+                    self.len()
+                )));
+            }
+            (Language::Omp, i, &omp_fams[i % omp_fams.len()])
+        };
 
-/// A lazy, deterministic iterator over a [`CorpusSpec`]'s programs.
-///
-/// Yields `Result<Program, PceError>`: generation fails only on a family
-/// registry violation (a family advertising an OMP port it does not
-/// render), surfaced as [`PceError::Spec`] instead of a panic.
-pub struct CorpusStream {
-    spec: CorpusSpec,
-    fams: Vec<Family>,
-    omp_fams: Vec<Family>,
-    next: usize,
-    end: usize,
-}
-
-impl std::fmt::Debug for CorpusStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CorpusStream")
-            .field("next", &self.next)
-            .field("end", &self.end)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CorpusStream {
-    fn new(spec: CorpusSpec, start: usize, end: usize) -> CorpusStream {
-        let (fams, omp_fams) = weighted_families();
-        CorpusStream {
-            spec,
-            fams,
-            omp_fams,
-            next: start,
-            end,
+        let sel = decode_variant(&self.axes, v);
+        let mut input = sample_input(self.base.seed, language, fam.name, index);
+        if let Some(shift) = sel.size_shift {
+            input.n = shift_n(input.n, shift);
         }
-    }
-
-    /// Programs remaining in the stream.
-    pub fn remaining(&self) -> usize {
-        self.end - self.next
-    }
-}
-
-impl Iterator for CorpusStream {
-    type Item = Result<Program, PceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.end {
-            return None;
+        if sel.flip_precision {
+            input.precision = match input.precision {
+                Precision::F32 => Precision::F64,
+                Precision::F64 => Precision::F32,
+            };
         }
-        let k = self.next;
-        self.next += 1;
-        Some(generate(&self.spec, &self.fams, &self.omp_fams, k))
-    }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining(), Some(self.remaining()))
+        // Every family renders CUDA, so only an OMP slot can come back
+        // without a source.
+        let variant = (fam.build)(&input);
+        let mut source = variant.source.ok_or_else(|| {
+            PceError::spec(format!(
+                "family '{}' advertises an OMP port but rendered none",
+                fam.name
+            ))
+        })?;
+        let mut ir = variant.ir;
+
+        if let Some(factor) = sel.unroll {
+            source = inject_unroll(&source, factor, language);
+        }
+        if let Some(stages) = sel.fused {
+            append_fused_chain(&mut source, &mut ir, stages, input.precision, language);
+        }
+        // Consumers hold a shard or a whole corpus of programs at once: keep
+        // each one's text without the slack its assembly grew into.
+        source.shrink_to_fit();
+
+        let lang_tag = match language {
+            Language::Cuda => "cuda",
+            Language::Omp => "omp",
+        };
+        let id = if v == 0 {
+            format!("{lang_tag}-{}-{index:04}", fam.name)
+        } else {
+            format!("{lang_tag}-{}-{index:04}-v{v:03}", fam.name)
+        };
+        Ok(Program {
+            id,
+            family: fam.name.to_string(),
+            language,
+            source,
+            kernel_name: variant.kernel_name,
+            ir,
+            launch: variant.launch,
+            args: variant.args,
+        })
     }
 }
-
-impl ExactSizeIterator for CorpusStream {}
 
 /// One decoded variant selection: which entry of each axis applies
 /// (`None` = the identity on that axis).
@@ -236,84 +254,6 @@ fn decode_variant(axes: &VariantAxes, mut v: usize) -> VariantSel {
         unroll,
         fused,
     }
-}
-
-/// Generate the program at stream index `k`.
-fn generate(
-    spec: &CorpusSpec,
-    fams: &[Family],
-    omp_fams: &[Family],
-    k: usize,
-) -> Result<Program, PceError> {
-    let factor = spec.axes.expansion_factor();
-    let base_slot = k / factor;
-    let v = k % factor;
-    let (language, index, fam) = if base_slot < spec.base.cuda_programs {
-        (Language::Cuda, base_slot, &fams[base_slot % fams.len()])
-    } else {
-        let i = base_slot - spec.base.cuda_programs;
-        if i >= spec.base.omp_programs {
-            return Err(PceError::spec(format!(
-                "stream index {k} beyond corpus length {}",
-                spec.len()
-            )));
-        }
-        (Language::Omp, i, &omp_fams[i % omp_fams.len()])
-    };
-
-    let sel = decode_variant(&spec.axes, v);
-    let mut input = sample_input(spec.base.seed, language, fam.name, index);
-    if let Some(shift) = sel.size_shift {
-        input.n = shift_n(input.n, shift);
-    }
-    if sel.flip_precision {
-        input.precision = match input.precision {
-            Precision::F32 => Precision::F64,
-            Precision::F64 => Precision::F32,
-        };
-    }
-
-    let variant = (fam.build)(&input);
-    let mut source = match language {
-        Language::Cuda => variant.cuda,
-        Language::Omp => variant.omp.ok_or_else(|| {
-            PceError::spec(format!(
-                "family '{}' advertises an OMP port but rendered none",
-                fam.name
-            ))
-        })?,
-    };
-    let mut ir = variant.ir;
-
-    if let Some(factor) = sel.unroll {
-        source = inject_unroll(&source, factor, language);
-    }
-    if let Some(stages) = sel.fused {
-        append_fused_chain(&mut source, &mut ir, stages, input.precision, language);
-    }
-    // Consumers hold a shard or a whole corpus of programs at once: keep
-    // each one's text without the slack its assembly grew into.
-    source.shrink_to_fit();
-
-    let lang_tag = match language {
-        Language::Cuda => "cuda",
-        Language::Omp => "omp",
-    };
-    let id = if v == 0 {
-        format!("{lang_tag}-{}-{index:04}", fam.name)
-    } else {
-        format!("{lang_tag}-{}-{index:04}-v{v:03}", fam.name)
-    };
-    Ok(Program {
-        id,
-        family: fam.name.to_string(),
-        language,
-        source,
-        kernel_name: variant.kernel_name,
-        ir,
-        launch: variant.launch,
-        args: variant.args,
-    })
 }
 
 /// Shift a problem size by `shift` log2 steps, clamped to `2^10..=2^28`

@@ -10,9 +10,9 @@
 //! 1. [`pretokenize`](pretokenizer::pretokenize) splits text into
 //!    word-like chunks (identifier runs, number runs, punctuation,
 //!    leading-space words) so merges never cross chunk boundaries,
-//! 2. [`BpeTrainer`](train::BpeTrainer) learns a merge table from a corpus
+//! 2. [`BpeTrainer`] learns a merge table from a corpus
 //!    by repeatedly fusing the most frequent adjacent symbol pair,
-//! 3. [`Tokenizer`](bpe::Tokenizer) applies the merge table greedily
+//! 3. [`Tokenizer`] applies the merge table greedily
 //!    (lowest merge rank first) to encode arbitrary text; decoding is the
 //!    exact inverse.
 //!
@@ -26,7 +26,7 @@
 //! (the §2.2 funnel tokenizes the whole corpus), so both are the fast
 //! variants of the textbook algorithms:
 //!
-//! * [`BpeTrainer`](train::BpeTrainer) is *incremental*: a pair→frequency
+//! * [`BpeTrainer`] is *incremental*: a pair→frequency
 //!   map, a pair→words inverted index, and a lazily-validated max-heap
 //!   replace the per-merge global recount — O(corpus + vocab·log corpus)
 //!   instead of O(vocab × corpus) — with rayon-parallel initial chunk
@@ -36,7 +36,7 @@
 //!   newline-terminated segments: one per call or, in
 //!   [`count_batch`](bpe::Tokenizer::count_batch), one per worker.
 //!
-//! The original naive algorithms live on in [`reference`] as the
+//! The original naive algorithms live on in [`mod@reference`] as the
 //! correctness oracle (property-tested bit-identical) and the benchmark
 //! baseline.
 //!
