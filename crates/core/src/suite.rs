@@ -212,9 +212,11 @@ impl FlipAnalysis {
 
 /// One matrix cell's result: a completed Table-1 evaluation, or a
 /// structured failure that leaves the rest of the matrix intact.
-// A suite holds at most a few dozen cells, so the size gap between the
-// completed and failed variants costs nothing in practice.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a suite holds at most a few dozen cells, so the size gap \
+              between the completed and failed variants costs nothing"
+)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CellOutcome {
     /// The cell ran to completion.

@@ -196,7 +196,8 @@ pub struct PipelineReport {
 ///
 /// # Panics
 /// Panics when `tokenized` was built from a different corpus (length
-/// mismatch), or when `cfg.specs` holds a spec in the wrong class slot.
+/// mismatch), when `cfg.specs` holds a spec in the wrong class slot, or
+/// when two programs share an id (the selection stage's uniqueness check).
 pub fn run_pipeline_cached(
     corpus: &[Program],
     tokenized: &TokenizedCorpus,

@@ -305,7 +305,6 @@ impl HardwareSpec {
     ///   `sp_flops_per_cycle / 2` per core per cycle — copying the
     ///   FMA-doubled GFLOP/s figure into the INTOP peak would double-count
     ///   integer throughput (and double the INT ridge point).
-    #[allow(clippy::too_many_arguments)]
     fn cpu(
         name: &str,
         cores: u32,

@@ -23,7 +23,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::structure::{find_kernels, match_paren_like, KernelRegion};
+use crate::structure::{
+    all_loops, find_kernels, match_paren_like, paren_after, stmt_or_block, KernelRegion, LoopInfo,
+};
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -185,25 +187,26 @@ pub fn diagnose(source: &str) -> Vec<Diagnostic> {
 }
 
 /// [`diagnose`] against an existing token stream and kernel set, so
-/// callers that already ran the estimator don't lex twice.
-pub fn diagnose_tokens(
+/// the estimator's `analyze` doesn't lex twice.
+pub(crate) fn diagnose_tokens(
     source: &str,
     tokens: &[Token<'_>],
     kernels: &[KernelRegion],
 ) -> Vec<Diagnostic> {
     let mut sink = Sink::default();
     for kernel in kernels {
+        let loops = all_loops(tokens, kernel.body);
+        let inductions: BTreeSet<&str> = loops.iter().filter_map(|lp| lp.var).collect();
         if kernel.is_omp {
-            check_omp_reduction(source, tokens, kernel, &mut sink);
-            check_strided_omp(source, tokens, kernel, &mut sink);
+            check_omp_reduction(source, tokens, kernel, &inductions, &mut sink);
+            check_strided_omp(source, tokens, kernel, &loops, &mut sink);
         } else {
             let ctx = CudaCtx::new(tokens, kernel);
             let mut state = RaceState::default();
             walk_range(source, &ctx, kernel.body, false, &mut state, &mut sink);
-            check_global_race(source, &ctx, kernel, &mut sink);
-            check_strided_cuda(source, &ctx, kernel, &mut sink);
+            check_global_subscripts(source, &ctx, &mut sink);
         }
-        check_loop_carried(source, tokens, kernel, &mut sink);
+        check_loop_carried(source, tokens, kernel, &loops, &inductions, &mut sink);
     }
     let mut out = sink.diags;
     out.sort_by_key(|d| (d.span.start, d.rule));
@@ -433,7 +436,6 @@ fn walk_range<'a>(
 }
 
 /// Walk one statement starting at `i`; returns the resume index.
-#[allow(clippy::too_many_arguments)]
 fn walk_stmt<'a>(
     source: &str,
     ctx: &CudaCtx<'_, 'a>,
@@ -545,31 +547,6 @@ fn walk_stmt<'a>(
     j + 1
 }
 
-/// The token index of the `)` matching the `(` right after `i`, if any.
-fn paren_after(tokens: &[Token<'_>], i: usize, limit: usize) -> Option<usize> {
-    if i + 1 < limit && tokens[i + 1].is("(") {
-        let end = match_paren_like(tokens, i + 1, "(", ")");
-        (end < limit).then_some(end)
-    } else {
-        None
-    }
-}
-
-/// Body range of the statement-or-block starting at `start`, plus the
-/// resume index after it.
-fn stmt_or_block(tokens: &[Token<'_>], start: usize, limit: usize) -> ((usize, usize), usize) {
-    if start < limit && tokens[start].is("{") {
-        let end = match_paren_like(tokens, start, "{", "}");
-        ((start + 1, end.min(limit)), (end + 1).min(limit + 1))
-    } else {
-        let mut j = start;
-        while j < limit && !tokens[j].is(";") {
-            j += 1;
-        }
-        ((start, (j + 1).min(limit)), (j + 1).min(limit + 1))
-    }
-}
-
 /// Whether a condition token range mentions threadIdx (any component) or
 /// a thread-tainted ident. blockIdx is uniform within a block, so it
 /// cannot diverge a `__syncthreads()`.
@@ -652,44 +629,61 @@ fn extract_accesses<'a>(
     range: (usize, usize),
     names: &BTreeSet<&str>,
 ) -> Vec<Access<'a>> {
-    let mut out = Vec::new();
+    let hi = range.1.min(tokens.len());
+    subscripts(tokens, range, |name| names.contains(name))
+        .map(|(at, after)| {
+            let pre_incr = at > range.0 && (tokens[at - 1].is("++") || tokens[at - 1].is("--"));
+            let is_write = pre_incr
+                || (after < hi
+                    && matches!(
+                        tokens[after].text,
+                        "=" | "+="
+                            | "-="
+                            | "*="
+                            | "/="
+                            | "%="
+                            | "&="
+                            | "|="
+                            | "^="
+                            | "++"
+                            | "--"
+                            | "<<="
+                            | ">>="
+                    ));
+            Access {
+                at,
+                array: tokens[at].text,
+                index: joined_text(&tokens[at + 1..after]),
+                is_write,
+            }
+        })
+        .collect()
+}
+
+/// Every `name[...]...` access in `range` whose name token satisfies
+/// `pick`: yields the name's token index and the index just past its
+/// subscript groups, and resumes the scan there. Names `pick` rejects
+/// are stepped over, so their subscripts are scanned too.
+fn subscripts<'t>(
+    tokens: &'t [Token<'t>],
+    range: (usize, usize),
+    pick: impl Fn(&str) -> bool + 't,
+) -> impl Iterator<Item = (usize, usize)> + 't {
     let hi = range.1.min(tokens.len());
     let mut i = range.0;
-    while i < hi {
-        let t = &tokens[i];
-        if t.kind == TokenKind::Ident && names.contains(t.text) && i + 1 < hi {
-            if let Some(after) = subscript_end(tokens, i + 1, hi) {
-                let pre_incr = i > range.0 && (tokens[i - 1].is("++") || tokens[i - 1].is("--"));
-                let is_write = pre_incr
-                    || (after < hi
-                        && matches!(
-                            tokens[after].text,
-                            "=" | "+="
-                                | "-="
-                                | "*="
-                                | "/="
-                                | "%="
-                                | "&="
-                                | "|="
-                                | "^="
-                                | "++"
-                                | "--"
-                                | "<<="
-                                | ">>="
-                        ));
-                out.push(Access {
-                    at: i,
-                    array: t.text,
-                    index: joined_text(&tokens[i + 1..after]),
-                    is_write,
-                });
-                i = after;
-                continue;
+    std::iter::from_fn(move || {
+        while i < hi {
+            let at = i;
+            i += 1;
+            if tokens[at].kind == TokenKind::Ident && pick(tokens[at].text) {
+                if let Some(after) = subscript_end(tokens, at + 1, hi) {
+                    i = after;
+                    return Some((at, after));
+                }
             }
         }
-        i += 1;
-    }
-    out
+        None
+    })
 }
 
 /// The index just past the consecutive `[...]` groups starting at `i`
@@ -718,44 +712,56 @@ fn joined_text(tokens: &[Token<'_>]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Global-accumulation race (CUDA).
+// Global-memory subscripts (CUDA): accumulation races and strided lanes.
 // ---------------------------------------------------------------------------
 
-/// Compound accumulation into a parameter array whose subscript is
-/// uniform across threads — every thread hammers the same element.
-fn check_global_race(source: &str, ctx: &CudaCtx<'_, '_>, kernel: &KernelRegion, sink: &mut Sink) {
-    let tokens = ctx.tokens;
+/// One pass over the subscripts of the parameter arrays that are not
+/// `__shared__` (global memory):
+///
+/// * compound accumulation whose subscript is uniform across threads —
+///   every thread hammers the same element (`global-race`);
+/// * a lane-index-derived ident (from `threadIdx.x`) scaled by a
+///   multiplication — adjacent threads touch elements a stride apart
+///   (`strided-access`).
+fn check_global_subscripts(source: &str, ctx: &CudaCtx<'_, '_>, sink: &mut Sink) {
+    let (tokens, kernel) = (ctx.tokens, ctx.kernel);
     let hi = kernel.body.1.min(tokens.len());
-    let mut i = kernel.body.0;
-    while i < hi {
-        let t = &tokens[i];
-        let is_target = t.kind == TokenKind::Ident
-            && ctx.params.contains(t.text)
-            && !ctx.shared.contains(t.text);
-        if is_target {
-            if let Some(after) = subscript_end(tokens, i + 1, hi) {
-                let accumulates = after < hi
-                    && matches!(tokens[after].text, "+=" | "-=" | "*=" | "/=" | "++" | "--");
-                if accumulates && !index_mentions_thread(ctx, (i + 1, after)) {
-                    sink.emit(
-                        source,
-                        RuleId::GlobalRace,
-                        t,
-                        &kernel.name,
-                        format!(
-                            "'{}{}' accumulates into global memory with a \
-                             thread-independent index and no atomicAdd: \
-                             every thread races on the same element",
-                            t.text,
-                            joined_text(&tokens[i + 1..after])
-                        ),
-                    );
-                }
-                i = after;
-                continue;
-            }
+    let global = |name: &str| ctx.params.contains(name) && !ctx.shared.contains(name);
+    for (at, after) in subscripts(tokens, kernel.body, global) {
+        let t = &tokens[at];
+        let accumulates =
+            after < hi && matches!(tokens[after].text, "+=" | "-=" | "*=" | "/=" | "++" | "--");
+        if accumulates && !index_mentions_thread(ctx, (at + 1, after)) {
+            sink.emit(
+                source,
+                RuleId::GlobalRace,
+                t,
+                &kernel.name,
+                format!(
+                    "'{}{}' accumulates into global memory with a \
+                     thread-independent index and no atomicAdd: \
+                     every thread races on the same element",
+                    t.text,
+                    joined_text(&tokens[at + 1..after])
+                ),
+            );
         }
-        i += 1;
+        if let Some(scaled) = find_scaled_ident(tokens, (at + 1, after), |name, k| {
+            ctx.lane_taint.contains(name)
+                || (k > 0 && thread_component(tokens, k, "threadIdx") == Some("x"))
+        }) {
+            sink.emit(
+                source,
+                RuleId::StridedAccess,
+                t,
+                &kernel.name,
+                format!(
+                    "subscript of '{}' multiplies the lane index '{}': adjacent \
+                     threads access elements a stride apart (uncoalesced)",
+                    t.text, scaled
+                ),
+            );
+        }
     }
 }
 
@@ -923,32 +929,15 @@ fn declared_idents<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> BTreeSet<
     out
 }
 
-/// Induction variables of every `for` header in a range.
-fn loop_vars<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> BTreeSet<&'a str> {
-    let mut out = BTreeSet::new();
-    let hi = range.1.min(tokens.len());
-    let mut i = range.0;
-    while i < hi {
-        if tokens[i].is("for") && i + 1 < hi && tokens[i + 1].is("(") {
-            let header_end = match_paren_like(tokens, i + 1, "(", ")").min(hi);
-            // `for (type? var = ...` — the ident right before the first '='.
-            let mut j = i + 2;
-            while j + 1 < header_end {
-                if tokens[j].kind == TokenKind::Ident && tokens[j + 1].is("=") {
-                    out.insert(tokens[j].text);
-                    break;
-                }
-                j += 1;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 /// Scalar accumulation in a parallel OMP region without a matching
 /// `reduction` clause, declared-inside privatization, or atomic guard.
-fn check_omp_reduction(source: &str, tokens: &[Token<'_>], kernel: &KernelRegion, sink: &mut Sink) {
+fn check_omp_reduction(
+    source: &str,
+    tokens: &[Token<'_>],
+    kernel: &KernelRegion,
+    inductions: &BTreeSet<&str>,
+    sink: &mut Sink,
+) {
     let pragmas = region_pragmas(tokens, kernel);
     let parallel = pragmas
         .iter()
@@ -958,7 +947,6 @@ fn check_omp_reduction(source: &str, tokens: &[Token<'_>], kernel: &KernelRegion
     }
     let reductions = reduction_vars(&pragmas);
     let declared = declared_idents(tokens, kernel.body);
-    let inductions = loop_vars(tokens, kernel.body);
     let hi = kernel.body.1.min(tokens.len());
     let mut i = kernel.body.0;
     while i + 1 < hi {
@@ -1038,14 +1026,16 @@ fn atomic_guarded(tokens: &[Token<'_>], lo: usize, i: usize) -> bool {
 
 /// Scalar compound accumulation inside a loop body: each iteration waits
 /// on the previous one's result (a serialized FMA chain).
-fn check_loop_carried(source: &str, tokens: &[Token<'_>], kernel: &KernelRegion, sink: &mut Sink) {
-    let inductions = loop_vars(tokens, kernel.body);
-    let hi = kernel.body.1.min(tokens.len());
-    // Token ranges covered by some loop body.
-    let loop_bodies = all_loop_bodies(tokens, kernel.body);
-    for (lo, body_hi) in loop_bodies {
-        let mut i = lo;
-        let body_hi = body_hi.min(hi);
+fn check_loop_carried(
+    source: &str,
+    tokens: &[Token<'_>],
+    kernel: &KernelRegion,
+    loops: &[LoopInfo<'_>],
+    inductions: &BTreeSet<&str>,
+    sink: &mut Sink,
+) {
+    for lp in loops {
+        let (mut i, body_hi) = lp.body;
         while i + 1 < body_hi {
             let t = &tokens[i];
             let prev_subscripted = i > 0 && tokens[i - 1].is("]");
@@ -1075,136 +1065,48 @@ fn check_loop_carried(source: &str, tokens: &[Token<'_>], kernel: &KernelRegion,
     }
 }
 
-/// Every loop body range (at any nesting depth) within `range`.
-fn all_loop_bodies(tokens: &[Token<'_>], range: (usize, usize)) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let hi = range.1.min(tokens.len());
-    let mut i = range.0;
-    while i < hi {
-        if tokens[i].is("for") && i + 1 < hi && tokens[i + 1].is("(") {
-            let header_end = match_paren_like(tokens, i + 1, "(", ")");
-            if header_end < hi {
-                let (body, _) = stmt_or_block(tokens, header_end + 1, hi);
-                out.push(body);
-            }
-            i = header_end + 1;
-            continue;
-        }
-        i += 1;
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Strided / uncoalesced subscripts.
 // ---------------------------------------------------------------------------
 
-/// CUDA: a lane-index-derived ident (from `threadIdx.x`) scaled by a
-/// multiplication inside a global-array subscript — adjacent threads
-/// touch elements a stride apart.
-fn check_strided_cuda(source: &str, ctx: &CudaCtx<'_, '_>, kernel: &KernelRegion, sink: &mut Sink) {
-    let tokens = ctx.tokens;
-    let hi = kernel.body.1.min(tokens.len());
-    let mut i = kernel.body.0;
-    while i < hi {
-        let t = &tokens[i];
-        let global_array = t.kind == TokenKind::Ident
-            && ctx.params.contains(t.text)
-            && !ctx.shared.contains(t.text);
-        if global_array {
-            if let Some(after) = subscript_end(tokens, i + 1, hi) {
-                if let Some(scaled) = find_scaled_ident(tokens, (i + 1, after), |name, k| {
-                    ctx.lane_taint.contains(name)
-                        || (k > 0 && thread_component(tokens, k, "threadIdx") == Some("x"))
-                }) {
-                    sink.emit(
-                        source,
-                        RuleId::StridedAccess,
-                        t,
-                        &kernel.name,
-                        format!(
-                            "subscript of '{}' multiplies the lane index '{}': adjacent \
-                             threads access elements a stride apart (uncoalesced)",
-                            t.text, scaled
-                        ),
-                    );
-                }
-                i = after;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
 /// OMP: the innermost loop's induction variable scaled by a
 /// multiplication inside a subscript — consecutive iterations touch
-/// elements a stride apart (defeats vectorized/contiguous access).
-fn check_strided_omp(source: &str, tokens: &[Token<'_>], kernel: &KernelRegion, sink: &mut Sink) {
-    let innermost = innermost_loop_vars(tokens, kernel.body);
+/// elements a stride apart (defeats vectorized/contiguous access). A loop
+/// is innermost when no `for` token appears in its body.
+fn check_strided_omp(
+    source: &str,
+    tokens: &[Token<'_>],
+    kernel: &KernelRegion,
+    loops: &[LoopInfo<'_>],
+    sink: &mut Sink,
+) {
+    let innermost: BTreeSet<&str> = loops
+        .iter()
+        .filter(|lp| !tokens[lp.body.0..lp.body.1].iter().any(|t| t.is("for")))
+        .filter_map(|lp| lp.var)
+        .collect();
     if innermost.is_empty() {
         return;
     }
-    let hi = kernel.body.1.min(tokens.len());
-    let mut i = kernel.body.0;
-    while i < hi {
-        if tokens[i].kind == TokenKind::Ident && i + 1 < hi {
-            if let Some(after) = subscript_end(tokens, i + 1, hi) {
-                if let Some(scaled) =
-                    find_scaled_ident(tokens, (i + 1, after), |name, _| innermost.contains(name))
-                {
-                    let t = &tokens[i];
-                    sink.emit(
-                        source,
-                        RuleId::StridedAccess,
-                        t,
-                        &kernel.name,
-                        format!(
-                            "subscript of '{}' multiplies the innermost loop index \
-                             '{}': consecutive iterations access elements a stride \
-                             apart (uncoalesced / unvectorizable)",
-                            t.text, scaled
-                        ),
-                    );
-                }
-                i = after;
-                continue;
-            }
+    for (at, after) in subscripts(tokens, kernel.body, |_| true) {
+        if let Some(scaled) =
+            find_scaled_ident(tokens, (at + 1, after), |name, _| innermost.contains(name))
+        {
+            let t = &tokens[at];
+            sink.emit(
+                source,
+                RuleId::StridedAccess,
+                t,
+                &kernel.name,
+                format!(
+                    "subscript of '{}' multiplies the innermost loop index \
+                     '{}': consecutive iterations access elements a stride \
+                     apart (uncoalesced / unvectorizable)",
+                    t.text, scaled
+                ),
+            );
         }
-        i += 1;
     }
-}
-
-/// Induction variables of loops that contain no nested loop.
-fn innermost_loop_vars<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> BTreeSet<&'a str> {
-    let mut out = BTreeSet::new();
-    let hi = range.1.min(tokens.len());
-    let mut i = range.0;
-    while i < hi {
-        if tokens[i].is("for") && i + 1 < hi && tokens[i + 1].is("(") {
-            let header_end = match_paren_like(tokens, i + 1, "(", ")");
-            if header_end >= hi {
-                i += 1;
-                continue;
-            }
-            let (body, _) = stmt_or_block(tokens, header_end + 1, hi);
-            let has_nested = tokens[body.0..body.1.min(hi)].iter().any(|t| t.is("for"));
-            if !has_nested {
-                let mut j = i + 2;
-                while j + 1 < header_end {
-                    if tokens[j].kind == TokenKind::Ident && tokens[j + 1].is("=") {
-                        out.insert(tokens[j].text);
-                        break;
-                    }
-                    j += 1;
-                }
-            }
-            i = header_end + 1;
-            continue;
-        }
-        i += 1;
-    }
-    out
 }
 
 /// An ident inside `range` that is adjacent to a `*` (either side) and
@@ -1487,6 +1389,21 @@ mod tests {
                    \x20   out[x * dim + y] = in[y * dim + x];\n\
                    \x20 }\n}\n";
         assert!(rules_hit(src).contains("strided-access"));
+    }
+
+    #[test]
+    fn subscript_scan_resumes_past_picked_subscripts_only() {
+        let toks = lex("a[b[i]][j] = c[k] + d;");
+        let names = |pick: &dyn Fn(&str) -> bool| -> Vec<&str> {
+            subscripts(&toks, (0, toks.len()), pick)
+                .map(|(at, after)| {
+                    assert!(toks[at + 1].is("[") && toks[after - 1].is("]"));
+                    toks[at].text
+                })
+                .collect()
+        };
+        assert_eq!(names(&|_| true), vec!["a", "c"]);
+        assert_eq!(names(&|name| name != "a"), vec!["b", "c"]);
     }
 
     #[test]

@@ -86,9 +86,10 @@ pub struct KernelAnalysis {
     pub tally: OpTally,
     /// Deepest loop nesting observed.
     pub max_loop_depth: u32,
-    /// Product of resolved trip counts along the deepest nest (an
-    /// iteration-weight indicator the surrogate models use as a
-    /// compute-heaviness signal).
+    /// Product of every resolved trip count above 1, over all loops of
+    /// the kernel, sibling loops included: sibling loops of 4 and 8 give
+    /// 32 at a `max_loop_depth` of 1. An iteration-weight indicator the
+    /// surrogate models use as a compute-heaviness signal.
     pub trip_weight: f64,
 }
 
@@ -208,7 +209,11 @@ fn analyze_kernel(
 /// Recursive region walk: statements outside loops count at `weight`;
 /// loop bodies multiply by trip count (unless the *outermost* OMP loop,
 /// which is the parallel dimension and counts once per "thread").
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the walk threads its read-only context and three accumulators \
+              through every level of recursion"
+)]
 fn walk(
     tokens: &[Token<'_>],
     range: (usize, usize),

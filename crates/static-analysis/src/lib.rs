@@ -19,6 +19,10 @@
 //! Those systematic gaps — not injected randomness — are what hold the
 //! simulated reasoning models near the paper's observed 64 % ceiling.
 //!
+//! There is one entry point per job: [`analyze`] for the estimate plus
+//! the hazard findings, [`diagnose`] for the findings alone. Both lex
+//! once and recover kernels and loops through the same structural pass.
+//!
 //! ```
 //! use pce_static_analysis::{analyze, AnalyzeOptions};
 //!
@@ -40,8 +44,8 @@
 pub mod diagnostics;
 pub mod estimate;
 pub mod lexer;
-pub mod structure;
+mod structure;
 
-pub use diagnostics::{diagnose, diagnose_tokens, Diagnostic, RuleId, Severity, Span};
+pub use diagnostics::{diagnose, Diagnostic, RuleId, Severity, Span};
 pub use estimate::{analyze, AnalyzeOptions, KernelAnalysis, OpTally, SourceAnalysis};
 pub use lexer::{lex, Token, TokenKind};

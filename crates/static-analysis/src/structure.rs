@@ -7,12 +7,17 @@
 //! * **CUDA** — functions declared `__global__ void name(args) { … }`,
 //! * **OpenMP offload** — `#pragma omp target …` directives followed by a
 //!   loop nest (possibly inside a function body).
+//!
+//! This is the only code that recovers `for` loops: the estimator's
+//! [`find_loops`], OMP region recovery and the lint rules' [`all_loops`]
+//! all go through one `parse_for`. Every recovered range lies inside the
+//! token stream, whatever the input.
 
 use crate::lexer::{Token, TokenKind};
 
 /// A recovered kernel region: name plus the token range of its body.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KernelRegion {
+pub(crate) struct KernelRegion {
     /// Kernel name (`__global__` function name, or a synthesized
     /// `target_region_N` for anonymous OMP target regions).
     pub name: String,
@@ -27,7 +32,12 @@ pub struct KernelRegion {
 /// Find the matching closer for the bracket pair `open_s`/`close_s`
 /// (`"{"`/`"}"`, `"("`/`")"`, `"["`/`"]"`) whose opener is at token index
 /// `open`. Returns the closer's index, or `tokens.len()` if unbalanced.
-pub fn match_paren_like(tokens: &[Token<'_>], open: usize, open_s: &str, close_s: &str) -> usize {
+pub(crate) fn match_paren_like(
+    tokens: &[Token<'_>],
+    open: usize,
+    open_s: &str,
+    close_s: &str,
+) -> usize {
     debug_assert!(tokens[open].is(open_s));
     let mut depth = 0usize;
     for (i, t) in tokens.iter().enumerate().skip(open) {
@@ -46,7 +56,7 @@ pub fn match_paren_like(tokens: &[Token<'_>], open: usize, open_s: &str, close_s
 }
 
 /// Locate all kernel regions in a token stream.
-pub fn find_kernels(tokens: &[Token<'_>]) -> Vec<KernelRegion> {
+pub(crate) fn find_kernels(tokens: &[Token<'_>]) -> Vec<KernelRegion> {
     let mut kernels = Vec::new();
     let mut omp_counter = 0usize;
     let mut i = 0;
@@ -114,55 +124,31 @@ fn parse_cuda_kernel(tokens: &[Token<'_>], at: usize) -> Option<KernelRegion> {
 }
 
 fn parse_omp_region(tokens: &[Token<'_>], at: usize, counter: usize) -> Option<KernelRegion> {
-    // The region body is either the following brace block or the following
-    // `for` statement (take its body plus header).
-    let mut j = at + 1;
     // Skip stacked pragmas (`#pragma omp target` + `#pragma omp parallel for`).
-    while j < tokens.len() && tokens[j].kind == TokenKind::Pragma {
-        j += 1;
-    }
-    if j >= tokens.len() {
-        return None;
-    }
-    if tokens[j].is("{") {
-        let end = match_paren_like(tokens, j, "{", "}");
-        return Some(KernelRegion {
-            name: format!("target_region_{counter}"),
-            body: (j + 1, end),
-            params: None,
-            is_omp: true,
-        });
-    }
-    if tokens[j].kind == TokenKind::Ident && tokens[j].text == "for" {
-        // Find the loop body: after the for(...) header.
-        let paren = (j + 1 < tokens.len() && tokens[j + 1].is("(")).then_some(j + 1)?;
-        let header_end = match_paren_like(tokens, paren, "(", ")");
-        let mut k = header_end + 1;
-        let end = if k < tokens.len() && tokens[k].is("{") {
-            match_paren_like(tokens, k, "{", "}")
-        } else {
-            // Single-statement body: up to the next ';' (crude but safe).
-            while k < tokens.len() && !tokens[k].is(";") {
-                k += 1;
-            }
-            k + 1
-        };
-        return Some(KernelRegion {
-            name: format!("target_region_{counter}"),
-            // Include the for-header so trip counts are visible.
-            body: (j, end),
-            params: None,
-            is_omp: true,
-        });
-    }
-    None
+    let j = (at + 1..tokens.len()).find(|&j| tokens[j].kind != TokenKind::Pragma)?;
+    // The region body is either the following brace block or the following
+    // `for` statement, header included so trip counts are visible.
+    let body = if tokens[j].is("{") {
+        (j + 1, match_paren_like(tokens, j, "{", "}"))
+    } else {
+        (j, parse_for(tokens, j, tokens.len())?.body.1)
+    };
+    Some(KernelRegion {
+        name: format!("target_region_{counter}"),
+        body,
+        params: None,
+        is_omp: true,
+    })
 }
 
 /// A `for` loop found inside a kernel body.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoopInfo<'a> {
+pub(crate) struct LoopInfo<'a> {
     /// Token index of the `for` keyword.
     pub at: usize,
+    /// Induction variable: the identifier right before the first `=` in
+    /// the header (`for (int i = 0; …` gives `i`), if any.
+    pub var: Option<&'a str>,
     /// Trip-count bound expression: `Some(ident-or-number)` when the loop
     /// looks like `for (… ; i < BOUND; …)`, else `None`.
     pub bound: Option<Token<'a>>,
@@ -171,60 +157,94 @@ pub struct LoopInfo<'a> {
 }
 
 /// Find the top-level `for` loops within a token range.
-pub fn find_loops<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> Vec<LoopInfo<'a>> {
+pub(crate) fn find_loops<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> Vec<LoopInfo<'a>> {
     let mut loops = Vec::new();
     let mut i = range.0;
     while i < range.1.min(tokens.len()) {
-        if tokens[i].kind == TokenKind::Ident && tokens[i].text == "for" {
-            if let Some(info) = parse_for(tokens, i, range.1) {
-                i = info.body.1;
-                loops.push(info);
-                continue;
-            }
+        if let Some(info) = parse_for(tokens, i, range.1) {
+            i = info.body.1;
+            loops.push(info);
+            continue;
         }
         i += 1;
     }
     loops
 }
 
+/// Every `for` loop within a token range at any nesting depth, in source
+/// order, so each outer loop comes before the loops in its body. Each
+/// loop is parsed against the end of `range`: a loop nested in a braceless
+/// body, which [`find_loops`] cuts off at the first `;` of the inner
+/// header, is still found.
+pub(crate) fn all_loops<'a>(tokens: &[Token<'a>], range: (usize, usize)) -> Vec<LoopInfo<'a>> {
+    (range.0..range.1.min(tokens.len()))
+        .filter_map(|i| parse_for(tokens, i, range.1))
+        .collect()
+}
+
+/// Parse the `for` loop whose keyword is at `at`, if its header closes
+/// before `limit`.
 fn parse_for<'a>(tokens: &[Token<'a>], at: usize, limit: usize) -> Option<LoopInfo<'a>> {
-    if at + 1 >= tokens.len() || !tokens[at + 1].is("(") {
+    if !tokens[at].is("for") {
         return None;
     }
-    let header_end = match_paren_like(tokens, at + 1, "(", ")");
-    if header_end >= limit {
-        return None;
-    }
-    // Extract the bound: look for `< BOUND` or `<= BOUND` in the condition
-    // (the second ;-separated clause).
-    let mut bound = None;
-    let mut semis = 0;
-    let mut k = at + 2;
-    while k < header_end {
-        if tokens[k].is(";") {
-            semis += 1;
-        } else if semis == 1 && (tokens[k].is("<") || tokens[k].is("<=")) {
-            // Bound is the next number/ident token; prefer the last token
-            // before the ';' to catch simple `n` or `n_elems`.
-            if k + 1 < header_end
-                && matches!(tokens[k + 1].kind, TokenKind::Ident | TokenKind::Number)
-            {
-                bound = Some(tokens[k + 1]);
-            }
-        }
-        k += 1;
-    }
-    let mut b = header_end + 1;
-    let body = if b < tokens.len() && tokens[b].is("{") {
-        let end = match_paren_like(tokens, b, "{", "}");
-        (b + 1, end)
+    let limit = limit.min(tokens.len());
+    let header_end = paren_after(tokens, at, limit)?;
+    let header = &tokens[at + 2..header_end];
+    let var = header
+        .windows(2)
+        .find(|w| w[0].kind == TokenKind::Ident && w[1].is("="))
+        .map(|w| w[0].text);
+    // The bound is the number or ident after the last `<` / `<=` in the
+    // condition (the second `;`-separated clause).
+    let condition = header.split(|t| t.is(";")).nth(1).unwrap_or_default();
+    let bound = condition
+        .windows(2)
+        .rev()
+        .find(|w| {
+            (w[0].is("<") || w[0].is("<="))
+                && matches!(w[1].kind, TokenKind::Ident | TokenKind::Number)
+        })
+        .map(|w| w[1]);
+    let (body, _) = stmt_or_block(tokens, header_end + 1, limit);
+    Some(LoopInfo {
+        at,
+        var,
+        bound,
+        body,
+    })
+}
+
+/// The token index of the `)` matching the `(` right after `i`, if it
+/// closes before `limit`.
+pub(crate) fn paren_after(tokens: &[Token<'_>], i: usize, limit: usize) -> Option<usize> {
+    if i + 1 < limit && tokens[i + 1].is("(") {
+        let end = match_paren_like(tokens, i + 1, "(", ")");
+        (end < limit).then_some(end)
     } else {
-        while b < tokens.len() && !tokens[b].is(";") && b < limit {
-            b += 1;
+        None
+    }
+}
+
+/// Body range of the statement-or-block starting at `start` (a brace
+/// block's inside, or up to and including the next `;`), clamped to
+/// `limit` and the token stream, plus the resume index after it.
+pub(crate) fn stmt_or_block(
+    tokens: &[Token<'_>],
+    start: usize,
+    limit: usize,
+) -> ((usize, usize), usize) {
+    let limit = limit.min(tokens.len());
+    if start < limit && tokens[start].is("{") {
+        let end = match_paren_like(tokens, start, "{", "}");
+        ((start + 1, end.min(limit)), (end + 1).min(limit + 1))
+    } else {
+        let mut j = start;
+        while j < limit && !tokens[j].is(";") {
+            j += 1;
         }
-        (header_end + 1, (b + 1).min(limit))
-    };
-    Some(LoopInfo { at, bound, body })
+        ((start, (j + 1).min(limit)), (j + 1).min(limit + 1))
+    }
 }
 
 #[cfg(test)]
@@ -310,6 +330,50 @@ mod tests {
         let inner = find_loops(&toks, outer[0].body);
         assert_eq!(inner.len(), 1);
         assert_eq!(inner[0].bound.unwrap().text, "8");
+    }
+
+    #[test]
+    fn all_loops_finds_braceless_nests_with_their_variables() {
+        // `find_loops` cuts the outer body at the inner header's first `;`,
+        // but every loop is still recovered, outer first.
+        let toks = lex("for (int i = 0; i < n; i++) for (j = 0; j < 8; j++) s += a[j];");
+        let loops = all_loops(&toks, (0, toks.len()));
+        let vars: Vec<_> = loops.iter().map(|lp| lp.var).collect();
+        assert_eq!(vars, vec![Some("i"), Some("j")]);
+        assert_eq!(loops[1].bound.unwrap().text, "8");
+        assert_eq!(find_loops(&toks, (0, toks.len())).len(), 1);
+    }
+
+    #[test]
+    fn unclosed_omp_loop_header_is_no_region_and_bodies_stay_in_the_stream() {
+        let src = "#pragma omp target teams distribute parallel for\nfor (long i = 0; i < n; i++";
+        let toks = lex(src);
+        assert_eq!(toks.len(), 14);
+        assert_eq!(find_kernels(&toks), vec![]);
+
+        for src in [
+            "#pragma omp target teams distribute parallel for\n\
+             for (long i = 0; i < n; i++) { for (int k = 0; k < 4; k++) y[i] += x[k]; }",
+            "#pragma omp target teams distribute parallel for\n\
+             for (long i = 0; i < n; i++) y[i] += a * x[i];",
+            "__global__ void k(int n, float* y) {\n\
+             \x20 for (int s = 0; s < n; s++) { y[threadIdx.x] += 1.0f; }\n}",
+        ] {
+            let toks = lex(src);
+            for n in 0..=toks.len() {
+                let prefix = &toks[..n];
+                for region in find_kernels(prefix) {
+                    let (lo, hi) = region.body;
+                    assert!(lo <= hi && hi <= n, "{region:?} in {n} tokens of {src:?}");
+                    for lp in all_loops(prefix, region.body) {
+                        assert!(
+                            lp.body.0 <= lp.body.1 && lp.body.1 <= n,
+                            "{lp:?} in {n} tokens of {src:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::io::Cursor;
 
-use parallel_code_estimation::core::serve::{encode_src, PredictionService, ServeConfig};
+use parallel_code_estimation::core::serve::{encode_src, Command, PredictionService, ServeConfig};
 use parallel_code_estimation::core::study::Study;
 use parallel_code_estimation::kernels::build_corpus;
 use parallel_code_estimation::static_analysis::{diagnose, Diagnostic, RuleId, Severity};
@@ -205,6 +205,28 @@ fn raw_source_predict_is_invariant_and_lint_sheds_into_the_ledger() {
     let got = session(&serial, &input, 8);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(reference, got, "serial transcript diverged");
+}
+
+#[test]
+fn kernel_free_source_is_answered_with_a_spec_error() {
+    // An OMP target loop whose header never closes has no body, so it is
+    // no kernel; neither is plain host code.
+    let unclosed = "#pragma omp target teams distribute parallel for\nfor (long i = 0; i < n; i++";
+    let host = "void scale(long n, float* x) { for (long i = 0; i < n; i++) x[i] *= 2.0f; }\n";
+    let service = PredictionService::new(Study::smoke(), None).expect("service builds");
+    let jobs: Vec<_> = [unclosed, host]
+        .iter()
+        .map(|src| {
+            let line = format!("predict id=j src={} spec=rtx-3080", encode_src(src));
+            match Command::parse(&line).expect("request parses") {
+                Command::Predict(job) => job,
+                other => panic!("expected a predict command, got {other:?}"),
+            }
+        })
+        .collect();
+    let expected = "err id=j kind=spec error=\"invalid spec: src contains no CUDA \
+                    __global__ kernel or OMP target region\"";
+    assert_eq!(service.predict_batch(&jobs), vec![expected; 2]);
 }
 
 /// Digest of a transcript's `ok`/`err` lines. `stats` lines are left out
