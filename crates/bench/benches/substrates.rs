@@ -112,7 +112,7 @@ fn bench_corpus_generation(c: &mut Criterion) {
 }
 
 fn bench_metrics(c: &mut Criterion) {
-    use pce_metrics::{bootstrap_ci, chi_squared_independence, ConfusionMatrix};
+    use pce_metrics::{chi_squared_independence, ConfusionMatrix};
     let outcomes: Vec<bool> = (0..340).map(|i| i % 3 != 0).collect();
     c.bench_function("metrics/bundle_340", |b| {
         b.iter(|| {
@@ -121,17 +121,6 @@ fn bench_metrics(c: &mut Criterion) {
                 cm.record(i % 2 == 0, ok);
             }
             std::hint::black_box(cm.bundle())
-        })
-    });
-    c.bench_function("metrics/bootstrap_1000", |b| {
-        b.iter(|| {
-            std::hint::black_box(bootstrap_ci(
-                &outcomes,
-                |xs| xs.iter().filter(|&&&x| x).count() as f64 / xs.len() as f64,
-                1000,
-                0.95,
-                7,
-            ))
         })
     });
     c.bench_function("metrics/chi2_3x2", |b| {

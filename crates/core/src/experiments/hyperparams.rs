@@ -10,7 +10,8 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use pce_dataset::Sample;
-use pce_llm::{ChatRequest, SamplingParams, SurrogateEngine};
+use pce_fault::RetryPolicy;
+use pce_llm::{SamplingParams, SurrogateEngine};
 use pce_metrics::{chi_squared_independence, Chi2Result};
 use pce_prompt::ShotStyle;
 use pce_roofline::Boundedness;
@@ -61,12 +62,14 @@ pub fn run_hyperparam_check(
                 .enumerate()
                 .map(|(i, sample)| {
                     let prompt = prompt_for_sample(study, sample, ShotStyle::ZeroShot);
-                    let resp = engine.complete(
-                        &ChatRequest::new(model, prompt)
-                            .with_sampling(sampling)
-                            .with_seed(study.seed ^ (i as u64) << 8),
+                    let out = engine.complete_with_retry(
+                        model,
+                        &prompt,
+                        Some(sampling),
+                        study.seed ^ (i as u64) << 8,
+                        &RetryPolicy::none(),
                     );
-                    match resp.ok().and_then(|r| Boundedness::parse(&r.text)) {
+                    match out.verdict {
                         Some(Boundedness::Compute) => (1u64, 0u64),
                         _ => (0u64, 1u64),
                     }

@@ -7,7 +7,8 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use pce_llm::{ChatRequest, SurrogateEngine};
+use pce_fault::RetryPolicy;
+use pce_llm::SurrogateEngine;
 use pce_metrics::ConfusionMatrix;
 use pce_prompt::{generate_rq1_suite, render_rq1_prompt, Rq1Suite};
 use pce_roofline::Boundedness;
@@ -43,14 +44,13 @@ fn accuracy_over_suite(
         .enumerate()
         .map(|(i, item)| {
             let prompt = render_rq1_prompt(suite, i, shots, cot);
-            let resp = engine.complete(&ChatRequest::new(model, prompt).with_seed(i as u64));
+            let out =
+                engine.complete_with_retry(model, &prompt, None, i as u64, &RetryPolicy::none());
             let truth = item.truth == Boundedness::Compute;
-            // An engine error (injected timeout, unknown model) scores as
-            // an invalid response, same as an unparseable answer.
-            let pred = resp
-                .ok()
-                .and_then(|r| Boundedness::parse(&r.text))
-                .map(|b| b == Boundedness::Compute);
+            // An outcome without a verdict (injected timeout, refusal,
+            // unknown model) scores as an invalid response, same as an
+            // unparseable answer.
+            let pred = out.verdict.map(|b| b == Boundedness::Compute);
             (truth, pred)
         })
         .collect();

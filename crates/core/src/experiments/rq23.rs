@@ -64,25 +64,14 @@ pub fn render_prompts(study: &Study, samples: &[Sample], style: ShotStyle) -> Ve
         .collect()
 }
 
-/// Run a classification experiment over the dataset for one model.
-pub fn run_classification(
-    study: &Study,
-    engine: &SurrogateEngine,
-    model: &str,
-    samples: &[Sample],
-    style: ShotStyle,
-) -> ClassificationOutcome {
-    let prompts = render_prompts(study, samples, style);
-    run_classification_prompted(study, engine, model, samples, &prompts, style)
-}
-
-/// Run a classification experiment against pre-rendered prompts (one per
-/// sample, in sample order). Bit-identical to [`run_classification`];
-/// callers evaluating several models share one render pass.
+/// Run a classification experiment over the dataset for one model,
+/// against its prompts rendered by [`render_prompts`] (one per sample, in
+/// sample order). Callers evaluating several models share one render
+/// pass.
 ///
 /// # Panics
 /// Panics when `prompts` is not aligned with `samples`.
-pub fn run_classification_prompted(
+pub fn run_classification(
     study: &Study,
     engine: &SurrogateEngine,
     model: &str,
@@ -146,18 +135,22 @@ mod tests {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
         let engine = SurrogateEngine::new();
+        let samples = &data.dataset.samples;
+        let prompts = render_prompts(&study, samples, ShotStyle::ZeroShot);
         let strong = run_classification(
             &study,
             &engine,
             "o3-mini-high",
-            &data.dataset.samples,
+            samples,
+            &prompts,
             ShotStyle::ZeroShot,
         );
         let weak = run_classification(
             &study,
             &engine,
             "gpt-4o-mini",
-            &data.dataset.samples,
+            samples,
+            &prompts,
             ShotStyle::ZeroShot,
         );
         assert!(
@@ -178,20 +171,13 @@ mod tests {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
         let engine = SurrogateEngine::new();
-        let zero = run_classification(
-            &study,
-            &engine,
-            "o1",
-            &data.dataset.samples,
-            ShotStyle::ZeroShot,
-        );
-        let few = run_classification(
-            &study,
-            &engine,
-            "o1",
-            &data.dataset.samples,
-            ShotStyle::FewShot,
-        );
+        let samples = &data.dataset.samples;
+        let run = |style| {
+            let prompts = render_prompts(&study, samples, style);
+            run_classification(&study, &engine, "o1", samples, &prompts, style)
+        };
+        let zero = run(ShotStyle::ZeroShot);
+        let few = run(ShotStyle::FewShot);
         assert!(
             (zero.metrics.accuracy - few.metrics.accuracy).abs() < 12.0,
             "zero {} vs few {}",
@@ -208,36 +194,21 @@ mod tests {
     }
 
     #[test]
-    fn prompted_runner_matches_inline_rendering_across_engines() {
+    fn warm_cache_engines_classify_identically() {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
         let engine = SurrogateEngine::new();
+        let samples = &data.dataset.samples;
         for style in [ShotStyle::ZeroShot, ShotStyle::FewShot] {
-            let prompts = render_prompts(&study, &data.dataset.samples, style);
+            let prompts = render_prompts(&study, samples, style);
             assert_eq!(prompts.len(), data.dataset.len());
             for model in ["o3-mini", "gpt-4o-mini"] {
-                let inline =
-                    run_classification(&study, &engine, model, &data.dataset.samples, style);
-                let shared = run_classification_prompted(
-                    &study,
-                    &engine,
-                    model,
-                    &data.dataset.samples,
-                    &prompts,
-                    style,
-                );
-                // A cache-sharing engine answers identically too.
+                let first = run_classification(&study, &engine, model, samples, &prompts, style);
+                // A cache-sharing engine answers identically.
                 let warm_engine = SurrogateEngine::with_caches(engine.caches().clone());
-                let warm = run_classification_prompted(
-                    &study,
-                    &warm_engine,
-                    model,
-                    &data.dataset.samples,
-                    &prompts,
-                    style,
-                );
-                assert_eq!(inline, shared, "{model}");
-                assert_eq!(inline, warm, "{model} (warm caches)");
+                let warm =
+                    run_classification(&study, &warm_engine, model, samples, &prompts, style);
+                assert_eq!(first, warm, "{model} (warm caches)");
             }
         }
     }
@@ -250,7 +221,7 @@ mod tests {
         let engine = SurrogateEngine::new();
         let mut prompts = render_prompts(&study, &data.dataset.samples, ShotStyle::ZeroShot);
         prompts.pop();
-        run_classification_prompted(
+        run_classification(
             &study,
             &engine,
             "o3-mini",
@@ -265,11 +236,14 @@ mod tests {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
         let engine = SurrogateEngine::new();
+        let samples = &data.dataset.samples;
+        let prompts = render_prompts(&study, samples, ShotStyle::ZeroShot);
         let out = run_classification(
             &study,
             &engine,
             "gemini-2.0-flash-001",
-            &data.dataset.samples,
+            samples,
+            &prompts,
             ShotStyle::ZeroShot,
         );
         assert_eq!(out.metrics.n as usize, data.dataset.len());

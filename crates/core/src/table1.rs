@@ -15,7 +15,7 @@ use pce_metrics::MetricBundle;
 use pce_prompt::ShotStyle;
 
 use crate::caches::SuiteCaches;
-use crate::experiments::rq23::{render_prompts, run_classification_prompted};
+use crate::experiments::rq23::{render_prompts, run_classification};
 use crate::experiments::{run_rq1, Rq1Outcome};
 use crate::study::Study;
 
@@ -154,7 +154,7 @@ pub fn build_table1_from_bank_cached(
                 Some(out) => (Some(out.best_acc), Some(out.best_acc_cot)),
                 None => (None, None),
             };
-            let rq2 = run_classification_prompted(
+            let rq2 = run_classification(
                 study,
                 &engine,
                 &spec.name,
@@ -162,7 +162,7 @@ pub fn build_table1_from_bank_cached(
                 &zero_prompts,
                 ShotStyle::ZeroShot,
             );
-            let rq3 = run_classification_prompted(
+            let rq3 = run_classification(
                 study,
                 &engine,
                 &spec.name,

@@ -1,6 +1,6 @@
-//! Chat-completion API types: requests, responses, token usage and cost
-//! accounting — the shape of the service boundary the paper's harness
-//! talks to (Azure OpenAI / Gemini endpoints).
+//! Chat-completion API types: sampling parameters, responses, token usage
+//! and cost accounting — the shape of the service boundary the paper's
+//! harness talks to (Azure OpenAI / Gemini endpoints).
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -24,43 +24,6 @@ impl Default for SamplingParams {
             temperature: 0.1,
             top_p: 0.2,
         }
-    }
-}
-
-/// One completion request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChatRequest {
-    /// Model name (must exist in the zoo).
-    pub model: String,
-    /// The full prompt text.
-    pub prompt: String,
-    /// Sampling parameters; `None` = model defaults.
-    pub sampling: Option<SamplingParams>,
-    /// Request seed for reproducible sampling.
-    pub seed: u64,
-}
-
-impl ChatRequest {
-    /// Convenience constructor.
-    pub fn new(model: &str, prompt: impl Into<String>) -> Self {
-        ChatRequest {
-            model: model.to_string(),
-            prompt: prompt.into(),
-            sampling: None,
-            seed: 0,
-        }
-    }
-
-    /// Attach sampling parameters (builder style).
-    pub fn with_sampling(mut self, sampling: SamplingParams) -> Self {
-        self.sampling = Some(sampling);
-        self
-    }
-
-    /// Attach a seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -306,18 +269,5 @@ mod tests {
         let short = approx_tokens("int main() {}");
         let long = approx_tokens(&"int main() {}".repeat(100));
         assert!(long > 50 * short);
-    }
-
-    #[test]
-    fn request_builder_chains() {
-        let r = ChatRequest::new("o1", "hello")
-            .with_sampling(SamplingParams {
-                temperature: 0.7,
-                top_p: 0.9,
-            })
-            .with_seed(42);
-        assert_eq!(r.model, "o1");
-        assert_eq!(r.seed, 42);
-        assert_eq!(r.sampling.unwrap().temperature, 0.7);
     }
 }

@@ -22,7 +22,7 @@ use pce_fault::{
 };
 use pce_roofline::{static_verdict, Boundedness};
 
-use crate::api::{approx_tokens, ChatRequest, ChatResponse, SamplingParams, Usage, UsageMeter};
+use crate::api::{approx_tokens, ChatResponse, SamplingParams, Usage, UsageMeter};
 use crate::cache::{prompt_fingerprint, LlmCaches, ParsedClassify};
 use crate::parse::{has_cot_examples, is_rq1_prompt};
 use crate::zoo::{model, Capability, ModelSpec};
@@ -88,24 +88,6 @@ impl SurrogateEngine {
         &self.caches
     }
 
-    /// Complete a request.
-    ///
-    /// Fails with [`PceError::Spec`] when the requested model is not in
-    /// the zoo, or with an injected [`PceError::Timeout`]/[`PceError::Io`]
-    /// when an attached chaos plan fires a transport-level fault.
-    pub fn complete(&self, req: &ChatRequest) -> Result<ChatResponse, PceError> {
-        let prompt_fp = prompt_fingerprint(&req.prompt);
-        self.complete_attempt(
-            &req.model,
-            &req.prompt,
-            prompt_fp,
-            req.sampling,
-            req.seed,
-            0,
-        )
-        .0
-    }
-
     /// One attempt of a completion: resolve the model, consult the chaos
     /// plan, answer, corrupt if injected, and bill. Returns the result
     /// plus whether a fault was injected into this attempt.
@@ -113,8 +95,7 @@ impl SurrogateEngine {
     /// `prompt_fp` is the request's one pass over the prompt text
     /// ([`prompt_fingerprint`]): it keys the parse caches, seeds the noise
     /// stream, and addresses the fault plan on every attempt. Attempt 0
-    /// with no plan attached is byte- and billing-identical to the
-    /// historical always-succeeds path.
+    /// with no plan attached is the clean answer, billed once.
     fn complete_attempt(
         &self,
         model_name: &str,
@@ -183,13 +164,15 @@ impl SurrogateEngine {
     }
 
     /// Complete a request under a bounded [`RetryPolicy`], classifying the
-    /// final answer and keeping the per-request response ledger.
+    /// final answer and keeping the per-request response ledger. This is
+    /// the engine's only completion entry: [`RetryPolicy::none`] asks
+    /// once, and `sampling: None` means the model defaults.
     ///
     /// The loop retries retryable failures (injected timeouts and
     /// transient errors, unparseable answers) with deterministic backoff,
     /// salting each retry's seed so re-asked completions differ
-    /// reproducibly; refusals and spec errors terminate immediately.
-    /// Backoff is recorded, never slept.
+    /// reproducibly; refusals and spec errors (a model that is not in the
+    /// zoo) terminate immediately. Backoff is recorded, never slept.
     pub fn complete_with_retry(
         &self,
         model_name: &str,
@@ -471,24 +454,6 @@ impl SurrogateEngine {
     }
 }
 
-/// Evaluate an arbitrary (possibly unregistered) model spec on a prompt
-/// and return just the answer text. This is the hook the capability
-/// ablation uses to sweep synthetic specs without registering them in the
-/// zoo; it shares the exact answer path with [`SurrogateEngine::complete`]
-/// (default sampling, first attempt, no chaos plan). The engine's parse
-/// and analysis caches serve the unregistered spec exactly as they serve
-/// zoo models, and nothing is billed.
-pub fn complete_with_spec_on(
-    engine: &SurrogateEngine,
-    spec: &ModelSpec,
-    prompt: &str,
-    seed: u64,
-) -> String {
-    let prompt_fp = prompt_fingerprint(prompt);
-    let mut rng = NoiseStream::new(&spec.name, prompt_fp, seed, SamplingParams::default());
-    engine.answer(spec, prompt, prompt_fp, &mut rng).0
-}
-
 /// Clip a response body for embedding in an error message.
 fn truncate_for_error(text: &str) -> &str {
     let mut end = text.len().min(40);
@@ -567,15 +532,30 @@ mod tests {
     use super::*;
     use pce_prompt::{generate_rq1_suite, render_rq1_prompt};
 
+    /// One attempt with no retries, as a plain result: the response when
+    /// the engine produced a body, else the error that stopped it.
+    fn ask(
+        engine: &SurrogateEngine,
+        model_name: &str,
+        prompt: &str,
+        sampling: Option<SamplingParams>,
+        seed: u64,
+    ) -> Result<ChatResponse, PceError> {
+        let out =
+            engine.complete_with_retry(model_name, prompt, sampling, seed, &RetryPolicy::none());
+        out.response.ok_or_else(|| {
+            out.error
+                .expect("an outcome without a response carries its error")
+        })
+    }
+
     fn rq1_accuracy(model_name: &str, shots: usize, cot: bool) -> f64 {
         let suite = generate_rq1_suite(120, 99);
         let engine = SurrogateEngine::new();
         let mut correct = 0;
         for (i, item) in suite.items.iter().enumerate() {
             let prompt = render_rq1_prompt(&suite, i, shots, cot);
-            let resp = engine
-                .complete(&ChatRequest::new(model_name, prompt).with_seed(i as u64))
-                .unwrap();
+            let resp = ask(&engine, model_name, &prompt, None, i as u64).unwrap();
             if Boundedness::parse(&resp.text) == Some(item.truth) {
                 correct += 1;
             }
@@ -627,10 +607,9 @@ __global__ void reduce(float* out, const float* in) {
         let suite = generate_rq1_suite(5, 1);
         let prompt = render_rq1_prompt(&suite, 0, 2, false);
         let engine = SurrogateEngine::new();
-        let req = ChatRequest::new("gpt-4o-mini", prompt).with_seed(7);
         assert_eq!(
-            engine.complete(&req).unwrap().text,
-            engine.complete(&req).unwrap().text
+            ask(&engine, "gpt-4o-mini", &prompt, None, 7).unwrap().text,
+            ask(&engine, "gpt-4o-mini", &prompt, None, 7).unwrap().text
         );
     }
 
@@ -647,13 +626,14 @@ __global__ void reduce(float* out, const float* in) {
             let mut correct = 0;
             for (i, item) in suite.items.iter().enumerate() {
                 let prompt = render_rq1_prompt(&suite, i, 2, false);
-                let resp = engine
-                    .complete(
-                        &ChatRequest::new("gemini-2.0-flash-001", prompt)
-                            .with_sampling(sampling)
-                            .with_seed(i as u64),
-                    )
-                    .unwrap();
+                let resp = ask(
+                    &engine,
+                    "gemini-2.0-flash-001",
+                    &prompt,
+                    Some(sampling),
+                    i as u64,
+                )
+                .unwrap();
                 if Boundedness::parse(&resp.text) == Some(item.truth) {
                     correct += 1;
                 }
@@ -669,12 +649,8 @@ __global__ void reduce(float* out, const float* in) {
         let engine = SurrogateEngine::new();
         let suite = generate_rq1_suite(5, 1);
         let prompt = render_rq1_prompt(&suite, 0, 2, false);
-        engine
-            .complete(&ChatRequest::new("o1", prompt.clone()))
-            .unwrap();
-        engine
-            .complete(&ChatRequest::new("gpt-4o-mini", prompt))
-            .unwrap();
+        ask(&engine, "o1", &prompt, None, 0).unwrap();
+        ask(&engine, "gpt-4o-mini", &prompt, None, 0).unwrap();
         let snap = engine.meter().snapshot();
         assert!(
             snap["o1"].0.completion_tokens > 1000,
@@ -707,23 +683,25 @@ __global__ void reduce(float* out, const float* in) {
             );
             for model_name in ["o3-mini", "gpt-4o-mini", "o1", "gemini-2.0-flash-001"] {
                 for seed in 0..8 {
-                    let req = ChatRequest::new(model_name, prompt.clone()).with_seed(seed);
-                    let fresh = SurrogateEngine::new().complete(&req).unwrap();
-                    let warm = SurrogateEngine::with_caches(shared.clone())
-                        .complete(&req)
-                        .unwrap();
+                    let fresh = ask(&SurrogateEngine::new(), model_name, &prompt, None, seed);
+                    let warm = ask(
+                        &SurrogateEngine::with_caches(shared.clone()),
+                        model_name,
+                        &prompt,
+                        None,
+                        seed,
+                    );
+                    let (fresh, warm) = (fresh.unwrap(), warm.unwrap());
                     assert_eq!(fresh, warm, "{model_name} seed {seed}");
                 }
             }
         }
         // RQ1 prompts round through the rq1 parse cache identically.
         let prompt = render_rq1_prompt(&suite, 3, 2, true);
-        let req = ChatRequest::new("gpt-4o-mini", prompt).with_seed(11);
+        let warm = SurrogateEngine::with_caches(shared.clone());
         assert_eq!(
-            SurrogateEngine::new().complete(&req).unwrap(),
-            SurrogateEngine::with_caches(shared.clone())
-                .complete(&req)
-                .unwrap()
+            ask(&SurrogateEngine::new(), "gpt-4o-mini", &prompt, None, 11).unwrap(),
+            ask(&warm, "gpt-4o-mini", &prompt, None, 11).unwrap()
         );
         // The shared bundle actually collapsed work across those engines.
         assert!(shared.analysis_counters().hits > 0);
@@ -733,18 +711,14 @@ __global__ void reduce(float* out, const float* in) {
     #[test]
     fn unparseable_prompt_falls_back_to_prior() {
         let engine = SurrogateEngine::new();
-        let resp = engine
-            .complete(&ChatRequest::new("gpt-4o-mini", "hello there"))
-            .unwrap();
+        let resp = ask(&engine, "gpt-4o-mini", "hello there", None, 0).unwrap();
         assert!(Boundedness::parse(&resp.text).is_some());
         assert_eq!(resp.trace.as_deref(), Some("prior-only guess"));
     }
 
     #[test]
     fn unknown_model_is_a_spec_error() {
-        let err = SurrogateEngine::new()
-            .complete(&ChatRequest::new("gpt-6", "hi"))
-            .unwrap_err();
+        let err = ask(&SurrogateEngine::new(), "gpt-6", "hi", None, 0).unwrap_err();
         assert_eq!(
             err.to_string(),
             "invalid spec: model 'gpt-6' is not in the zoo"
@@ -778,12 +752,8 @@ __global__ void reduce(float* out, const float* in) {
             };
             render_classify_prompt(&req, ShotStyle::ZeroShot)
         };
-        let cb = engine
-            .complete(&ChatRequest::new("o3-mini-high", mk("burn", cb_src)))
-            .unwrap();
-        let bb = engine
-            .complete(&ChatRequest::new("o3-mini-high", mk("copy", bb_src)))
-            .unwrap();
+        let cb = ask(&engine, "o3-mini-high", &mk("burn", cb_src), None, 0).unwrap();
+        let bb = ask(&engine, "o3-mini-high", &mk("copy", bb_src), None, 0).unwrap();
         assert_eq!(cb.text, "Compute");
         assert_eq!(bb.text, "Bandwidth");
     }
@@ -794,9 +764,7 @@ __global__ void reduce(float* out, const float* in) {
         let engine = SurrogateEngine::new();
         for i in 0..suite.items.len() {
             let prompt = render_rq1_prompt(&suite, i, 2, false);
-            let single = engine
-                .complete(&ChatRequest::new("gpt-4o-mini", prompt.clone()).with_seed(i as u64))
-                .unwrap();
+            let single = ask(&engine, "gpt-4o-mini", &prompt, None, i as u64).unwrap();
             let retried = engine.complete_with_retry(
                 "gpt-4o-mini",
                 &prompt,
@@ -821,9 +789,8 @@ __global__ void reduce(float* out, const float* in) {
             LlmCaches::new(),
             Some(FaultPlan::uniform(42, 0.0)),
         );
-        let req = ChatRequest::new("o3-mini", prompt).with_seed(5);
-        let a = clean.complete(&req).unwrap();
-        let b = zeroed.complete(&req).unwrap();
+        let a = ask(&clean, "o3-mini", &prompt, None, 5).unwrap();
+        let b = ask(&zeroed, "o3-mini", &prompt, None, 5).unwrap();
         assert_eq!(a, b);
         assert_eq!(clean.meter().snapshot(), zeroed.meter().snapshot());
     }
@@ -887,9 +854,7 @@ __global__ void reduce(float* out, const float* in) {
             wire: pce_fault::WireRates::zero(),
         };
         let engine = SurrogateEngine::with_caches_and_faults(LlmCaches::new(), Some(plan));
-        let err = engine
-            .complete(&ChatRequest::new("o1", "hello"))
-            .unwrap_err();
+        let err = ask(&engine, "o1", "hello", None, 0).unwrap_err();
         assert_eq!(err.to_string(), "request timed out after 30000 ms");
         let out = engine.complete_with_retry("o1", "hello", None, 0, &RetryPolicy::default());
         assert_eq!(out.accounting.invalid, 1);

@@ -20,13 +20,13 @@
 //!   only), and classifies against the three parsed rooflines with
 //!   `pce_roofline::static_verdict`, the rule serve's static path shares.
 //!
-//! Every answer takes one path: [`SurrogateEngine::complete`] and
-//! [`SurrogateEngine::complete_with_retry`] fingerprint the prompt once
-//! per request and dispatch it through the engine's single task router,
-//! which [`engine::complete_with_spec_on`] also uses for the capability
-//! ablation's unregistered specs. [`LlmCaches`] memoizes the analyses and
-//! prompt parses behind that router, unbounded by default or bounded per
-//! table by a `pce_memo::Budget`.
+//! There is one public way to ask: [`SurrogateEngine::complete_with_retry`].
+//! It fingerprints the prompt once per request, dispatches it through the
+//! engine's single task router, and parses the answer into the
+//! [`CompletionOutcome::verdict`] every experiment scores; under
+//! [`pce_fault::RetryPolicy::none`] it asks exactly once. [`LlmCaches`]
+//! memoizes the analyses and prompt parses behind that router, unbounded
+//! by default or bounded per table by a `pce_memo::Budget`.
 //!
 //! The *structure* of the paper's findings — reasoning ≫ non-reasoning in
 //! zero-shot, ~100 % with profiled values, fine-tuning collapse — emerges
@@ -44,7 +44,7 @@ pub mod finetune;
 pub mod parse;
 pub mod zoo;
 
-pub use api::{ChatRequest, ChatResponse, SamplingParams, Usage, UsageMeter};
+pub use api::{ChatResponse, SamplingParams, Usage, UsageMeter};
 pub use cache::{CacheCounters, LlmCaches};
 pub use engine::{CompletionOutcome, SurrogateEngine};
 pub use finetune::{FineTuneConfig, FineTuneJob, FineTunedModel};

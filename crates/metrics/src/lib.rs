@@ -11,8 +11,8 @@
 //! all scaled ×100 for readability, as in Table 1.
 //!
 //! Also provided: the chi-squared test of independence the paper uses to
-//! show temperature/top_p insensitivity (§3.2), McNemar's test for paired
-//! classifier comparison, and seeded bootstrap confidence intervals.
+//! show temperature/top_p insensitivity (§3.2) and McNemar's test for
+//! paired classifier comparison.
 //!
 //! ```
 //! use pce_metrics::ConfusionMatrix;
@@ -27,12 +27,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bootstrap;
 pub mod chi2;
 pub mod confusion;
 pub mod mcnemar;
 
-pub use bootstrap::{bootstrap_ci, BootstrapInterval};
 pub use chi2::{chi_squared_independence, Chi2Result};
 pub use confusion::{ConfusionMatrix, MetricBundle};
 pub use mcnemar::{mcnemar_test, McNemarResult};

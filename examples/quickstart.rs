@@ -7,9 +7,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use parallel_code_estimation::fault::RetryPolicy;
 use parallel_code_estimation::gpu_sim::Profiler;
 use parallel_code_estimation::kernels::{build_corpus, CorpusConfig};
-use parallel_code_estimation::llm::{ChatRequest, SurrogateEngine};
+use parallel_code_estimation::llm::SurrogateEngine;
 use parallel_code_estimation::prompt::{render_classify_prompt, ClassifyRequest, ShotStyle};
 use parallel_code_estimation::roofline::{classify_joint, HardwareSpec};
 
@@ -54,13 +55,14 @@ fn main() {
     );
     let engine = SurrogateEngine::new();
     for model in ["o3-mini-high", "gpt-4o-mini"] {
-        let resp = engine
-            .complete(&ChatRequest::new(model, prompt.clone()))
+        let verdict = engine
+            .complete_with_retry(model, &prompt, None, 0, &RetryPolicy::none())
+            .verdict
             .expect("fault-free engine answers known models");
         println!(
             "{model:>14} answers: {:<10} (correct: {})",
-            resp.text,
-            resp.text == joint.label.answer_token()
+            verdict.answer_token(),
+            verdict == joint.label
         );
     }
     println!("\nsimulated API spend: ${:.4}", engine.meter().total_cost());

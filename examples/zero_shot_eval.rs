@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example zero_shot_eval`
 
-use parallel_code_estimation::core::experiments::run_classification;
+use parallel_code_estimation::core::experiments::{render_prompts, run_classification};
 use parallel_code_estimation::core::study::{Study, StudyData};
 use parallel_code_estimation::llm::SurrogateEngine;
 use parallel_code_estimation::metrics::mcnemar_test;
@@ -20,19 +20,24 @@ fn main() {
     );
 
     let engine = SurrogateEngine::new();
+    let samples = &data.dataset.samples;
+    let zero_prompts = render_prompts(&study, samples, ShotStyle::ZeroShot);
+    let few_prompts = render_prompts(&study, samples, ShotStyle::FewShot);
     for model in ["o3-mini-high", "gpt-4o-mini"] {
         let zero = run_classification(
             &study,
             &engine,
             model,
-            &data.dataset.samples,
+            samples,
+            &zero_prompts,
             ShotStyle::ZeroShot,
         );
         let few = run_classification(
             &study,
             &engine,
             model,
-            &data.dataset.samples,
+            samples,
+            &few_prompts,
             ShotStyle::FewShot,
         );
         let mc = mcnemar_test(&zero.correct, &few.correct);

@@ -3,7 +3,7 @@
 
 use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::experiments::{
-    run_classification, run_hyperparam_check, run_rq1, run_rq4,
+    render_prompts, run_classification, run_hyperparam_check, run_rq1, run_rq4,
 };
 use parallel_code_estimation::core::figures::{build_fig1, build_fig2};
 use parallel_code_estimation::core::report;
@@ -60,18 +60,22 @@ fn rq1_hierarchy_reasoning_at_ceiling_standard_below() {
 fn zero_shot_reasoning_advantage_and_sane_bands() {
     let (study, data) = study_and_data();
     let engine = SurrogateEngine::new();
+    let samples = &data.dataset.samples;
+    let prompts = render_prompts(&study, samples, ShotStyle::ZeroShot);
     let strong = run_classification(
         &study,
         &engine,
         "o3-mini-high",
-        &data.dataset.samples,
+        samples,
+        &prompts,
         ShotStyle::ZeroShot,
     );
     let weak = run_classification(
         &study,
         &engine,
         "gpt-4o-mini-2024-07-18",
-        &data.dataset.samples,
+        samples,
+        &prompts,
         ShotStyle::ZeroShot,
     );
     assert!(strong.metrics.accuracy > weak.metrics.accuracy);
@@ -135,11 +139,14 @@ fn table1_smoke_has_paper_structure() {
 fn engine_answers_are_always_parseable_class_tokens() {
     let (study, data) = study_and_data();
     let engine = SurrogateEngine::new();
+    let samples = &data.dataset.samples;
+    let prompts = render_prompts(&study, samples, ShotStyle::FewShot);
     let out = run_classification(
         &study,
         &engine,
         "gemini-2.0-flash-001",
-        &data.dataset.samples,
+        samples,
+        &prompts,
         ShotStyle::FewShot,
     );
     // No invalid answers: the prompt's single-word instruction works on
