@@ -11,7 +11,12 @@ fn main() {
     let data = StudyData::build(&study).expect("study builds");
     let engine = SurrogateEngine::new();
     for model in ["gemini-2.0-flash-001", "gpt-4o-mini", "gpt-4o-2024-11-20"] {
-        let check = run_hyperparam_check(&study, &engine, model, &data.dataset.samples);
-        println!("{}", render_hyperparams(&check));
+        match run_hyperparam_check(&study, &engine, model, &data.dataset.samples) {
+            Ok(check) => println!("{}", render_hyperparams(&check)),
+            Err(e) => {
+                eprintln!("hyperparameter check for {model} failed: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 }

@@ -25,8 +25,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use pce_gpu_sim::SimCaches;
 use pce_llm::LlmCaches;
 use pce_memo::CacheCounters;
@@ -91,7 +89,7 @@ impl SuiteCaches {
 
 /// Per-cache hit/miss counters across the bundle. Every layer reports
 /// through the shared [`CacheCounters`] type from `pce-memo`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheReport {
     /// Hardware-independent body-summary folds (gpu-sim).
     pub summary: CacheCounters,
@@ -144,25 +142,5 @@ mod tests {
         alias.count_prompt_renders(4);
         assert_eq!(caches.prompt_renders(), 7);
         assert_eq!(alias.report().prompt_renders, 7);
-    }
-
-    #[test]
-    fn report_serializes_with_named_caches() {
-        let json =
-            serde_json::to_string_pretty(&SuiteCaches::new().report()).expect("report serializes");
-        for needle in [
-            "summary",
-            "profile",
-            "analysis",
-            "classify_parse",
-            "rq1_parse",
-            "prompt_renders",
-            "hits",
-            "misses",
-            "evictions",
-            "resident_bytes",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
     }
 }

@@ -7,10 +7,10 @@
 //! the contingency table.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pce_dataset::Sample;
-use pce_fault::RetryPolicy;
+use pce_fault::{PceError, RetryPolicy};
 use pce_llm::{SamplingParams, SurrogateEngine};
 use pce_metrics::{chi_squared_independence, Chi2Result};
 use pce_prompt::ShotStyle;
@@ -20,7 +20,7 @@ use crate::experiments::rq23::prompt_for_sample;
 use crate::study::Study;
 
 /// Result of the hyperparameter sensitivity check for one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HyperparamCheck {
     /// Model name.
     pub model: String,
@@ -34,12 +34,18 @@ pub struct HyperparamCheck {
 
 /// Run the check over a sample subset (the full dataset would be wasteful
 /// for a negative-result confirmation; the paper likewise sampled).
+///
+/// # Errors
+/// Returns the [`PceError::Spec`] of [`chi_squared_independence`] when
+/// the answers do not form a table with two nonzero columns: an empty
+/// `samples` slice, or a model that never answers `Compute` (an unknown
+/// model name scores every answer as `Bandwidth`).
 pub fn run_hyperparam_check(
     study: &Study,
     engine: &SurrogateEngine,
     model: &str,
     samples: &[Sample],
-) -> HyperparamCheck {
+) -> Result<HyperparamCheck, PceError> {
     let settings = vec![
         SamplingParams {
             temperature: 0.1,
@@ -78,14 +84,13 @@ pub fn run_hyperparam_check(
             vec![counts.0, counts.1]
         })
         .collect();
-    let chi2 = chi_squared_independence(&table)
-        .expect("contingency table over >= 2 settings and 2 classes");
-    HyperparamCheck {
+    let chi2 = chi_squared_independence(&table)?;
+    Ok(HyperparamCheck {
         model: model.to_string(),
         settings,
         table,
         chi2,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -103,7 +108,8 @@ mod tests {
             &engine,
             "gemini-2.0-flash-001",
             &data.dataset.samples,
-        );
+        )
+        .expect("check runs");
         assert_eq!(check.table.len(), 3);
         assert!(
             !check.chi2.significant_at(0.05),
@@ -114,5 +120,16 @@ mod tests {
         for row in &check.table {
             assert_eq!(row.iter().sum::<u64>() as usize, data.dataset.len());
         }
+    }
+
+    #[test]
+    fn degenerate_answer_tables_are_spec_errors() {
+        let study = Study::smoke();
+        let data = StudyData::build(&study).expect("study builds");
+        let engine = SurrogateEngine::new();
+        let unknown = run_hyperparam_check(&study, &engine, "gpt-6", &data.dataset.samples);
+        assert_eq!(unknown.expect_err("unknown model").kind(), "spec");
+        let empty = run_hyperparam_check(&study, &engine, "gpt-4o-2024-11-20", &[]);
+        assert_eq!(empty.expect_err("no samples").kind(), "spec");
     }
 }

@@ -5,7 +5,7 @@
 //! suite; the paper reports the best accuracy per CoT setting.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pce_fault::RetryPolicy;
 use pce_llm::SurrogateEngine;
@@ -16,7 +16,7 @@ use pce_roofline::Boundedness;
 use crate::study::Study;
 
 /// RQ1 results for one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Rq1Outcome {
     /// Model name.
     pub model: String,

@@ -3,7 +3,6 @@
 //! prompt's example bank differs.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use pce_dataset::Sample;
 use pce_fault::ResponseAccounting;
@@ -15,7 +14,7 @@ use pce_roofline::Boundedness;
 use crate::study::Study;
 
 /// Classification results for one (model, shot-style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassificationOutcome {
     /// Model name.
     pub model: String,

@@ -2,7 +2,7 @@
 //! 80 % split (zero-shot prompt texts, as the paper did) and evaluates on
 //! the validation split, reporting the collapse diagnostics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pce_dataset::Split;
 use pce_llm::{FineTuneConfig, FineTuneJob};
@@ -14,7 +14,7 @@ use crate::experiments::rq23::prompt_for_sample;
 use crate::study::Study;
 
 /// RQ4 results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Rq4Outcome {
     /// Validation metrics of the fine-tuned model.
     pub metrics: MetricBundle,

@@ -2,7 +2,6 @@
 //! distributions).
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use pce_dataset::{fig2_stats, Fig2Row, Split};
 use pce_gpu_sim::Profiler;
@@ -13,7 +12,7 @@ use pce_roofline::{KernelObservation, OpClass};
 use crate::study::Study;
 
 /// Figure-1 payload plus its headline statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1 {
     /// The plot data (curves + scatter).
     pub plot: RooflinePlot,
@@ -59,7 +58,7 @@ pub fn build_fig1(study: &Study, corpus: &[Program], cache_enabled: bool) -> Fig
 }
 
 /// Figure-2 payload: the eight box-plot rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2 {
     /// (split × language × class) token distributions.
     pub rows: Vec<Fig2Row>,

@@ -1,7 +1,5 @@
 //! Study configuration and the shared data build.
 
-use serde::{Deserialize, Serialize};
-
 use pce_dataset::{
     run_pipeline_cached, tokenize_corpus, Dataset, PipelineConfig, PipelineReport, Split,
 };
@@ -12,7 +10,7 @@ use pce_roofline::SpecPair;
 
 /// Chaos configuration: the seeded fault plan the surrogate engine
 /// consults, plus the retry policy the classification loops run under.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// The fault plan (seed + per-kind injection rates).
     pub plan: FaultPlan,
@@ -36,7 +34,7 @@ impl ChaosConfig {
 /// RTX 3080 for the CUDA half (paired with the EPYC 9654 CPU preset for
 /// the OMP half), 446 CUDA + 303 OMP programs, 8e3-token cutoff,
 /// 85-per-cell balancing, 80/20 split.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Study {
     /// Profiling / prompt hardware, one spec per machine class: CUDA
     /// samples use `specs.gpu`, OMP samples `specs.cpu` — in the

@@ -28,7 +28,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use pce_dataset::{run_pipeline_cached, tokenize_corpus, PipelineReport, TokenizedCorpus};
 use pce_fault::{PceError, ResponseAccounting};
@@ -41,7 +40,7 @@ use crate::table1::{build_table1_from_bank_cached, Rq1Bank, Table1};
 
 /// Cross-hardware suite configuration: one base study re-targeted at
 /// every cell of a (GPU spec × CPU spec) matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Suite {
     /// The base study (corpus, pipeline, RQ1 scale, seeds). Its spec pair
     /// is replaced per cell via [`Study::with_specs`].
@@ -107,7 +106,7 @@ impl Suite {
 }
 
 /// Everything the suite produces for one (GPU, CPU) matrix cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecOutcome {
     /// The GPU spec this cell ran on (labels the CUDA half).
     pub spec: HardwareSpec,
@@ -142,7 +141,7 @@ impl SpecOutcome {
 
 /// Ground-truth labels for one corpus kernel across its language's
 /// hardware axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelLabels {
     /// Corpus program id.
     pub id: String,
@@ -161,7 +160,7 @@ impl KernelLabels {
 }
 
 /// The flip analysis for one corpus language along its own hardware axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LanguageFlips {
     /// The corpus language this section covers.
     pub language: Language,
@@ -189,7 +188,7 @@ pub struct LanguageFlips {
 /// Which kernels change ground-truth boundedness across the hardware
 /// matrix — split by language, since each language sweeps its own axis —
 /// and how model accuracy tracks those flips.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlipAnalysis {
     /// One section per corpus language: CUDA (across the GPU axis) first,
     /// then OMP (across the CPU axis).
@@ -217,7 +216,7 @@ impl FlipAnalysis {
     reason = "a suite holds at most a few dozen cells, so the size gap \
               between the completed and failed variants costs nothing"
 )]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CellOutcome {
     /// The cell ran to completion.
     Completed(SpecOutcome),
@@ -274,7 +273,7 @@ impl CellOutcome {
 }
 
 /// The full suite result: per-cell outcomes plus the flip analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteOutcome {
     /// One outcome per (GPU, CPU) cell, in [`Suite::cells`] order
     /// (GPU-major). Failed cells stay in place so the matrix shape is

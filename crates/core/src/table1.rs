@@ -7,7 +7,6 @@
 use std::collections::BTreeMap;
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use pce_fault::ResponseAccounting;
 use pce_llm::{model_zoo, LlmCaches, SurrogateEngine, UsageMeter};
@@ -20,7 +19,7 @@ use crate::experiments::{run_rq1, Rq1Outcome};
 use crate::study::Study;
 
 /// One Table-1 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Model name.
     pub model: String,
@@ -43,7 +42,7 @@ pub struct Table1Row {
 }
 
 /// The assembled table plus total spend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1 {
     /// Rows sorted by RQ1 accuracy then RQ2 accuracy (the paper sorts by
     /// RQ1 accuracy).
@@ -113,7 +112,7 @@ impl Rq1Bank {
 
 /// The assembled table plus the per-model per-sample detail the
 /// cross-hardware suite's flip-tracking accuracy consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Detail {
     /// The table as published.
     pub table: Table1,

@@ -1,13 +1,13 @@
 //! The evaluation sample: one profiled, labeled, token-counted program.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pce_kernels::Language;
 use pce_roofline::{Boundedness, OpCounts, SpecClass};
 
 /// One dataset sample — everything RQ2/RQ3 prompts need, plus the
 /// ground-truth label and provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Sample {
     /// Program id from the corpus.
     pub id: String,
@@ -71,13 +71,5 @@ mod tests {
     fn combo_pairs_language_and_label() {
         let s = sample(Language::Cuda, Boundedness::Compute);
         assert_eq!(s.combo(), (Language::Cuda, Boundedness::Compute));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = sample(Language::Omp, Boundedness::Bandwidth);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Sample = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -1,7 +1,6 @@
 //! Dataset statistics: the Figure-2 token-distribution rows and the §2.2
 //! funnel counts.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use pce_kernels::Language;
@@ -13,7 +12,7 @@ use crate::sample::Sample;
 
 /// One box of the Figure-2 box-and-whisker plot:
 /// (split, language, class) → token-count distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Row {
     /// `"train"` or `"validation"`.
     pub split: String,

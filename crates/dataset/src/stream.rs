@@ -36,7 +36,6 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use pce_fault::PceError;
 use pce_gpu_sim::{profile_fingerprint, Profiler, SimCaches};
@@ -52,7 +51,7 @@ use crate::pipeline::{
 use crate::sample::Sample;
 
 /// Wall-clock of one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
     /// Stage name (`tokenize-train`, `shard-profile`, `select-balance`,
     /// `materialize`).

@@ -1,7 +1,5 @@
 //! Valid / retried / invalid / refused response tallies.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-bucket response accounting, the ledger the paper's automation keeps
 /// when hosted answers go wrong: how many completions parsed first try,
 /// how many needed a retry, and how many were unusable.
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// a static-diagnostics rejection of raw source. Layers that never queue
 /// jobs (the suite) leave the serving counters at zero, which balances
 /// trivially.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResponseAccounting {
     /// Completions that parsed on the first attempt.
     pub valid: u64,
@@ -33,26 +31,20 @@ pub struct ResponseAccounting {
     /// Total deterministic backoff the retry loop recorded, in ms.
     pub backoff_ms: u64,
     /// Jobs submitted to the serving layer (including ones later shed).
-    #[serde(default)]
     pub admitted: u64,
     /// Jobs answered with a terminal completion (ok or a definitive err).
-    #[serde(default)]
     pub completed: u64,
     /// Jobs shed under load: full admission queue, open circuit breaker,
     /// or a draining server.
-    #[serde(default)]
     pub shed: u64,
     /// Jobs whose deadline passed before an answer could be delivered —
     /// distinct from upstream [`crate::PceError::Timeout`] faults, which
     /// land in `invalid`/`retried_valid`.
-    #[serde(default)]
     pub expired: u64,
     /// The subset of `shed` rejected by an open circuit breaker.
-    #[serde(default)]
     pub breaker_open: u64,
     /// Raw-source jobs rejected at admission by error-severity static
     /// diagnostics ([`crate::PceError::Lint`]).
-    #[serde(default)]
     pub lint: u64,
 }
 
@@ -260,36 +252,5 @@ mod tests {
             a.csv_row().split(',').count(),
             ACCOUNTING_CSV_COLUMNS.split(',').count()
         );
-    }
-
-    #[test]
-    fn accounting_round_trips_through_serde() {
-        let a = ResponseAccounting {
-            valid: 1,
-            retried_valid: 2,
-            invalid: 3,
-            refused: 4,
-            injected: 9,
-            retries: 6,
-            backoff_ms: 123,
-            admitted: 10,
-            completed: 10,
-            shed: 0,
-            expired: 0,
-            breaker_open: 0,
-            lint: 0,
-        };
-        let json = serde_json::to_string(&a).unwrap();
-        let back: ResponseAccounting = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, a);
-        // Pre-extension ledgers (no serving counters) still deserialize.
-        let legacy: ResponseAccounting = serde_json::from_str(
-            "{\"valid\":1,\"retried_valid\":0,\"invalid\":0,\"refused\":0,\
-             \"injected\":0,\"retries\":0,\"backoff_ms\":0}",
-        )
-        .unwrap();
-        assert_eq!(legacy.valid, 1);
-        assert_eq!(legacy.admitted, 0);
-        assert!(legacy.balanced());
     }
 }

@@ -9,8 +9,8 @@
 //! machinery the rest of the workspace threads that resilience through:
 //!
 //! * [`PceError`] — the workspace-wide typed error taxonomy
-//!   (`Parse`/`Timeout`/`Refusal`/`Spec`/`Io`) with retryability
-//!   classification,
+//!   (`Parse`/`Timeout`/`Refusal`/`Spec`/`Io`/`Overload`/`Lint`) with
+//!   retryability classification,
 //! * [`FaultPlan`] — a seeded plan that decides, per
 //!   (model, prompt-fingerprint, request seed, attempt), whether a
 //!   completion is truncated, format-mangled, refused, timed out, or hit by

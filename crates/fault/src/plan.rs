@@ -1,13 +1,11 @@
 //! Seeded, deterministic fault injection plans.
 
-use serde::{Deserialize, Serialize};
-
 use crate::wire::{WirePlan, WireRates};
 use crate::{fnv1a, scramble, unit};
 
 /// The injectable fault classes, mirroring the failure modes the paper's
 /// automation observes from hosted endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The answer is cut off mid-token ("Comp" instead of "Compute").
     Truncate,
@@ -71,7 +69,7 @@ pub fn corrupt_text(kind: FaultKind, clean: &str) -> Option<String> {
 
 /// Per-kind injection probabilities. Each rate is a Bernoulli probability
 /// in `[0, 1]`; their sum must stay ≤ 1 (at most one fault per attempt).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRates {
     /// Probability of a truncated answer.
     pub truncate: f64,
@@ -118,20 +116,6 @@ impl FaultRates {
     pub fn total(&self) -> f64 {
         self.as_array().iter().sum()
     }
-
-    /// Human-readable problems; empty when the rates are usable.
-    pub fn validate(&self) -> Vec<String> {
-        let mut problems = Vec::new();
-        for (kind, rate) in FaultKind::ALL.iter().zip(self.as_array()) {
-            if !(0.0..=1.0).contains(&rate) || rate.is_nan() {
-                problems.push(format!("{kind:?} rate {rate} is outside [0, 1]"));
-            }
-        }
-        if self.total() > 1.0 {
-            problems.push(format!("total fault rate {} exceeds 1", self.total()));
-        }
-        problems
-    }
 }
 
 /// A seeded chaos plan: a pure function from request identity to an
@@ -142,17 +126,15 @@ impl FaultRates {
 /// evaluation order — so a chaos run renders byte-identically under any
 /// `RAYON_NUM_THREADS`, and a retried attempt re-rolls its own fault
 /// independently of the first attempt's.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// The chaos seed (`suite --chaos <seed>`).
     pub seed: u64,
     /// Per-kind injection rates.
     pub rates: FaultRates,
     /// Connection-layer injection rates (torn lines, disconnects,
-    /// stalls), consumed through [`FaultPlan::wire_plan`]. Defaults to
-    /// zero so response-only plans — and every plan serialized before the
-    /// wire layer existed — behave exactly as before.
-    #[serde(default)]
+    /// stalls), consumed through [`FaultPlan::wire_plan`]. Zero for
+    /// response-only plans.
     pub wire: WireRates,
 }
 
@@ -312,45 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn rates_validate_bounds() {
-        assert!(FaultRates::uniform(0.4).validate().is_empty());
-        assert!(FaultRates::zero().validate().is_empty());
-        let bad = FaultRates {
-            truncate: -0.1,
-            ..FaultRates::zero()
-        };
-        assert!(bad.validate()[0].contains("outside [0, 1]"));
-        let too_much = FaultRates {
-            truncate: 0.6,
-            mangle: 0.6,
-            ..FaultRates::zero()
-        };
-        assert!(too_much.validate().iter().any(|p| p.contains("exceeds 1")));
-    }
-
-    #[test]
     fn uniform_split_is_even_and_clamped() {
         let r = FaultRates::uniform(0.5);
         assert!((r.total() - 0.5).abs() < 1e-12);
         assert_eq!(r.truncate, r.transient);
         assert!((FaultRates::uniform(7.0).total() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn plans_round_trip_through_serde() {
-        let plan = FaultPlan::uniform(42, 0.1).with_wire(WireRates::uniform(0.2));
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
-        // Plans serialized before the wire layer existed still deserialize,
-        // with wire rates defaulting to zero.
-        let legacy: FaultPlan = serde_json::from_str(
-            "{\"seed\":42,\"rates\":{\"truncate\":0.1,\"mangle\":0.0,\
-             \"refuse\":0.0,\"timeout\":0.0,\"transient\":0.0}}",
-        )
-        .unwrap();
-        assert_eq!(legacy.wire, WireRates::zero());
-        assert!(!legacy.wire_plan().is_active());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Bounded, deterministic retry policy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{fnv1a, scramble, unit};
 
 /// Salt mixed into retried request seeds so attempt `k > 0` samples a
@@ -32,7 +30,7 @@ pub fn attempt_seed(seed: u64, attempt: u32) -> u64 {
 /// have waited while keeping runs instant and reproducible. Jitter is
 /// seeded from the request fingerprint, not a thread-local RNG, so the
 /// recorded delays are identical across thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (so `max_retries + 1` attempts total).
     pub max_retries: u32,
@@ -51,7 +49,6 @@ pub struct RetryPolicy {
     /// with a deadline can never be accounted both `retried_valid` and
     /// `expired`. `None` leaves backoff unbudgeted (the historical
     /// behavior).
-    #[serde(default)]
     pub backoff_budget_ms: Option<u64>,
 }
 
@@ -176,15 +173,5 @@ mod tests {
         assert_eq!(RetryPolicy::default().backoff_budget_ms, None);
         let p = RetryPolicy::default().with_budget(750);
         assert_eq!(p.backoff_budget_ms, Some(750));
-        let json = serde_json::to_string(&p).unwrap();
-        let back: RetryPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-        // Pre-budget policies (no backoff_budget_ms key) still deserialize.
-        let legacy: RetryPolicy = serde_json::from_str(
-            "{\"max_retries\":3,\"base_backoff_ms\":100,\"multiplier\":2.0,\
-             \"max_backoff_ms\":5000,\"jitter\":0.25}",
-        )
-        .unwrap();
-        assert_eq!(legacy.backoff_budget_ms, None);
     }
 }

@@ -9,8 +9,6 @@
 //! `RAYON_NUM_THREADS` — and stalls advance a *virtual* clock, never a
 //! real sleep, keeping chaos runs instant and byte-reproducible.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{fnv1a, scramble, unit};
 
 /// Salt separating wire draws from the response-fault and retry-seed
@@ -23,7 +21,7 @@ pub const MIN_STALL_MS: u64 = 10;
 pub const MAX_STALL_MS: u64 = 250;
 
 /// The injectable connection faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFault {
     /// The line arrives cut off after `at` bytes (a partial write); the
     /// server sees only the prefix and must answer it as a parse error,
@@ -46,7 +44,7 @@ pub enum WireFault {
 
 /// Per-kind wire fault probabilities. Bernoulli rates in `[0, 1]` whose
 /// sum must stay ≤ 1 (at most one wire fault per line).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireRates {
     /// Probability a line arrives torn.
     pub torn: f64,
@@ -56,16 +54,9 @@ pub struct WireRates {
     pub stall: f64,
 }
 
-impl Default for WireRates {
-    fn default() -> WireRates {
-        WireRates::zero()
-    }
-}
-
 impl WireRates {
-    /// No wire faults at all — the default, so response-only chaos plans
-    /// (and every pre-extension serialized plan) behave exactly as
-    /// before.
+    /// No wire faults at all: what [`crate::FaultPlan::uniform`] arms, so
+    /// response-only chaos plans never touch a protocol line.
     pub fn zero() -> WireRates {
         WireRates {
             torn: 0.0,
@@ -93,20 +84,6 @@ impl WireRates {
     pub fn total(&self) -> f64 {
         self.as_array().iter().sum()
     }
-
-    /// Human-readable problems; empty when the rates are usable.
-    pub fn validate(&self) -> Vec<String> {
-        let mut problems = Vec::new();
-        for (name, rate) in ["torn", "disconnect", "stall"].iter().zip(self.as_array()) {
-            if !(0.0..=1.0).contains(&rate) || rate.is_nan() {
-                problems.push(format!("{name} rate {rate} is outside [0, 1]"));
-            }
-        }
-        if self.total() > 1.0 {
-            problems.push(format!("total wire fault rate {} exceeds 1", self.total()));
-        }
-        problems
-    }
 }
 
 /// A seeded connection-chaos plan: a pure function from a request line's
@@ -117,7 +94,7 @@ impl WireRates {
 /// transcript (including exactly which jobs were torn, dropped, or
 /// stalled) is byte-identical across `RAYON_NUM_THREADS` and repeated
 /// runs at the same seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WirePlan {
     /// The chaos seed shared with the owning [`crate::FaultPlan`].
     pub seed: u64,
@@ -257,43 +234,6 @@ mod tests {
             // boundary the walk-back can use; the nth(1) fallback lands
             // past the end and is rejected.
             assert_eq!(tear_at("é", param), None);
-        }
-    }
-
-    #[test]
-    fn rates_validate_bounds() {
-        assert!(WireRates::uniform(0.4).validate().is_empty());
-        assert!(WireRates::zero().validate().is_empty());
-        let bad = WireRates {
-            torn: 1.5,
-            ..WireRates::zero()
-        };
-        assert!(bad.validate()[0].contains("outside [0, 1]"));
-        let too_much = WireRates {
-            torn: 0.6,
-            stall: 0.6,
-            ..WireRates::zero()
-        };
-        assert!(too_much.validate().iter().any(|p| p.contains("exceeds 1")));
-    }
-
-    #[test]
-    fn wire_plans_round_trip_through_serde() {
-        let plan = WirePlan {
-            seed: 42,
-            rates: WireRates::uniform(0.15),
-        };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: WirePlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
-        for fault in [
-            WireFault::Torn { at: 5 },
-            WireFault::Disconnect,
-            WireFault::Stall { ms: 40 },
-        ] {
-            let json = serde_json::to_string(&fault).unwrap();
-            let back: WireFault = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, fault);
         }
     }
 }

@@ -8,11 +8,10 @@
 //! per-thread cost vectors.
 
 use pce_memo::Fnv;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Floating-point precision of an arithmetic op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 32-bit single precision.
     F32,
@@ -32,7 +31,7 @@ impl Precision {
 
 /// Kind of integer operation (all count as one INTOP; the distinction
 /// feeds the timing model's issue-rate table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntKind {
     /// Add/sub/logical — full rate.
     Simple,
@@ -43,7 +42,7 @@ pub enum IntKind {
 }
 
 /// Transcendental / special-function unit ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecialFn {
     /// Square root.
     Sqrt,
@@ -68,7 +67,7 @@ impl SpecialFn {
 }
 
 /// How consecutive threads of a warp touch memory for one access site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Thread `i` touches element `base + i`: fully coalesced.
     Coalesced,
@@ -81,7 +80,7 @@ pub enum AccessPattern {
 }
 
 /// A buffer length or loop trip count, possibly launch-parameter dependent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Extent {
     /// A compile-time constant.
     Const(u64),
@@ -108,7 +107,7 @@ impl Extent {
 }
 
 /// Direction of a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dir {
     /// Global-memory read.
     Read,
@@ -117,7 +116,7 @@ pub enum Dir {
 }
 
 /// One per-thread operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// One floating-point add/mul (1 FLOP).
     Flop(Precision),
@@ -210,7 +209,7 @@ impl Op {
 }
 
 /// A declared global buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferDecl {
     /// Buffer name referenced by `Op::Mem`.
     pub name: String,
@@ -221,7 +220,7 @@ pub struct BufferDecl {
 }
 
 /// A complete kernel: buffers plus the per-thread op tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelIr {
     /// Kernel (function) name, as it would appear in an object dump.
     pub name: String,

@@ -1,13 +1,12 @@
 //! CUDA-style launch geometry and the occupancy model.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use pce_fault::PceError;
 use pce_roofline::HardwareSpec;
 
 /// A CUDA `dim3`: x/y/z extents of a grid or block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// X extent.
     pub x: u32,
@@ -43,7 +42,7 @@ impl std::fmt::Display for Dim3 {
 /// A kernel launch: grid/block geometry plus named scalar parameters
 /// (problem sizes, iteration counts — the values benchmark binaries take
 /// from their command line).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchConfig {
     /// Grid dimensions (blocks).
     pub grid: Dim3,

@@ -9,7 +9,6 @@
 //! paper's static-prediction task hard (§1), so it must be modeled rather
 //! than assumed away.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use pce_roofline::HardwareSpec;
@@ -21,7 +20,7 @@ use crate::launch::LaunchConfig;
 pub const SECTOR_BYTES: f64 = 32.0;
 
 /// Per-buffer traffic resolution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferTraffic {
     /// Buffer name.
     pub buffer: String,
@@ -48,7 +47,7 @@ impl BufferTraffic {
 }
 
 /// The full memory-system resolution for one launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryResolution {
     /// Per-buffer traffic breakdown.
     pub buffers: Vec<BufferTraffic>,

@@ -16,8 +16,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use pce_roofline::{HardwareSpec, KernelObservation, OpCounts};
 
 use crate::cache::SimCaches;
@@ -27,7 +25,7 @@ use crate::memory::{resolve_memory, BufferTraffic, MemoryResolution};
 use crate::timing::{estimate_runtime, TimingBreakdown};
 
 /// A complete profiled kernel launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     /// Kernel name.
     pub kernel: String,

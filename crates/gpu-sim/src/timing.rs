@@ -9,8 +9,6 @@
 //! *on* the roofline (the paper's Fig. 1 shows most kernels well below
 //! their ceilings).
 
-use serde::{Deserialize, Serialize};
-
 use pce_roofline::HardwareSpec;
 
 use crate::ir::ThreadCosts;
@@ -21,7 +19,7 @@ use crate::memory::MemoryResolution;
 pub const LAUNCH_OVERHEAD_S: f64 = 4.0e-6;
 
 /// Breakdown of the timing estimate, useful for reports and ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingBreakdown {
     /// Time the FP32 pipes would need, in seconds.
     pub t_fp32: f64,

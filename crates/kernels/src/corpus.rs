@@ -6,7 +6,6 @@ use std::sync::LazyLock;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use pce_fault::PceError;
 use pce_gpu_sim::{KernelIr, LaunchConfig, Precision};
@@ -17,7 +16,7 @@ use crate::stream::CorpusSpec;
 pub use crate::source::Language;
 
 /// One benchmark program of the corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Stable identifier, e.g. `"cuda-saxpy-0042"`.
     pub id: String,
@@ -38,7 +37,7 @@ pub struct Program {
 }
 
 /// Corpus generation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorpusConfig {
     /// Master seed; every program derives its own stream from it.
     pub seed: u64,
@@ -263,18 +262,5 @@ mod tests {
         let families_used: std::collections::BTreeSet<_> =
             corpus.iter().map(|p| p.family.clone()).collect();
         assert!(families_used.len() >= 30);
-    }
-
-    #[test]
-    fn programs_serde_round_trip() {
-        let corpus = build_corpus(&CorpusConfig {
-            seed: 1,
-            cuda_programs: 2,
-            omp_programs: 1,
-        })
-        .expect("corpus builds");
-        let json = serde_json::to_string(&corpus).unwrap();
-        let back: Vec<Program> = serde_json::from_str(&json).unwrap();
-        assert_eq!(corpus, back);
     }
 }

@@ -12,12 +12,12 @@
 
 use std::sync::LazyLock;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::families::Pieces;
 
 /// Corpus language, matching the paper's two HeCBench subsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Language {
     /// CUDA C++.
     Cuda,

@@ -27,8 +27,6 @@
 //! profile memos downstream absorb these — the pipeline reports the
 //! resulting dedup hit rate.
 
-use serde::{Deserialize, Serialize};
-
 use pce_fault::PceError;
 use pce_gpu_sim::{Op, Precision};
 
@@ -38,27 +36,23 @@ use crate::source::Language;
 /// Parametric variant axes: every base program expands into the cross
 /// product of these lists (each axis contributes its identity variant, so
 /// empty axes mean no expansion).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VariantAxes {
     /// Problem-size shifts in log2 steps: a shift of `2` rebuilds the
     /// program with `4×` the sampled element count (clamped to
     /// `2^10..=2^28`), moving it along the arithmetic-intensity axis.
-    #[serde(default)]
     pub size_shifts: Vec<i8>,
     /// Rebuild each program with the opposite floating-point precision
     /// (datatype mix). Integer-only families render identically under the
     /// flip — those variants are pure duplicates the profile memo absorbs.
-    #[serde(default)]
     pub flip_precision: bool,
     /// Unroll factors: each injects `#pragma unroll N` ahead of the
     /// kernel's first loop. Source-only — the IR and launch are untouched,
     /// so these variants dedup to their base at profiling time.
-    #[serde(default)]
     pub unroll: Vec<u32>,
     /// Fused-op chain lengths: each appends N fused multiply-add stages
     /// to the kernel IR (and a matching epilogue helper to the source),
     /// raising arithmetic intensity — genuinely new work, not a duplicate.
-    #[serde(default)]
     pub fused: Vec<u32>,
 }
 
@@ -93,12 +87,11 @@ impl VariantAxes {
 
 /// A corpus specification: the base generation config plus variant axes.
 /// The total stream length is `(cuda + omp) × expansion_factor`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CorpusSpec {
     /// Base corpus parameters (seed, per-language program counts).
     pub base: CorpusConfig,
     /// Variant expansion axes.
-    #[serde(default)]
     pub axes: VariantAxes,
 }
 
@@ -528,9 +521,14 @@ mod tests {
 
     #[test]
     fn axes_serde_default_is_identity() {
-        let spec: CorpusSpec =
-            serde_json::from_str(r#"{"base":{"seed":1,"cuda_programs":2,"omp_programs":1}}"#)
-                .expect("spec parses");
+        let spec = CorpusSpec {
+            base: CorpusConfig {
+                seed: 1,
+                cuda_programs: 2,
+                omp_programs: 1,
+            },
+            axes: VariantAxes::default(),
+        };
         assert_eq!(spec.axes.expansion_factor(), 1);
         assert_eq!(spec.len(), 3);
     }

@@ -3,13 +3,13 @@
 //! harness talks to (Azure OpenAI / Gemini endpoints).
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Sampling hyperparameters (§3.2). Reasoning models ignore them, exactly
 /// as the hosted o-series endpoints reject sampling overrides.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SamplingParams {
     /// Softmax temperature.
     pub temperature: f64,
@@ -28,7 +28,7 @@ impl Default for SamplingParams {
 }
 
 /// Token usage of one completion.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Usage {
     /// Prompt-side tokens.
     pub prompt_tokens: u64,
@@ -45,7 +45,7 @@ impl Usage {
 }
 
 /// One completion response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChatResponse {
     /// Model that produced the answer.
     pub model: String,

@@ -26,13 +26,13 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pce_fault::fnv1a;
 use pce_roofline::Boundedness;
 
 /// Fine-tuning hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FineTuneConfig {
     /// Epochs over the training set (the paper ran 2).
     pub epochs: u32,
@@ -78,7 +78,7 @@ pub struct FineTuneJob {
 }
 
 /// The trained head.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FineTunedModel {
     /// Hashed-feature weights.
     pub weights: Vec<f64>,

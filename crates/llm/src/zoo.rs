@@ -6,10 +6,8 @@
 //! whether cache reuse is anticipated — and the evaluation measures
 //! whatever accuracy emerges. Costs are the paper's April-2025 prices.
 
-use serde::{Deserialize, Serialize};
-
 /// Mechanism strengths of one surrogate model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Capability {
     /// Probability of an arithmetic slip on a borderline RQ1 item
     /// (margin below [`Capability::SLIP_MARGIN_DECADES`]).
@@ -38,7 +36,7 @@ impl Capability {
 }
 
 /// One zoo entry: identity, pricing, and capability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Model name as it appears in Table 1.
     pub name: String,

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of lock shards per memo table. Small power of two: enough to
 /// keep a rayon team from serializing on one lock, cheap enough to scan
@@ -88,7 +88,7 @@ impl Budget {
 /// Hit/miss/eviction counters for one cache, as reported by the bench
 /// harness. `resident_bytes` is a point-in-time gauge (0 for unbounded
 /// tables, which do no size accounting); the rest are monotone counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -122,7 +122,7 @@ impl CacheCounters {
 /// these are a pure fold over an *ordered* stream, so two runs over the
 /// same corpus produce identical stats regardless of shard count or
 /// thread schedule.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DedupStats {
     /// Fingerprints seen for the first time (distinct work items).
     pub unique: u64,
@@ -501,16 +501,6 @@ mod tests {
         assert!((s.hit_rate() - 0.4).abs() < 1e-12);
         assert_eq!(d.len(), 3);
         assert_eq!(DedupStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn dedup_stats_round_trip_through_serde() {
-        let s = DedupStats {
-            unique: 7,
-            duplicates: 3,
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(serde_json::from_str::<DedupStats>(&json).unwrap(), s);
     }
 
     #[test]

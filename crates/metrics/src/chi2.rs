@@ -6,10 +6,10 @@
 //! statistically significant effect on predicted outcomes (§3.2).
 
 use pce_fault::PceError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of a chi-squared independence test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Chi2Result {
     /// The chi-squared statistic.
     pub statistic: f64,

@@ -6,7 +6,7 @@
 //! every metric here is invariant (accuracy, macro-F1) or equivariant (MCC
 //! keeps its sign structure) under that choice.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A 2×2 confusion matrix over an arbitrary binary labeling.
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// should be recorded with [`ConfusionMatrix::record_invalid`], which counts
 /// them as errors against the true class (matching the paper's automation,
 /// which marks any non-singleton answer wrong).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// truth=true predicted true.
     pub tp: u64,
@@ -175,7 +175,7 @@ impl ConfusionMatrix {
 }
 
 /// Accuracy / macro-F1 / MCC scaled ×100, as reported in Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MetricBundle {
     /// Accuracy × 100.
     pub accuracy: f64,

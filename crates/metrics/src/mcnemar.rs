@@ -3,12 +3,10 @@
 //! RQ3 few-shot run differs significantly from the RQ2 zero-shot run for a
 //! given model, backing the paper's "not much of a difference" claims.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chi2::chi2_sf;
 
 /// Result of McNemar's test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McNemarResult {
     /// Samples classifier A got right and B got wrong.
     pub a_only: u64,

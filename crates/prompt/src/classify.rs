@@ -2,15 +2,13 @@
 //! (zero-shot, pseudo-code examples) and RQ3 (few-shot, real code
 //! examples).
 
-use serde::{Deserialize, Serialize};
-
 use pce_roofline::HardwareSpec;
 
 use crate::examples::examples_for;
 
 /// Whether the prompt carries pseudo-code (RQ2) or real code (RQ3)
 /// examples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShotStyle {
     /// RQ2: pseudo-code examples, minimal instructions.
     ZeroShot,
@@ -19,7 +17,7 @@ pub enum ShotStyle {
 }
 
 /// Everything interpolated into the Fig.-4 template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassifyRequest {
     /// `"CUDA"` or `"OMP"`.
     pub language: String,

@@ -8,12 +8,12 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pce_roofline::{Boundedness, Roofline};
 
 /// One RQ1 roofline question.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Rq1Item {
     /// Peak performance in GFLOP/s.
     pub peak_gflops: f64,
@@ -32,7 +32,7 @@ pub struct Rq1Item {
 }
 
 /// A full RQ1 evaluation suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rq1Suite {
     /// The query items, two per random roofline (one BB, one CB).
     pub items: Vec<Rq1Item>,

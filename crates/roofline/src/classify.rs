@@ -6,13 +6,13 @@
 //! classification; otherwise if there exists at least 1 operation type where
 //! the kernel is CB, we consider it CB."*
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::hardware::{HardwareSpec, OpClass};
 use crate::observation::OpCounts;
 
 /// The binary roofline class: the label space of the whole study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Boundedness {
     /// Performance limited by arithmetic throughput ("Compute" in prompts).
     Compute,
@@ -77,7 +77,7 @@ impl std::fmt::Display for Boundedness {
 }
 
 /// Per-class classification outcome for one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassOutcome {
     /// The operation class this outcome refers to.
     pub class: OpClass,
@@ -90,7 +90,7 @@ pub struct ClassOutcome {
 }
 
 /// The joint classification of a kernel under all three rooflines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JointClassification {
     /// Per-class outcomes in `OpClass::ALL` order.
     pub per_class: Vec<ClassOutcome>,

@@ -9,7 +9,7 @@
 //! each class for language-aware routing.
 
 use pce_fault::PceError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::Roofline;
 
@@ -18,7 +18,7 @@ use crate::model::Roofline;
 /// The paper profiles three counters per kernel — single-precision FLOPs,
 /// double-precision FLOPs and integer ops — and draws one roofline per class
 /// (Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpClass {
     /// Single-precision (32-bit) floating-point operations.
     Sp,
@@ -61,7 +61,7 @@ impl std::fmt::Display for OpClass {
 /// Ground-truth labels must come from the roofline of the hardware the
 /// code actually targets: CUDA kernels are profiled against a `Gpu` spec,
 /// OpenMP-offload kernels against a `Cpu` spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum SpecClass {
     /// A discrete GPU (the paper's machine model).
     Gpu,
@@ -95,7 +95,7 @@ impl std::fmt::Display for SpecClass {
 /// For CPU specs the "SM" fields describe the analogous CPU quantities:
 /// `num_sms` is the core count, `core_clock_mhz` the sustained all-core
 /// clock, and `l2_bytes` the last-level (L3) cache capacity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareSpec {
     /// Marketing name, e.g. `"NVIDIA GeForce RTX 3080"`.
     pub name: String,
@@ -530,7 +530,7 @@ impl HardwareSpec {
 /// One hardware spec of each class, for language-aware routing: CUDA
 /// kernels are profiled and labeled against the GPU spec, OpenMP kernels
 /// against the CPU spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecPair {
     /// The GPU spec (CUDA corpus half).
     pub gpu: HardwareSpec,
@@ -539,22 +539,6 @@ pub struct SpecPair {
 }
 
 impl SpecPair {
-    /// Pair a GPU spec with a CPU spec.
-    ///
-    /// # Errors
-    /// Rejects specs whose [`SpecClass`] does not match their slot, so a
-    /// CPU roofline can never silently label the CUDA half (or vice
-    /// versa).
-    pub fn new(gpu: HardwareSpec, cpu: HardwareSpec) -> Result<SpecPair, PceError> {
-        if gpu.class != SpecClass::Gpu {
-            return Err(PceError::spec(format!("'{}' is not a GPU spec", gpu.name)));
-        }
-        if cpu.class != SpecClass::Cpu {
-            return Err(PceError::spec(format!("'{}' is not a CPU spec", cpu.name)));
-        }
-        Ok(SpecPair { gpu, cpu })
-    }
-
     /// The paper-default pairing: RTX 3080 (the paper's GPU) with the
     /// EPYC 9654 CPU preset.
     pub fn paper_default() -> SpecPair {
@@ -807,24 +791,6 @@ mod tests {
         assert!(pair.label().contains(&pair.gpu.name));
         assert!(pair.label().contains(&pair.cpu.name));
 
-        assert!(SpecPair::new(HardwareSpec::epyc_9654(), HardwareSpec::epyc_9654()).is_err());
-        assert!(SpecPair::new(HardwareSpec::rtx_3080(), HardwareSpec::a100()).is_err());
-        assert!(SpecPair::new(HardwareSpec::rtx_3080(), HardwareSpec::grace()).is_ok());
-
-        // The errors are typed, name the offending spec, and are final.
-        let err = SpecPair::new(HardwareSpec::epyc_9654(), HardwareSpec::grace()).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "invalid spec: 'AMD EPYC 9654' is not a GPU spec"
-        );
-        assert_eq!(err.kind(), "spec");
-        assert!(!err.retryable());
-        let err = SpecPair::new(HardwareSpec::rtx_3080(), HardwareSpec::a100()).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "invalid spec: 'NVIDIA A100-SXM4-40GB' is not a CPU spec"
-        );
-
         let swapped = SpecPair {
             gpu: HardwareSpec::grace(),
             cpu: HardwareSpec::rtx_3080(),
@@ -843,18 +809,5 @@ mod tests {
             .contains("unknown hardware spec 'no-such-chip'"));
         assert!(err.to_string().contains("known presets:"));
         assert!(!err.retryable());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let hw = HardwareSpec::rtx_3080();
-        let json = serde_json::to_string(&hw).unwrap();
-        let back: HardwareSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(hw, back);
-
-        let pair = SpecPair::paper_default();
-        let json = serde_json::to_string(&pair).unwrap();
-        let back: SpecPair = serde_json::from_str(&json).unwrap();
-        assert_eq!(pair, back);
     }
 }

@@ -1,14 +1,12 @@
 //! The roofline curve itself: `attainable(AI) = min(peak, bandwidth * AI)`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::classify::Boundedness;
 
 /// A single roofline: one peak-throughput ceiling plus one bandwidth slope.
 ///
 /// Units are GB/s for bandwidth and Gops/s for the peak; arithmetic
 /// intensity is therefore in ops/byte, exactly as in the paper's prompts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak throughput ceiling in Gops/s.
     pub peak_gops: f64,

@@ -5,12 +5,12 @@
 //! kernel (§2.1): SP-FLOPs, DP-FLOPs, INTOPs, global-memory read/write
 //! bytes, plus execution time.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::hardware::OpClass;
 
 /// Raw operation and DRAM-traffic counters for one profiled kernel launch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct OpCounts {
     /// Single-precision floating-point operations executed.
     pub flops_sp: u64,
@@ -96,7 +96,7 @@ impl OpCounts {
 
 /// A complete profiled observation of one kernel launch: counters plus the
 /// measured execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelObservation {
     /// Operation and traffic counters.
     pub counts: OpCounts,

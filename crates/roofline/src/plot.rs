@@ -5,14 +5,12 @@
 //! balance-point marker, and one scatter point per kernel with nonzero ops
 //! in that class at `(AI_class, achieved Gops/s)`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::classify::Boundedness;
 use crate::hardware::{HardwareSpec, OpClass};
 use crate::observation::KernelObservation;
 
 /// A polyline for one roofline curve, sampled on a log-spaced AI axis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RooflineCurve {
     /// Which op class this roofline belongs to.
     pub class: OpClass,
@@ -25,7 +23,7 @@ pub struct RooflineCurve {
 }
 
 /// One kernel's scatter point in roofline space.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScatterPoint {
     /// Identifier of the program/kernel this point belongs to.
     pub id: String,
@@ -40,7 +38,7 @@ pub struct ScatterPoint {
 }
 
 /// The complete Figure-1 payload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RooflinePlot {
     /// Hardware the plot was generated for.
     pub hardware: String,

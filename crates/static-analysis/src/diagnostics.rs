@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::structure::{
@@ -28,7 +28,7 @@ use crate::structure::{
 };
 
 /// How bad a diagnostic is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum Severity {
     /// Likely-slow but correct code (performance hazard).
     Warning,
@@ -46,7 +46,7 @@ impl std::fmt::Display for Severity {
 }
 
 /// The registered lint rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum RuleId {
     /// Shared-memory write→read across threads without `__syncthreads()`.
     SharedRace,
@@ -127,7 +127,7 @@ impl std::fmt::Display for RuleId {
 }
 
 /// A resolved source location: byte offsets plus 1-based line / column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Span {
     /// Byte offset of the start of the flagged token(s).
     pub start: usize,
@@ -162,7 +162,7 @@ impl Span {
 }
 
 /// One lint finding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Diagnostic {
     /// Which rule fired.
     pub rule: RuleId,

@@ -9,7 +9,7 @@
 //! no cache model and no coalescing model — matching the information
 //! actually present in the prompt.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 use crate::lexer::{lex, Token, TokenKind};
@@ -25,7 +25,7 @@ enum NumType {
 }
 
 /// Estimated per-thread operation/byte tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct OpTally {
     /// Single-precision FLOPs.
     pub flops_sp: f64,
@@ -76,7 +76,7 @@ impl OpTally {
 }
 
 /// Analysis result for one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelAnalysis {
     /// Kernel name.
     pub name: String,
@@ -94,7 +94,7 @@ pub struct KernelAnalysis {
 }
 
 /// Whole-file analysis result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SourceAnalysis {
     /// Per-kernel analyses, in source order.
     pub kernels: Vec<KernelAnalysis>,
@@ -102,7 +102,6 @@ pub struct SourceAnalysis {
     pub file_tally: OpTally,
     /// Hazard diagnostics from the lint rules ([`crate::diagnostics`]),
     /// sorted by span then rule. Empty for clean source.
-    #[serde(default)]
     pub diagnostics: Vec<crate::diagnostics::Diagnostic>,
 }
 

@@ -10,7 +10,6 @@
 //! each worker's group of texts, owns its memo: no lock, no shared
 //! mutable state.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::ops::Range;
@@ -23,7 +22,7 @@ use crate::pretokenizer::{pretokenize, segments};
 ///
 /// Token ids `0..256` are the raw bytes; id `256 + r` is the token produced
 /// by merge rank `r`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vocab {
     /// Learned merges in rank order: `(left_id, right_id)`.
     pub merges: Vec<(u32, u32)>,
@@ -366,14 +365,6 @@ mod tests {
             let bytes = tok.vocab().token_bytes(id);
             assert!(bytes.len() >= 2, "merge token must span >= 2 bytes");
         }
-    }
-
-    #[test]
-    fn vocab_serde_round_trip() {
-        let vocab = trained().vocab().clone();
-        let json = serde_json::to_string(&vocab).unwrap();
-        let back: Vocab = serde_json::from_str(&json).unwrap();
-        assert_eq!(vocab, back);
     }
 
     #[test]

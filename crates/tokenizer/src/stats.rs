@@ -1,11 +1,11 @@
 //! Token-count statistics: the quartile/box-whisker summaries behind the
 //! paper's Figure 2.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Five-number summary (plus mean) of a token-count sample — one box in a
 /// box-and-whisker plot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TokenStats {
     /// Sample size.
     pub n: usize,

@@ -99,7 +99,8 @@ fn rq4_collapse_reproduces() {
 fn hyperparameter_insensitivity_reproduces() {
     let (study, data) = study_and_data();
     let engine = SurrogateEngine::new();
-    let check = run_hyperparam_check(&study, &engine, "gpt-4o-2024-11-20", &data.dataset.samples);
+    let check = run_hyperparam_check(&study, &engine, "gpt-4o-2024-11-20", &data.dataset.samples)
+        .expect("hyperparameter check runs");
     assert!(!check.chi2.significant_at(0.05));
 }
 

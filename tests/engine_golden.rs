@@ -61,12 +61,15 @@ fn engine_consumers_are_byte_identical() {
     let head = digest(serde_json::to_string(
         &FineTuneJob::new(train, config).run(),
     ));
-    let hyper = digest(serde_json::to_string(&run_hyperparam_check(
-        &study,
-        &SurrogateEngine::new(),
-        "gpt-4o-2024-11-20",
-        samples,
-    )));
+    let hyper = digest(serde_json::to_string(
+        &run_hyperparam_check(
+            &study,
+            &SurrogateEngine::new(),
+            "gpt-4o-2024-11-20",
+            samples,
+        )
+        .expect("hyperparameter check runs"),
+    ));
     let engine = SurrogateEngine::new();
     let outcomes: Vec<Rq1Outcome> = model_zoo()
         .iter()
