@@ -98,7 +98,12 @@ impl UsageMeter {
     /// reprice earlier traffic. Debug builds assert this.
     pub fn record(&self, resp: &ChatResponse, input_cost: f64, output_cost: f64) {
         let mut map = self.inner.lock();
-        let entry = map.entry(resp.model.clone()).or_default();
+        // Looked up by `&str`: only a model's first completion pays for
+        // an owned key.
+        let entry = match map.get_mut(resp.model.as_str()) {
+            Some(entry) => entry,
+            None => map.entry(resp.model.clone()).or_default(),
+        };
         debug_assert!(
             entry.usage.total() == 0
                 || (entry.input_cost == input_cost && entry.output_cost == output_cost),
