@@ -9,5 +9,11 @@ use pce_core::study::StudyData;
 fn main() {
     let study = study_from_args();
     let data = StudyData::build(&study).expect("study builds");
-    println!("{}", render_rq4(&run_rq4(&study, &data.split)));
+    match run_rq4(&study, &data.split) {
+        Ok(out) => println!("{}", render_rq4(&out)),
+        Err(e) => {
+            eprintln!("fine-tuning experiment failed: {e}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -5,6 +5,7 @@
 use serde::Serialize;
 
 use pce_dataset::Split;
+use pce_fault::PceError;
 use pce_llm::{FineTuneConfig, FineTuneJob};
 use pce_metrics::{ConfusionMatrix, MetricBundle};
 use pce_prompt::ShotStyle;
@@ -31,8 +32,9 @@ pub struct Rq4Outcome {
     pub validation_size: usize,
 }
 
-/// Run the fine-tuning experiment.
-pub fn run_rq4(study: &Study, split: &Split) -> Rq4Outcome {
+/// Run the fine-tuning experiment. An empty training split is a
+/// [`PceError::Spec`].
+pub fn run_rq4(study: &Study, split: &Split) -> Result<Rq4Outcome, PceError> {
     // The paper trains on the RQ2 zero-shot prompts.
     let train: Vec<(String, Boundedness)> = split
         .train
@@ -46,7 +48,7 @@ pub fn run_rq4(study: &Study, split: &Split) -> Rq4Outcome {
             seed: study.seed,
             ..Default::default()
         },
-    );
+    )?;
     let model = job.run();
 
     let mut cm = ConfusionMatrix::new();
@@ -70,14 +72,14 @@ pub fn run_rq4(study: &Study, split: &Split) -> Rq4Outcome {
         "Bandwidth"
     };
 
-    Rq4Outcome {
+    Ok(Rq4Outcome {
         metrics: cm.bundle(),
         prediction_concentration: concentration,
         collapsed_to: collapsed_to.to_string(),
         epoch_train_accuracy: model.epoch_train_accuracy.clone(),
         train_size: split.train.len(),
         validation_size: split.validation.len(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -89,7 +91,7 @@ mod tests {
     fn finetuning_collapses_to_one_class_on_paper_scale_data() {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
-        let out = run_rq4(&study, &data.split);
+        let out = run_rq4(&study, &data.split).unwrap();
         // The §3.7 signature: the model devolves to answering one class.
         assert!(
             out.prediction_concentration > 0.85,
@@ -103,5 +105,23 @@ mod tests {
         assert!(out.metrics.mcc.abs() < 50.0);
         assert_eq!(out.epoch_train_accuracy.len(), 2);
         assert!(["Compute", "Bandwidth"].contains(&out.collapsed_to.as_str()));
+    }
+
+    #[test]
+    fn empty_split_is_a_spec_error() {
+        use pce_llm::{FineTuneConfig, FineTuneJob};
+        let err = FineTuneJob::new(vec![], FineTuneConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), "spec");
+        assert_eq!(
+            err.to_string(),
+            "invalid spec: cannot fine-tune on an empty dataset"
+        );
+        // A token cap of zero admits no sample, so both splits are empty.
+        let mut study = Study::smoke();
+        study.pipeline.max_tokens = 0;
+        let data = StudyData::build(&study).expect("an empty study builds");
+        assert!(data.split.train.samples.is_empty());
+        let err = run_rq4(&study, &data.split).unwrap_err();
+        assert_eq!(err.kind(), "spec");
     }
 }

@@ -71,7 +71,7 @@ const RQ1_SKIP: [&str; 2] = ["o1", "gpt-4.5-preview"];
 ///
 /// RQ1 prompts embed their own randomly drawn rooflines, so the outcomes
 /// depend only on `study.rq1_rooflines` and `study.seed` — never on
-/// `study.hardware`. The cross-hardware suite therefore computes the bank
+/// `study.specs`. The cross-hardware suite therefore computes the bank
 /// once and reuses it for every spec; [`build_table1_from_bank_cached`]
 /// absorbs the bank's billed usage so every spec's cost counts the bank
 /// exactly once.

@@ -29,12 +29,6 @@ impl FaultKind {
         FaultKind::Timeout,
         FaultKind::Transient,
     ];
-
-    /// Whether this fault still yields response *text* (as opposed to a
-    /// transport-level error with no body).
-    pub fn has_body(self) -> bool {
-        !matches!(self, FaultKind::Timeout | FaultKind::Transient)
-    }
 }
 
 /// The canonical refusal body injected by [`FaultKind::Refuse`]; the retry
@@ -57,10 +51,7 @@ pub fn is_refusal_text(text: &str) -> bool {
 /// surface as [`crate::PceError`]s, not as text.
 pub fn corrupt_text(kind: FaultKind, clean: &str) -> Option<String> {
     match kind {
-        FaultKind::Truncate => {
-            let cut = clean.len().min(4);
-            Some(clean[..cut].to_string())
-        }
+        FaultKind::Truncate => Some(clean[..clean.floor_char_boundary(4)].to_string()),
         FaultKind::Mangle => Some(format!("{{\"label\": \"{clean}\", \"confidence\": 0.5}}")),
         FaultKind::Refuse => Some(REFUSAL_TEXT.to_string()),
         FaultKind::Timeout | FaultKind::Transient => None,
@@ -277,7 +268,7 @@ mod tests {
         for clean in ["Compute", "Bandwidth"] {
             for kind in FaultKind::ALL {
                 let Some(body) = corrupt_text(kind, clean) else {
-                    assert!(!kind.has_body());
+                    assert!(matches!(kind, FaultKind::Timeout | FaultKind::Transient));
                     continue;
                 };
                 let lower = body.trim().to_ascii_lowercase();
@@ -291,6 +282,23 @@ mod tests {
         }
         assert!(is_refusal_text(REFUSAL_TEXT));
         assert!(!is_refusal_text("Compute"));
+    }
+
+    #[test]
+    fn truncation_cuts_on_a_char_boundary() {
+        // In "aéé" byte 4 falls inside the second 'é': the cut backs off to 3.
+        for (clean, cut) in [
+            ("Compute", "Comp"),
+            ("ok", "ok"),
+            ("", ""),
+            ("aéé", "aé"),
+            ("★★", "★"),
+        ] {
+            assert_eq!(
+                corrupt_text(FaultKind::Truncate, clean).as_deref(),
+                Some(cut)
+            );
+        }
     }
 
     #[test]

@@ -23,25 +23,28 @@ pub fn attempt_seed(seed: u64, attempt: u32) -> u64 {
     }
 }
 
+/// Delay before the first retry, in milliseconds.
+const BASE_BACKOFF_MS: u64 = 100;
+/// Multiplier applied per additional retry.
+const MULTIPLIER: f64 = 2.0;
+/// Ceiling on any single delay (before jitter), in milliseconds.
+const MAX_BACKOFF_MS: u64 = 5_000;
+/// Fraction of the delay used as ± jitter range (0.25 → ±25%).
+const JITTER: f64 = 0.25;
+
 /// Bounded retries with deterministic exponential backoff.
 ///
 /// Backoff delays are *recorded*, never slept: the surrogate has no real
 /// service behind it, so the policy reports what a production loop would
-/// have waited while keeping runs instant and reproducible. Jitter is
-/// seeded from the request fingerprint, not a thread-local RNG, so the
-/// recorded delays are identical across thread counts.
+/// have waited while keeping runs instant and reproducible. The schedule
+/// is fixed: 100 ms before the first retry, doubling per retry up to
+/// 5,000 ms, each delay jittered by ±25%. Jitter is seeded from the
+/// request fingerprint, not a thread-local RNG, so the recorded delays are
+/// identical across thread counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (so `max_retries + 1` attempts total).
     pub max_retries: u32,
-    /// Delay before the first retry, in milliseconds.
-    pub base_backoff_ms: u64,
-    /// Multiplier applied per additional retry.
-    pub multiplier: f64,
-    /// Ceiling on any single delay, in milliseconds.
-    pub max_backoff_ms: u64,
-    /// Fraction of the delay used as ± jitter range (0.25 → ±25%).
-    pub jitter: f64,
     /// Ceiling on *cumulative* recorded backoff per request, in
     /// milliseconds. When a retry's delay would push the running total to
     /// or past this budget, the retry loop stops and the request fails
@@ -56,10 +59,6 @@ impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_retries: 3,
-            base_backoff_ms: 100,
-            multiplier: 2.0,
-            max_backoff_ms: 5_000,
-            jitter: 0.25,
             backoff_budget_ms: None,
         }
     }
@@ -95,14 +94,14 @@ impl RetryPolicy {
         if attempt == 0 {
             return 0;
         }
-        let exp = self.multiplier.powi(attempt.saturating_sub(1) as i32);
-        let raw = (self.base_backoff_ms as f64 * exp).min(self.max_backoff_ms as f64);
+        let exp = MULTIPLIER.powi(attempt.saturating_sub(1) as i32);
+        let raw = (BASE_BACKOFF_MS as f64 * exp).min(MAX_BACKOFF_MS as f64);
         let h = fnv1a(&[
             &fingerprint.to_le_bytes(),
             &(attempt as u64 ^ ATTEMPT_SALT).to_le_bytes(),
         ]);
-        // Map jitter onto [-jitter, +jitter] around the raw delay.
-        let wiggle = (unit(scramble(h)) * 2.0 - 1.0) * self.jitter.clamp(0.0, 1.0);
+        // Map jitter onto [-JITTER, +JITTER] around the raw delay.
+        let wiggle = (unit(scramble(h)) * 2.0 - 1.0) * JITTER;
         let delayed = raw * (1.0 + wiggle);
         delayed.max(0.0).round() as u64
     }
@@ -135,7 +134,7 @@ mod tests {
             let a = policy.backoff_ms(0xfeed, attempt);
             let b = policy.backoff_ms(0xfeed, attempt);
             assert_eq!(a, b);
-            let cap = (policy.max_backoff_ms as f64 * (1.0 + policy.jitter)).ceil() as u64;
+            let cap = (MAX_BACKOFF_MS as f64 * (1.0 + JITTER)).ceil() as u64;
             assert!(a <= cap, "attempt {attempt}: {a} > {cap}");
         }
         assert_eq!(policy.backoff_ms(0xfeed, 0), 0);
@@ -143,15 +142,18 @@ mod tests {
 
     #[test]
     fn backoff_grows_roughly_exponentially() {
-        let policy = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.backoff_ms(1, 1), 100);
-        assert_eq!(policy.backoff_ms(1, 2), 200);
-        assert_eq!(policy.backoff_ms(1, 3), 400);
-        // Capped by max_backoff_ms.
-        assert_eq!(policy.backoff_ms(1, 10), 5_000);
+        let policy = RetryPolicy::default();
+        for fp in [0u64, 1, 0xfeed, 0x9f0f_11e5, u64::MAX] {
+            for attempt in 1..=10u32 {
+                // 100 ms doubling per retry, capped at 5,000 ms, ± 25%.
+                let raw = (100.0 * 2f64.powi(attempt as i32 - 1)).min(5_000.0);
+                let delay = policy.backoff_ms(fp, attempt) as f64;
+                assert!(
+                    (raw * 0.75..=raw * 1.25).contains(&delay),
+                    "fingerprint {fp:#x}, attempt {attempt}: {delay} not within 25% of {raw}"
+                );
+            }
+        }
     }
 
     #[test]

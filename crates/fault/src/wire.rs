@@ -144,12 +144,9 @@ fn tear_at(line: &str, param: u64) -> Option<usize> {
     if line.len() < 2 {
         return None;
     }
-    let mut at = 1 + (param as usize) % (line.len() - 1);
-    while !line.is_char_boundary(at) {
-        at -= 1;
-    }
-    // Walking back to a boundary can only land on 0 if byte 1 sat inside
-    // a multi-byte char; tear after it instead so a prefix survives.
+    let mut at = line.floor_char_boundary(1 + (param as usize) % (line.len() - 1));
+    // Flooring to a boundary can only land on 0 if byte 1 sat inside a
+    // multi-byte char; tear after it instead so a prefix survives.
     if at == 0 {
         at = line
             .char_indices()
@@ -231,7 +228,7 @@ mod tests {
             assert_eq!(tear_at("", param), None);
             assert_eq!(tear_at("x", param), None);
             // A 2-byte line made of one multi-byte char has no interior
-            // boundary the walk-back can use; the nth(1) fallback lands
+            // boundary the floored offset can use; the nth(1) fallback lands
             // past the end and is rejected.
             assert_eq!(tear_at("é", param), None);
         }

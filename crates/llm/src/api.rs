@@ -1,11 +1,13 @@
-//! Chat-completion API types: sampling parameters, responses, token usage
-//! and cost accounting — the shape of the service boundary the paper's
-//! harness talks to (Azure OpenAI / Gemini endpoints).
+//! Chat-completion API types: sampling parameters, token usage and cost
+//! accounting — the shape of the service boundary the paper's harness
+//! talks to (Azure OpenAI / Gemini endpoints).
 
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+use crate::zoo;
 
 /// Sampling hyperparameters (§3.2). Reasoning models ignore them, exactly
 /// as the hosted o-series endpoints reject sampling overrides.
@@ -44,44 +46,18 @@ impl Usage {
     }
 }
 
-/// One completion response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChatResponse {
-    /// Model that produced the answer.
-    pub model: String,
-    /// The answer text (a single class token in this study).
-    pub text: String,
-    /// Optional reasoning trace (surrogate of hidden chain-of-thought;
-    /// exposed for debugging, never parsed by the harness).
-    pub trace: Option<String>,
-    /// Token usage.
-    pub usage: Usage,
-}
-
-/// Per-model running token totals plus the prices they are billed at.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    usage: Usage,
-    input_cost: f64,
-    output_cost: f64,
-}
-
-impl Tally {
-    fn cost(&self) -> f64 {
-        self.usage.prompt_tokens as f64 / 1e6 * self.input_cost
-            + self.usage.completion_tokens as f64 / 1e6 * self.output_cost
-    }
-}
-
-/// Thread-safe accumulator of usage and dollar cost across a run.
+/// Thread-safe accumulator of token usage across a run, priced from the
+/// zoo.
 ///
-/// Only integer token totals are accumulated; dollar costs are derived
-/// from the totals at read time. Integer addition is associative, so the
+/// The meter keeps only integer token totals per model; dollar costs are
+/// derived at read time from the totals and the model's `$ / 1M token`
+/// prices in the [`zoo`]. Integer addition is associative, so the
 /// reported cost is independent of recording order — parallel runs bill
-/// byte-identically to serial ones.
+/// byte-identically to serial ones — and prices cannot disagree with the
+/// zoo. A name outside the zoo has no price and costs nothing.
 #[derive(Debug, Clone, Default)]
 pub struct UsageMeter {
-    inner: Arc<Mutex<BTreeMap<String, Tally>>>,
+    inner: Arc<Mutex<BTreeMap<String, Usage>>>,
 }
 
 impl UsageMeter {
@@ -90,30 +66,17 @@ impl UsageMeter {
         Self::default()
     }
 
-    /// Record one response against a model's `$ / 1M token` prices.
-    ///
-    /// Prices must be constant per model across a meter's lifetime (they
-    /// are zoo constants): cost is derived from the accumulated token
-    /// totals at read time, so a price change mid-run would retroactively
-    /// reprice earlier traffic. Debug builds assert this.
-    pub fn record(&self, resp: &ChatResponse, input_cost: f64, output_cost: f64) {
+    /// Record one completion's usage against `model`.
+    pub fn record(&self, model: &str, usage: Usage) {
         let mut map = self.inner.lock();
         // Looked up by `&str`: only a model's first completion pays for
         // an owned key.
-        let entry = match map.get_mut(resp.model.as_str()) {
-            Some(entry) => entry,
-            None => map.entry(resp.model.clone()).or_default(),
+        let total = match map.get_mut(model) {
+            Some(total) => total,
+            None => map.entry(model.to_string()).or_default(),
         };
-        debug_assert!(
-            entry.usage.total() == 0
-                || (entry.input_cost == input_cost && entry.output_cost == output_cost),
-            "model '{}' re-billed at different prices",
-            resp.model
-        );
-        entry.usage.prompt_tokens += resp.usage.prompt_tokens;
-        entry.usage.completion_tokens += resp.usage.completion_tokens;
-        entry.input_cost = input_cost;
-        entry.output_cost = output_cost;
+        total.prompt_tokens += usage.prompt_tokens;
+        total.completion_tokens += usage.completion_tokens;
     }
 
     /// Fold another meter's accumulated usage into this one, as if every
@@ -125,17 +88,10 @@ impl UsageMeter {
         }
         let theirs = other.inner.lock().clone();
         let mut map = self.inner.lock();
-        for (model, t) in theirs {
-            let entry = map.entry(model).or_default();
-            debug_assert!(
-                entry.usage.total() == 0
-                    || (entry.input_cost == t.input_cost && entry.output_cost == t.output_cost),
-                "a model was absorbed at different prices"
-            );
-            entry.usage.prompt_tokens += t.usage.prompt_tokens;
-            entry.usage.completion_tokens += t.usage.completion_tokens;
-            entry.input_cost = t.input_cost;
-            entry.output_cost = t.output_cost;
+        for (model, usage) in theirs {
+            let total = map.entry(model).or_default();
+            total.prompt_tokens += usage.prompt_tokens;
+            total.completion_tokens += usage.completion_tokens;
         }
     }
 
@@ -144,14 +100,27 @@ impl UsageMeter {
         self.inner
             .lock()
             .iter()
-            .map(|(model, t)| (model.clone(), (t.usage, t.cost())))
+            .map(|(model, usage)| (model.clone(), (*usage, cost(model, usage))))
             .collect()
     }
 
     /// Total dollar cost across models (summed in model-name order).
     pub fn total_cost(&self) -> f64 {
-        self.inner.lock().values().map(Tally::cost).sum()
+        self.inner
+            .lock()
+            .iter()
+            .map(|(model, usage)| cost(model, usage))
+            .sum()
     }
+}
+
+/// The dollar cost of `usage` at `model`'s zoo prices (zero outside the
+/// zoo).
+fn cost(model: &str, usage: &Usage) -> f64 {
+    zoo::model(model).map_or(0.0, |spec| {
+        usage.prompt_tokens as f64 / 1e6 * spec.input_cost
+            + usage.completion_tokens as f64 / 1e6 * spec.output_cost
+    })
 }
 
 /// Crude token estimate for usage accounting: whitespace-delimited words
@@ -182,75 +151,77 @@ mod tests {
         assert_eq!(u.total(), 105);
     }
 
+    /// `usage` priced by hand at `model`'s zoo prices.
+    fn zoo_cost(model: &str, usage: Usage) -> f64 {
+        let spec = zoo::model(model).expect("a zoo model");
+        usage.prompt_tokens as f64 / 1e6 * spec.input_cost
+            + usage.completion_tokens as f64 / 1e6 * spec.output_cost
+    }
+
     #[test]
     fn meter_accumulates_cost() {
         let meter = UsageMeter::new();
-        let resp = ChatResponse {
-            model: "m".into(),
-            text: "Compute".into(),
-            trace: None,
-            usage: Usage {
-                prompt_tokens: 1_000_000,
-                completion_tokens: 500_000,
-            },
+        let usage = Usage {
+            prompt_tokens: 1_000_000,
+            completion_tokens: 500_000,
         };
-        meter.record(&resp, 2.0, 8.0);
-        meter.record(&resp, 2.0, 8.0);
+        meter.record("o1", usage);
+        meter.record("o1", usage);
+        let total = Usage {
+            prompt_tokens: 2_000_000,
+            completion_tokens: 1_000_000,
+        };
         let snap = meter.snapshot();
-        assert_eq!(snap["m"].0.prompt_tokens, 2_000_000);
-        // 2 * (1.0 * 2 + 0.5 * 8) = 12.
-        assert!((meter.total_cost() - 12.0).abs() < 1e-9);
+        assert_eq!(snap["o1"].0, total);
+        assert_eq!(snap["o1"].1, zoo_cost("o1", total));
+        // o1 bills $15 in and $60 out per 1M tokens: 2 × 15 + 1 × 60 = 90.
+        assert!((meter.total_cost() - 90.0).abs() < 1e-9);
+        // A name outside the zoo is counted but has no price.
+        meter.record("not-a-model", usage);
+        assert_eq!(meter.snapshot()["not-a-model"], (usage, 0.0));
+        assert!((meter.total_cost() - 90.0).abs() < 1e-9);
     }
 
     #[test]
     fn meter_is_shareable_across_threads() {
         let meter = UsageMeter::new();
-        let resp = ChatResponse {
-            model: "m".into(),
-            text: "Bandwidth".into(),
-            trace: None,
-            usage: Usage {
-                prompt_tokens: 10,
-                completion_tokens: 1,
-            },
+        let usage = Usage {
+            prompt_tokens: 10,
+            completion_tokens: 1,
         };
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let meter = meter.clone();
-                let resp = resp.clone();
                 s.spawn(move || {
                     for _ in 0..100 {
-                        meter.record(&resp, 1.0, 1.0);
+                        meter.record("gpt-4o-mini", usage);
                     }
                 });
             }
         });
-        assert_eq!(meter.snapshot()["m"].0.prompt_tokens, 8000);
+        let (total, cost) = meter.snapshot()["gpt-4o-mini"];
+        assert_eq!(total.prompt_tokens, 8000);
+        assert_eq!(cost, zoo_cost("gpt-4o-mini", total));
     }
 
     #[test]
     fn absorb_merges_usage_and_matches_inline_billing() {
-        let resp = |model: &str, prompt: u64| ChatResponse {
-            model: model.into(),
-            text: "Compute".into(),
-            trace: None,
-            usage: Usage {
-                prompt_tokens: prompt,
-                completion_tokens: 3,
-            },
+        let usage = |prompt: u64| Usage {
+            prompt_tokens: prompt,
+            completion_tokens: 3,
         };
         // Billing a and b separately, then absorbing b into a, must equal
         // billing everything on one meter.
         let inline = UsageMeter::new();
-        inline.record(&resp("m1", 100), 2.0, 8.0);
-        inline.record(&resp("m2", 50), 1.0, 4.0);
-        inline.record(&resp("m1", 7), 2.0, 8.0);
+        inline.record("o1", usage(100));
+        inline.record("gpt-4o-mini", usage(50));
+        inline.record("o1", usage(7));
 
         let a = UsageMeter::new();
-        a.record(&resp("m1", 100), 2.0, 8.0);
+        a.record("o1", usage(100));
         let b = UsageMeter::new();
-        b.record(&resp("m2", 50), 1.0, 4.0);
-        b.record(&resp("m1", 7), 2.0, 8.0);
+        b.record("gpt-4o-mini", usage(50));
+        b.record("o1", usage(7));
         a.absorb(&b);
 
         assert_eq!(a.snapshot().len(), inline.snapshot().len());
@@ -258,6 +229,7 @@ mod tests {
             let (iu, ic) = inline.snapshot()[&model];
             assert_eq!(usage, iu, "{model}");
             assert_eq!(cost, ic, "{model}: derived costs must be bitwise equal");
+            assert_eq!(cost, zoo_cost(&model, usage), "{model}");
         }
         assert_eq!(a.total_cost(), inline.total_cost());
 

@@ -14,9 +14,15 @@
 //!   once per distinct question,
 //! * a **classify parse cache** keyed by prompt hash in front of
 //!   [`parse_classify`], which also precomputes the CLI-argument binding
-//!   deep readers feed the estimator,
+//!   deep readers feed the estimator and whether the examples are real
+//!   code,
 //! * an **RQ1 parse cache** keyed by prompt hash in front of
-//!   [`parse_rq1`].
+//!   [`parse_rq1`], which also records whether the prompt carries CoT
+//!   examples.
+//!
+//! The parse caches are the engine's only reader of the prompt's
+//! structure: each distinct prompt is scanned once, whatever the number of
+//! models and hardware specs that ask it.
 //!
 //! All cached functions are pure, so cached and cold runs are
 //! bit-identical; entries live in sharded, fingerprint-bucketed
@@ -33,9 +39,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pce_memo::{Budget, Fnv, Memo};
-use pce_static_analysis::{analyze, AnalyzeOptions, SourceAnalysis};
+use pce_static_analysis::{analyze, AnalyzeOptions, SourceAnalysis, DEFAULT_TRIP};
 
-use crate::parse::{bind_args_to_params, parse_classify, parse_rq1, ClassifyQuestion, Rq1Question};
+use crate::parse::{
+    bind_args_to_params, has_cot_examples, has_real_examples, parse_classify, parse_rq1,
+    ClassifyQuestion, Rq1Question,
+};
 
 pub use pce_memo::CacheCounters;
 
@@ -57,7 +66,6 @@ pub fn prompt_fingerprint(prompt: &str) -> u64 {
 struct AnalysisKey {
     source: String,
     params: BTreeMap<String, u64>,
-    default_trip_bits: u64,
     loop_aware: bool,
 }
 
@@ -70,6 +78,19 @@ pub struct ParsedClassify {
     /// `bind_args_to_params(question.source, question.args)`, precomputed
     /// so deep readers don't re-scan the source per model.
     pub deep_params: BTreeMap<String, u64>,
+    /// Whether the examples are real code (RQ3) rather than pseudo-code
+    /// (RQ2).
+    pub real_examples: bool,
+}
+
+/// An RQ1 prompt parsed once: the last question plus whether the prompt
+/// carries chain-of-thought examples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ParsedRq1 {
+    /// The recovered roofline question.
+    pub question: Rq1Question,
+    /// Whether the prompt carries chain-of-thought ("Thought:") examples.
+    pub cot: bool,
 }
 
 /// The engine's shared cache bundle. `Clone` is shallow: clones share
@@ -83,7 +104,7 @@ pub struct LlmCaches {
 struct LlmCachesInner {
     analyses: Memo<AnalysisKey, SourceAnalysis>,
     classify: Memo<String, Option<ParsedClassify>>,
-    rq1: Memo<String, Option<Rq1Question>>,
+    rq1: Memo<String, Option<ParsedRq1>>,
 }
 
 impl LlmCaches {
@@ -110,7 +131,7 @@ impl LlmCaches {
                 // lengths.
                 classify: budget
                     .memo(|k: &String, _: &Option<ParsedClassify>| 2 * k.len() as u64 + 512),
-                rq1: budget.memo(|k: &String, _: &Option<Rq1Question>| k.len() as u64 + 256),
+                rq1: budget.memo(|k: &String, _: &Option<ParsedRq1>| k.len() as u64 + 256),
             }),
         }
     }
@@ -121,26 +142,23 @@ impl LlmCaches {
         &self,
         source: &str,
         params: &BTreeMap<String, u64>,
-        default_trip: f64,
         loop_aware: bool,
     ) -> Arc<SourceAnalysis> {
         let mut h = Fnv::new();
         h.str(source);
         h.map_u64(params);
-        h.f64(default_trip);
+        // The trip count is a constant, not part of the key, but it stays
+        // in the fingerprint: the fingerprint picks each entry's shard, and
+        // so which entries a bounded table evicts. Dropping it would move
+        // the analysis counters that `tests/cache_golden.rs` pins.
+        h.f64(DEFAULT_TRIP);
         h.u64(loop_aware as u64);
         self.inner.analyses.get_or_insert_with(
             h.finish(),
-            |k| {
-                k.loop_aware == loop_aware
-                    && k.default_trip_bits == default_trip.to_bits()
-                    && k.params == *params
-                    && k.source == source
-            },
+            |k| k.loop_aware == loop_aware && k.params == *params && k.source == source,
             || AnalysisKey {
                 source: source.to_string(),
                 params: params.clone(),
-                default_trip_bits: default_trip.to_bits(),
                 loop_aware,
             },
             || {
@@ -148,7 +166,6 @@ impl LlmCaches {
                     source,
                     &AnalyzeOptions {
                         params: params.clone(),
-                        default_trip,
                         loop_aware,
                     },
                 )
@@ -157,8 +174,9 @@ impl LlmCaches {
     }
 
     /// Parse (or recall) a classification prompt, including the deep
-    /// readers' CLI-argument binding. `None` is cached too: a malformed
-    /// prompt is re-answered from the prior without re-scanning.
+    /// readers' CLI-argument binding and the example flag. `None` is
+    /// cached too: a malformed prompt is re-answered from the prior
+    /// without re-scanning.
     /// `prompt_fp` is the prompt's [`prompt_fingerprint`], computed once
     /// per request by the caller.
     pub fn classify_fp(&self, prompt: &str, prompt_fp: u64) -> Arc<Option<ParsedClassify>> {
@@ -174,22 +192,28 @@ impl LlmCaches {
                     ParsedClassify {
                         question,
                         deep_params,
+                        real_examples: has_real_examples(prompt),
                     }
                 })
             },
         )
     }
 
-    /// Parse (or recall) the last RQ1 roofline question in a prompt, by
-    /// its precomputed [`prompt_fingerprint`].
-    pub fn rq1_fp(&self, prompt: &str, prompt_fp: u64) -> Arc<Option<Rq1Question>> {
+    /// Parse (or recall) the last RQ1 roofline question in a prompt and
+    /// its CoT flag, by its precomputed [`prompt_fingerprint`].
+    pub fn rq1_fp(&self, prompt: &str, prompt_fp: u64) -> Arc<Option<ParsedRq1>> {
         let mut h = Fnv::resume(prompt_fp);
         h.u64(0x51);
         self.inner.rq1.get_or_insert_with(
             h.finish(),
             |k| k == prompt,
             || prompt.to_string(),
-            || parse_rq1(prompt).ok(),
+            || {
+                parse_rq1(prompt).ok().map(|question| ParsedRq1 {
+                    question,
+                    cot: has_cot_examples(prompt),
+                })
+            },
         )
     }
 
@@ -223,17 +247,16 @@ mod tests {
     fn analysis_cache_matches_direct_analyze() {
         let caches = LlmCaches::new();
         let params = BTreeMap::from([("n".to_string(), 4096u64)]);
-        let a = caches.analysis(SRC, &params, 64.0, true);
+        let a = caches.analysis(SRC, &params, true);
         let direct = analyze(
             SRC,
             &AnalyzeOptions {
                 params: params.clone(),
-                default_trip: 64.0,
                 loop_aware: true,
             },
         );
         assert_eq!(*a, direct);
-        let b = caches.analysis(SRC, &params, 64.0, true);
+        let b = caches.analysis(SRC, &params, true);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(caches.analysis_counters().hits, 1);
         assert_eq!(caches.analysis_counters().misses, 1);
@@ -242,13 +265,13 @@ mod tests {
     #[test]
     fn analysis_cache_distinguishes_options() {
         let caches = LlmCaches::new();
-        let deep = caches.analysis(SRC, &BTreeMap::new(), 64.0, true);
-        let shallow = caches.analysis(SRC, &BTreeMap::new(), 64.0, false);
+        let deep = caches.analysis(SRC, &BTreeMap::new(), true);
+        let shallow = caches.analysis(SRC, &BTreeMap::new(), false);
         assert!(!Arc::ptr_eq(&deep, &shallow));
         assert_eq!(caches.analysis_counters().misses, 2);
         // Same options again: both hit.
-        caches.analysis(SRC, &BTreeMap::new(), 64.0, true);
-        caches.analysis(SRC, &BTreeMap::new(), 64.0, false);
+        caches.analysis(SRC, &BTreeMap::new(), true);
+        caches.analysis(SRC, &BTreeMap::new(), false);
         assert_eq!(caches.analysis_counters().hits, 2);
     }
 
@@ -299,9 +322,57 @@ mod tests {
                       does the roofline model consider the program as compute-bound?\nAnswer:";
         let fp = prompt_fingerprint(prompt);
         let cached = caches.rq1_fp(prompt, fp);
-        assert_eq!(*cached, parse_rq1(prompt).ok());
+        assert_eq!(cached.map(|p| p.question), parse_rq1(prompt).ok());
         let again = caches.rq1_fp(prompt, fp);
         assert!(Arc::ptr_eq(&cached, &again));
+    }
+
+    #[test]
+    fn rq1_cache_records_the_cot_flag_of_the_render() {
+        use pce_prompt::{generate_rq1_suite, render_rq1_prompt};
+        let caches = LlmCaches::new();
+        let suite = generate_rq1_suite(6, 3);
+        for i in 0..suite.items.len() {
+            for shots in [2, 4, 8] {
+                for cot in [false, true] {
+                    let prompt = render_rq1_prompt(&suite, i, shots, cot);
+                    let parsed = caches.rq1_fp(&prompt, prompt_fingerprint(&prompt));
+                    let parsed = parsed.as_ref().expect("rendered RQ1 prompts parse");
+                    assert_eq!(parsed.cot, cot, "item {i}, {shots} shots");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn classify_cache_flags_real_examples_exactly_for_fewshot() {
+        use pce_prompt::{render_classify_prompt, ClassifyRequest, ShotStyle};
+        let caches = LlmCaches::new();
+        let omp = "void triad(long n, const float* b, const float* c, float* a) {\n\
+                   #pragma omp parallel for\n\
+                   \x20 for (long i = 0; i < n; i++) a[i] = b[i] + 3.0f * c[i];\n}\n";
+        for (language, source) in [("CUDA", SRC), ("OMP", omp)] {
+            for style in [ShotStyle::ZeroShot, ShotStyle::FewShot] {
+                let prompt = render_classify_prompt(
+                    &ClassifyRequest {
+                        language: language.into(),
+                        kernel_name: "burn".into(),
+                        hardware: pce_roofline::HardwareSpec::rtx_3080(),
+                        geometry: "(4096,1,1) and (256,1,1)".into(),
+                        args: vec!["4096".into()],
+                        source: source.into(),
+                    },
+                    style,
+                );
+                let parsed = caches.classify_fp(&prompt, prompt_fingerprint(&prompt));
+                let parsed = parsed.as_ref().as_ref().expect("rendered prompts parse");
+                assert_eq!(
+                    parsed.real_examples,
+                    style == ShotStyle::FewShot,
+                    "{language} {style:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -312,7 +383,7 @@ mod tests {
                 let caches = caches.clone();
                 s.spawn(move || {
                     for _ in 0..25 {
-                        let _ = caches.analysis(SRC, &BTreeMap::new(), 64.0, true);
+                        let _ = caches.analysis(SRC, &BTreeMap::new(), true);
                     }
                 });
             }

@@ -14,6 +14,7 @@
 //! Determinism: the answer is a pure function of (model, prompt, seed,
 //! sampling params).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use pce_fault::{
@@ -22,22 +23,19 @@ use pce_fault::{
 };
 use pce_roofline::{static_verdict, Boundedness};
 
-use crate::api::{approx_tokens, ChatResponse, SamplingParams, Usage, UsageMeter};
+use crate::api::{approx_tokens, SamplingParams, Usage, UsageMeter};
 use crate::cache::{prompt_fingerprint, LlmCaches, ParsedClassify};
-use crate::parse::{has_cot_examples, is_rq1_prompt};
+use crate::parse::is_rq1_prompt;
 use crate::zoo::{model, Capability, ModelSpec};
 
 /// The simulated deadline an injected [`FaultKind::Timeout`] reports.
 const SIMULATED_DEADLINE_MS: u64 = 30_000;
 
-/// The result of one retried completion: the final response (when any
-/// attempt produced usable text), the parsed verdict, the terminal error,
-/// and the per-request [`ResponseAccounting`] ledger.
+/// The result of one retried completion: the parsed verdict, the terminal
+/// error, and the per-request [`ResponseAccounting`] ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletionOutcome {
-    /// The last response body seen, if any attempt returned one.
-    pub response: Option<ChatResponse>,
-    /// The parsed boundedness verdict, when the final response parsed.
+    /// The parsed boundedness verdict, when the final answer parsed.
     pub verdict: Option<Boundedness>,
     /// The terminal error when no attempt yielded a parseable answer.
     pub error: Option<PceError>,
@@ -88,36 +86,29 @@ impl SurrogateEngine {
         &self.caches
     }
 
-    /// One attempt of a completion: resolve the model, consult the chaos
-    /// plan, answer, corrupt if injected, and bill. Returns the result
-    /// plus whether a fault was injected into this attempt.
+    /// One attempt of a completion: consult the chaos plan, answer,
+    /// corrupt if injected, and bill. Returns the answer text plus whether
+    /// a fault was injected into this attempt.
     ///
     /// `prompt_fp` is the request's one pass over the prompt text
     /// ([`prompt_fingerprint`]): it keys the parse caches, seeds the noise
     /// stream, and addresses the fault plan on every attempt. Attempt 0
-    /// with no plan attached is the clean answer, billed once.
+    /// with no plan attached is the clean answer, billed once. A clean
+    /// answer is the static answer token; only an injected fault's body is
+    /// an owned string.
     fn complete_attempt(
         &self,
-        model_name: &str,
+        spec: &ModelSpec,
         prompt: &str,
         prompt_fp: u64,
-        sampling: Option<SamplingParams>,
+        sampling: SamplingParams,
         seed: u64,
         attempt: u32,
-    ) -> (Result<ChatResponse, PceError>, bool) {
-        let Some(spec) = model(model_name) else {
-            return (
-                Err(PceError::spec(format!(
-                    "model '{model_name}' is not in the zoo"
-                ))),
-                false,
-            );
-        };
-        let sampling = sampling.unwrap_or_default();
+    ) -> (Result<Cow<'static, str>, PceError>, bool) {
         let fault = self
             .faults
             .as_ref()
-            .and_then(|plan| plan.draw(model_name, prompt_fp, seed, attempt));
+            .and_then(|plan| plan.draw(&spec.name, prompt_fp, seed, attempt));
         match fault {
             Some(FaultKind::Timeout) => {
                 return (
@@ -137,30 +128,24 @@ impl SurrogateEngine {
         // from the first answer reproducibly.
         let eff_seed = attempt_seed(seed, attempt);
         let mut rng = NoiseStream::new(&spec.name, prompt_fp, eff_seed, sampling);
-        let (clean, trace) = self.answer(spec, prompt, prompt_fp, &mut rng);
+        let clean = self
+            .answer(spec, prompt, prompt_fp, &mut rng)
+            .answer_token();
 
         // Body-level faults corrupt the clean answer but are still billed:
         // a truncated or refused hosted response costs real tokens.
-        let (text, trace, injected) = match fault.and_then(|k| corrupt_text(k, &clean)) {
-            Some(body) => {
-                let kind = fault.map(|k| format!("{k:?}")).unwrap_or_default();
-                (body, Some(format!("injected fault: {kind}")), true)
-            }
-            None => (clean, trace, false),
+        let (text, injected) = match fault.and_then(|k| corrupt_text(k, clean)) {
+            Some(body) => (Cow::Owned(body), true),
+            None => (Cow::Borrowed(clean), false),
         };
-
-        let usage = Usage {
-            prompt_tokens: approx_tokens(prompt),
-            completion_tokens: 1 + spec.reasoning_tokens,
-        };
-        let resp = ChatResponse {
-            model: spec.name.clone(),
-            text,
-            trace,
-            usage,
-        };
-        self.meter.record(&resp, spec.input_cost, spec.output_cost);
-        (Ok(resp), injected)
+        self.meter.record(
+            &spec.name,
+            Usage {
+                prompt_tokens: approx_tokens(prompt),
+                completion_tokens: 1 + spec.reasoning_tokens,
+            },
+        );
+        (Ok(text), injected)
     }
 
     /// Complete a request under a bounded [`RetryPolicy`], classifying the
@@ -181,6 +166,18 @@ impl SurrogateEngine {
         seed: u64,
         policy: &RetryPolicy,
     ) -> CompletionOutcome {
+        let mut acc = ResponseAccounting::new();
+        let Some(spec) = model(model_name) else {
+            acc.invalid += 1;
+            return CompletionOutcome {
+                verdict: None,
+                error: Some(PceError::spec(format!(
+                    "model '{model_name}' is not in the zoo"
+                ))),
+                accounting: acc,
+            };
+        };
+        let sampling = sampling.unwrap_or_default();
         let prompt_fp = prompt_fingerprint(prompt);
         // Jitter fingerprint: the request identity, independent of attempt.
         let mut fp = pce_memo::Fnv::new();
@@ -189,10 +186,10 @@ impl SurrogateEngine {
         fp.u64(seed);
         let fingerprint = fp.finish();
 
-        let mut acc = ResponseAccounting::new();
         let mut injected_any = false;
-        let mut last_response: Option<ChatResponse> = None;
-        let mut last_error = PceError::io("no attempts were made");
+        // Every attempt that does not return sets this, and there is
+        // always at least one attempt.
+        let mut last_error = None;
 
         for attempt in 0..policy.max_attempts() {
             if attempt > 0 {
@@ -204,7 +201,7 @@ impl SurrogateEngine {
                 if let Some(budget) = policy.backoff_budget_ms {
                     if acc.backoff_ms + delay >= budget {
                         acc.backoff_ms = budget;
-                        last_error = PceError::Timeout { ms: budget };
+                        last_error = Some(PceError::Timeout { ms: budget });
                         break;
                     }
                 }
@@ -212,23 +209,22 @@ impl SurrogateEngine {
                 acc.backoff_ms += delay;
             }
             let (result, injected) =
-                self.complete_attempt(model_name, prompt, prompt_fp, sampling, seed, attempt);
+                self.complete_attempt(spec, prompt, prompt_fp, sampling, seed, attempt);
             injected_any |= injected;
             match result {
-                Ok(resp) => {
-                    if is_refusal_text(&resp.text) {
+                Ok(text) => {
+                    if is_refusal_text(&text) {
                         acc.refused += 1;
                         acc.injected += injected_any as u64;
                         return CompletionOutcome {
-                            error: Some(PceError::Refusal {
-                                model: resp.model.clone(),
-                            }),
-                            response: Some(resp),
                             verdict: None,
+                            error: Some(PceError::Refusal {
+                                model: model_name.to_string(),
+                            }),
                             accounting: acc,
                         };
                     }
-                    match Boundedness::parse(&resp.text) {
+                    match Boundedness::parse(&text) {
                         Some(verdict) => {
                             if attempt == 0 {
                                 acc.valid += 1;
@@ -237,24 +233,22 @@ impl SurrogateEngine {
                             }
                             acc.injected += injected_any as u64;
                             return CompletionOutcome {
-                                response: Some(resp),
                                 verdict: Some(verdict),
                                 error: None,
                                 accounting: acc,
                             };
                         }
                         None => {
-                            last_error = PceError::parse(format!(
+                            last_error = Some(PceError::parse(format!(
                                 "response '{}' is not a recognizable answer",
-                                truncate_for_error(&resp.text)
-                            ));
-                            last_response = Some(resp);
+                                &text[..text.floor_char_boundary(40)]
+                            )));
                         }
                     }
                 }
                 Err(e) => {
                     let terminal = !e.retryable();
-                    last_error = e;
+                    last_error = Some(e);
                     if terminal {
                         break;
                     }
@@ -265,9 +259,8 @@ impl SurrogateEngine {
         acc.invalid += 1;
         acc.injected += injected_any as u64;
         CompletionOutcome {
-            response: last_response,
             verdict: None,
-            error: Some(last_error),
+            error: last_error,
             accounting: acc,
         }
     }
@@ -281,23 +274,13 @@ impl SurrogateEngine {
         prompt: &str,
         prompt_fp: u64,
         rng: &mut NoiseStream,
-    ) -> (String, Option<String>) {
+    ) -> Boundedness {
         if is_rq1_prompt(prompt) {
             return self.answer_rq1(spec, prompt, prompt_fp, rng);
         }
         match self.caches.classify_fp(prompt, prompt_fp).as_ref() {
-            Some(p) => self.answer_classify(spec, p, prompt, rng),
-            None => {
-                let answer = if spec.caps.bias_bandwidth {
-                    Boundedness::Bandwidth
-                } else {
-                    Boundedness::Compute
-                };
-                (
-                    answer.answer_token().to_string(),
-                    Some("prior-only guess".to_string()),
-                )
-            }
+            Some(p) => self.answer_classify(spec, p, rng),
+            None => prior(spec),
         }
     }
 
@@ -307,13 +290,11 @@ impl SurrogateEngine {
         prompt: &str,
         prompt_fp: u64,
         rng: &mut NoiseStream,
-    ) -> (String, Option<String>) {
-        let Some(q) = *self.caches.rq1_fp(prompt, prompt_fp) else {
-            return (
-                "Bandwidth".to_string(),
-                Some("failed to parse question".into()),
-            );
+    ) -> Boundedness {
+        let Some(parsed) = *self.caches.rq1_fp(prompt, prompt_fp) else {
+            return Boundedness::Bandwidth;
         };
+        let q = parsed.question;
         let balance = q.peak_gflops / q.bandwidth_gbs;
         let correct = if q.ai >= balance {
             Boundedness::Compute
@@ -324,7 +305,7 @@ impl SurrogateEngine {
 
         let mut answer = correct;
         if !spec.reasoning {
-            let slip_p = if has_cot_examples(prompt) {
+            let slip_p = if parsed.cot {
                 spec.caps.arith_slip_cot
             } else {
                 spec.caps.arith_slip
@@ -335,33 +316,20 @@ impl SurrogateEngine {
                 answer = answer.flipped();
             }
         }
-        let trace = format!(
-            "balance = {:.4} / {:.4} = {:.4} FLOP/B; AI = {:.4}; margin = {:.2} decades",
-            q.peak_gflops, q.bandwidth_gbs, balance, q.ai, margin
-        );
-        (answer.answer_token().to_string(), Some(trace))
+        answer
     }
 
     fn answer_classify(
         &self,
         spec: &ModelSpec,
         parsed: &ParsedClassify,
-        prompt: &str,
         rng: &mut NoiseStream,
-    ) -> (String, Option<String>) {
+    ) -> Boundedness {
         let q = &parsed.question;
         // Prior-bias short circuit: skewed models sometimes answer from
         // their prior without consulting the code.
         if rng.chance(spec.caps.bias_strength) {
-            let answer = if spec.caps.bias_bandwidth {
-                Boundedness::Bandwidth
-            } else {
-                Boundedness::Compute
-            };
-            return (
-                answer.answer_token().to_string(),
-                Some("prior-driven answer".into()),
-            );
+            return prior(spec);
         }
 
         // Deep readers (reasoning models, and frontier-scale standard
@@ -372,7 +340,7 @@ impl SurrogateEngine {
         let empty = BTreeMap::new();
         let deep = spec.reasoning || spec.caps.insight >= 0.6;
         let params = if deep { &parsed.deep_params } else { &empty };
-        let analysis = self.caches.analysis(&q.source, params, 64.0, deep);
+        let analysis = self.caches.analysis(&q.source, params, deep);
 
         let (tally, trip_weight) = if deep {
             match analysis.kernel(&q.kernel_name) {
@@ -413,11 +381,7 @@ impl SurrogateEngine {
         let insight = if deep {
             spec.caps.insight
         } else {
-            let bump = if prompt_has_real_examples(prompt) {
-                0.10
-            } else {
-                0.0
-            };
+            let bump = if parsed.real_examples { 0.10 } else { 0.0 };
             (spec.caps.insight + bump).min(1.0)
         };
         let flip_p = if deep {
@@ -439,39 +403,21 @@ impl SurrogateEngine {
         } else {
             flip_p
         };
-        let mut answer = verdict;
         if rng.chance(flip_p) {
-            answer = answer.flipped();
+            verdict.flipped()
+        } else {
+            verdict
         }
-        let mut trace = format!(
-            "static AI margins vs (sp,dp,int) balances {:?}; best margin {:.2}; reuse x{:.2}",
-            balances, best_margin, reuse_boost
-        );
-        if hazards > 0 {
-            trace.push_str(&format!("; {hazards} hazard diagnostics"));
-        }
-        (answer.answer_token().to_string(), Some(trace))
     }
 }
 
-/// Clip a response body for embedding in an error message.
-fn truncate_for_error(text: &str) -> &str {
-    let mut end = text.len().min(40);
-    while !text.is_char_boundary(end) {
-        end -= 1;
+/// The class a model answers from its prior alone: its biased class.
+fn prior(spec: &ModelSpec) -> Boundedness {
+    if spec.caps.bias_bandwidth {
+        Boundedness::Bandwidth
+    } else {
+        Boundedness::Compute
     }
-    &text[..end]
-}
-
-/// Whether the prompt's example section carries *real* code (RQ3) rather
-/// than pseudo-code (RQ2): real examples contain actual kernel syntax
-/// before the "Now, analyze" marker.
-fn prompt_has_real_examples(prompt: &str) -> bool {
-    let example_section = match prompt.find("Now, analyze") {
-        Some(at) => &prompt[..at],
-        None => prompt,
-    };
-    example_section.contains("__global__") || example_section.contains("#pragma omp")
 }
 
 /// Deterministic noise stream: FNV-1a over the request identity, then
@@ -532,20 +478,20 @@ mod tests {
     use super::*;
     use pce_prompt::{generate_rq1_suite, render_rq1_prompt};
 
-    /// One attempt with no retries, as a plain result: the response when
-    /// the engine produced a body, else the error that stopped it.
+    /// One attempt with no retries, as a plain result: the verdict when
+    /// the answer parsed, else the error that stopped it.
     fn ask(
         engine: &SurrogateEngine,
         model_name: &str,
         prompt: &str,
         sampling: Option<SamplingParams>,
         seed: u64,
-    ) -> Result<ChatResponse, PceError> {
+    ) -> Result<Boundedness, PceError> {
         let out =
             engine.complete_with_retry(model_name, prompt, sampling, seed, &RetryPolicy::none());
-        out.response.ok_or_else(|| {
+        out.verdict.ok_or_else(|| {
             out.error
-                .expect("an outcome without a response carries its error")
+                .expect("an outcome without a verdict carries its error")
         })
     }
 
@@ -555,8 +501,7 @@ mod tests {
         let mut correct = 0;
         for (i, item) in suite.items.iter().enumerate() {
             let prompt = render_rq1_prompt(&suite, i, shots, cot);
-            let resp = ask(&engine, model_name, &prompt, None, i as u64).unwrap();
-            if Boundedness::parse(&resp.text) == Some(item.truth) {
+            if ask(&engine, model_name, &prompt, None, i as u64).unwrap() == item.truth {
                 correct += 1;
             }
         }
@@ -595,10 +540,10 @@ __global__ void reduce(float* out, const float* in) {
 }
 "#;
         let engine = SurrogateEngine::new();
-        let a = engine.caches.analysis(racy, &BTreeMap::new(), 64.0, true);
+        let a = engine.caches.analysis(racy, &BTreeMap::new(), true);
         assert!(a.error_count() > 0, "race must surface as an error");
         // Recall hits the cache and sees the same diagnostics.
-        let b = engine.caches.analysis(racy, &BTreeMap::new(), 64.0, true);
+        let b = engine.caches.analysis(racy, &BTreeMap::new(), true);
         assert_eq!(a.diagnostics, b.diagnostics);
     }
 
@@ -608,8 +553,8 @@ __global__ void reduce(float* out, const float* in) {
         let prompt = render_rq1_prompt(&suite, 0, 2, false);
         let engine = SurrogateEngine::new();
         assert_eq!(
-            ask(&engine, "gpt-4o-mini", &prompt, None, 7).unwrap().text,
-            ask(&engine, "gpt-4o-mini", &prompt, None, 7).unwrap().text
+            ask(&engine, "gpt-4o-mini", &prompt, None, 7).unwrap(),
+            ask(&engine, "gpt-4o-mini", &prompt, None, 7).unwrap()
         );
     }
 
@@ -626,7 +571,7 @@ __global__ void reduce(float* out, const float* in) {
             let mut correct = 0;
             for (i, item) in suite.items.iter().enumerate() {
                 let prompt = render_rq1_prompt(&suite, i, 2, false);
-                let resp = ask(
+                let verdict = ask(
                     &engine,
                     "gemini-2.0-flash-001",
                     &prompt,
@@ -634,7 +579,7 @@ __global__ void reduce(float* out, const float* in) {
                     i as u64,
                 )
                 .unwrap();
-                if Boundedness::parse(&resp.text) == Some(item.truth) {
+                if verdict == item.truth {
                     correct += 1;
                 }
             }
@@ -683,26 +628,28 @@ __global__ void reduce(float* out, const float* in) {
             );
             for model_name in ["o3-mini", "gpt-4o-mini", "o1", "gemini-2.0-flash-001"] {
                 for seed in 0..8 {
-                    let fresh = ask(&SurrogateEngine::new(), model_name, &prompt, None, seed);
-                    let warm = ask(
-                        &SurrogateEngine::with_caches(shared.clone()),
-                        model_name,
-                        &prompt,
-                        None,
-                        seed,
+                    let (fresh, warm) = (
+                        SurrogateEngine::new(),
+                        SurrogateEngine::with_caches(shared.clone()),
                     );
-                    let (fresh, warm) = (fresh.unwrap(), warm.unwrap());
-                    assert_eq!(fresh, warm, "{model_name} seed {seed}");
+                    let a = ask(&fresh, model_name, &prompt, None, seed);
+                    let b = ask(&warm, model_name, &prompt, None, seed);
+                    assert_eq!(a.unwrap(), b.unwrap(), "{model_name} seed {seed}");
+                    assert_eq!(fresh.meter().snapshot(), warm.meter().snapshot());
                 }
             }
         }
         // RQ1 prompts round through the rq1 parse cache identically.
         let prompt = render_rq1_prompt(&suite, 3, 2, true);
-        let warm = SurrogateEngine::with_caches(shared.clone());
+        let (fresh, warm) = (
+            SurrogateEngine::new(),
+            SurrogateEngine::with_caches(shared.clone()),
+        );
         assert_eq!(
-            ask(&SurrogateEngine::new(), "gpt-4o-mini", &prompt, None, 11).unwrap(),
+            ask(&fresh, "gpt-4o-mini", &prompt, None, 11).unwrap(),
             ask(&warm, "gpt-4o-mini", &prompt, None, 11).unwrap()
         );
+        assert_eq!(fresh.meter().snapshot(), warm.meter().snapshot());
         // The shared bundle actually collapsed work across those engines.
         assert!(shared.analysis_counters().hits > 0);
         assert!(shared.classify_counters().hits > 0);
@@ -711,9 +658,9 @@ __global__ void reduce(float* out, const float* in) {
     #[test]
     fn unparseable_prompt_falls_back_to_prior() {
         let engine = SurrogateEngine::new();
-        let resp = ask(&engine, "gpt-4o-mini", "hello there", None, 0).unwrap();
-        assert!(Boundedness::parse(&resp.text).is_some());
-        assert_eq!(resp.trace.as_deref(), Some("prior-only guess"));
+        let spec = model("gpt-4o-mini").unwrap();
+        let verdict = ask(&engine, "gpt-4o-mini", "hello there", None, 0).unwrap();
+        assert_eq!(verdict, prior(spec));
     }
 
     #[test]
@@ -754,8 +701,8 @@ __global__ void reduce(float* out, const float* in) {
         };
         let cb = ask(&engine, "o3-mini-high", &mk("burn", cb_src), None, 0).unwrap();
         let bb = ask(&engine, "o3-mini-high", &mk("copy", bb_src), None, 0).unwrap();
-        assert_eq!(cb.text, "Compute");
-        assert_eq!(bb.text, "Bandwidth");
+        assert_eq!(cb, Boundedness::Compute);
+        assert_eq!(bb, Boundedness::Bandwidth);
     }
 
     #[test]
@@ -772,8 +719,8 @@ __global__ void reduce(float* out, const float* in) {
                 i as u64,
                 &RetryPolicy::default(),
             );
-            assert_eq!(retried.response.as_ref().unwrap().text, single.text);
-            assert_eq!(retried.verdict, Boundedness::parse(&single.text));
+            assert_eq!(retried.verdict, Some(single));
+            assert!(retried.error.is_none());
             assert_eq!(retried.accounting.valid, 1);
             assert!(!retried.accounting.faulted());
             assert!(retried.accounting.balanced());

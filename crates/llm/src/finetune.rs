@@ -28,7 +28,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-use pce_fault::fnv1a;
+use pce_fault::{fnv1a, PceError};
 use pce_roofline::Boundedness;
 
 /// Fine-tuning hyperparameters.
@@ -91,10 +91,16 @@ pub struct FineTunedModel {
 }
 
 impl FineTuneJob {
-    /// Create a job from (source text, label) pairs.
-    pub fn new(samples: Vec<(String, Boundedness)>, config: FineTuneConfig) -> Self {
-        assert!(!samples.is_empty(), "cannot fine-tune on an empty dataset");
-        FineTuneJob { samples, config }
+    /// Create a job from (source text, label) pairs. An empty dataset is
+    /// a [`PceError::Spec`]: there is nothing to fine-tune on.
+    pub fn new(
+        samples: Vec<(String, Boundedness)>,
+        config: FineTuneConfig,
+    ) -> Result<Self, PceError> {
+        if samples.is_empty() {
+            return Err(PceError::spec("cannot fine-tune on an empty dataset"));
+        }
+        Ok(FineTuneJob { samples, config })
     }
 
     /// Run SGD and return the trained head.
@@ -257,7 +263,9 @@ mod tests {
         // The paper's setting: ~272 training samples, 2 epochs, and labels
         // that lexical features cannot explain.
         let train = synthetic_samples(272, 11, false);
-        let model = FineTuneJob::new(train, FineTuneConfig::default()).run();
+        let model = FineTuneJob::new(train, FineTuneConfig::default())
+            .unwrap()
+            .run();
         let val: Vec<String> = synthetic_samples(68, 99, false)
             .into_iter()
             .map(|(t, _)| t)
@@ -281,7 +289,7 @@ mod tests {
             weight_decay: 0.0,
             ..Default::default()
         };
-        let model = FineTuneJob::new(train, cfg).run();
+        let model = FineTuneJob::new(train, cfg).unwrap().run();
         let val = synthetic_samples(400, 77, true);
         let correct = val
             .iter()
@@ -298,8 +306,9 @@ mod tests {
 
     #[test]
     fn training_accuracy_is_tracked_per_epoch() {
-        let model =
-            FineTuneJob::new(synthetic_samples(50, 3, true), FineTuneConfig::default()).run();
+        let model = FineTuneJob::new(synthetic_samples(50, 3, true), FineTuneConfig::default())
+            .unwrap()
+            .run();
         assert_eq!(model.epoch_train_accuracy.len(), 2);
         for acc in &model.epoch_train_accuracy {
             assert!((0.0..=1.0).contains(acc));
@@ -308,8 +317,12 @@ mod tests {
 
     #[test]
     fn training_is_deterministic() {
-        let a = FineTuneJob::new(synthetic_samples(40, 1, true), FineTuneConfig::default()).run();
-        let b = FineTuneJob::new(synthetic_samples(40, 1, true), FineTuneConfig::default()).run();
+        let a = FineTuneJob::new(synthetic_samples(40, 1, true), FineTuneConfig::default())
+            .unwrap()
+            .run();
+        let b = FineTuneJob::new(synthetic_samples(40, 1, true), FineTuneConfig::default())
+            .unwrap()
+            .run();
         assert_eq!(a.weights, b.weights);
         assert_eq!(a.bias, b.bias);
     }
@@ -320,11 +333,5 @@ mod tests {
         let norm: f64 = x.iter().map(|(_, v)| v * v).sum::<f64>();
         assert!((norm - 1.0).abs() < 1e-9);
         assert_eq!(x, hash_features("alpha beta alpha", 128));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty dataset")]
-    fn empty_job_panics() {
-        FineTuneJob::new(vec![], FineTuneConfig::default());
     }
 }

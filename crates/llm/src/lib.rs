@@ -44,7 +44,7 @@ pub mod finetune;
 pub mod parse;
 pub mod zoo;
 
-pub use api::{ChatResponse, SamplingParams, Usage, UsageMeter};
+pub use api::{SamplingParams, Usage, UsageMeter};
 pub use cache::{CacheCounters, LlmCaches};
 pub use engine::{CompletionOutcome, SurrogateEngine};
 pub use finetune::{FineTuneConfig, FineTuneJob, FineTunedModel};

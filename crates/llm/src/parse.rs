@@ -95,8 +95,19 @@ pub fn is_rq1_prompt(prompt: &str) -> bool {
 }
 
 /// Whether CoT examples are present (RQ1 prompts with "Thought:" lines).
-pub fn has_cot_examples(prompt: &str) -> bool {
+pub(crate) fn has_cot_examples(prompt: &str) -> bool {
     prompt.contains("Thought:")
+}
+
+/// Whether a classification prompt's example section carries *real* code
+/// (RQ3) rather than pseudo-code (RQ2): real examples contain actual
+/// kernel syntax before the "Now, analyze" marker.
+pub(crate) fn has_real_examples(prompt: &str) -> bool {
+    let example_section = match prompt.find("Now, analyze") {
+        Some(at) => &prompt[..at],
+        None => prompt,
+    };
+    example_section.contains("__global__") || example_section.contains("#pragma omp")
 }
 
 /// Parse a classification prompt (Fig. 4 template).

@@ -59,10 +59,15 @@ impl Boundedness {
         let trimmed = answer
             .trim()
             .trim_matches(|c: char| c == '.' || c == '\'' || c == '"' || c == '`' || c == ':');
-        let lower = trimmed.to_ascii_lowercase();
-        if lower.starts_with("compute") {
+        // Case-insensitive prefix tests, without a lowercased copy.
+        let starts_with = |prefix: &str| {
+            trimmed
+                .get(..prefix.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
+        };
+        if starts_with("compute") {
             Some(Boundedness::Compute)
-        } else if lower.starts_with("bandwidth") || lower.starts_with("memory") {
+        } else if starts_with("bandwidth") || starts_with("memory") {
             Some(Boundedness::Bandwidth)
         } else {
             None

@@ -123,14 +123,15 @@ impl SourceAnalysis {
     }
 }
 
+/// Trip count assumed for loops whose bound cannot be resolved.
+pub const DEFAULT_TRIP: f64 = 64.0;
+
 /// Options controlling the analysis.
 #[derive(Debug, Clone)]
 pub struct AnalyzeOptions {
     /// Known launch parameters (problem sizes from CLI args) used to
     /// resolve identifier loop bounds.
     pub params: BTreeMap<String, u64>,
-    /// Trip count assumed for loops whose bound cannot be resolved.
-    pub default_trip: f64,
     /// When false, loop weighting is disabled (every statement counts
     /// once) — the "shallow reader" mode of non-reasoning surrogates.
     pub loop_aware: bool,
@@ -140,7 +141,6 @@ impl Default for AnalyzeOptions {
     fn default() -> Self {
         AnalyzeOptions {
             params: BTreeMap::new(),
-            default_trip: 64.0,
             loop_aware: true,
         }
     }
@@ -267,13 +267,11 @@ fn walk(
 
 fn resolve_trip(bound: Option<Token<'_>>, opts: &AnalyzeOptions) -> f64 {
     match bound {
-        Some(t) if t.kind == TokenKind::Number => parse_number(t.text).unwrap_or(opts.default_trip),
-        Some(t) if t.kind == TokenKind::Ident => opts
-            .params
-            .get(t.text)
-            .map(|&v| v as f64)
-            .unwrap_or(opts.default_trip),
-        _ => opts.default_trip,
+        Some(t) if t.kind == TokenKind::Number => parse_number(t.text).unwrap_or(DEFAULT_TRIP),
+        Some(t) if t.kind == TokenKind::Ident => {
+            opts.params.get(t.text).map_or(DEFAULT_TRIP, |&v| v as f64)
+        }
+        _ => DEFAULT_TRIP,
     }
 }
 
@@ -652,9 +650,9 @@ __global__ void iters(float* out, int steps) {
         opts.params.insert("steps".into(), 1000);
         let a = analyze(src, &opts);
         assert!((a.kernels[0].tally.flops_sp - 1000.0).abs() < 1e-9);
-        // Unresolved: falls back to default_trip.
+        // Unresolved: falls back to DEFAULT_TRIP.
         let fallback = analyze_default(src);
-        assert!((fallback.kernels[0].tally.flops_sp - 64.0).abs() < 1e-9);
+        assert!((fallback.kernels[0].tally.flops_sp - DEFAULT_TRIP).abs() < 1e-9);
     }
 
     #[test]

@@ -47,5 +47,7 @@ pub mod lexer;
 mod structure;
 
 pub use diagnostics::{diagnose, Diagnostic, RuleId, Severity, Span};
-pub use estimate::{analyze, AnalyzeOptions, KernelAnalysis, OpTally, SourceAnalysis};
+pub use estimate::{
+    analyze, AnalyzeOptions, KernelAnalysis, OpTally, SourceAnalysis, DEFAULT_TRIP,
+};
 pub use lexer::{lex, Token, TokenKind};

@@ -18,7 +18,8 @@ fn main() {
     let data = StudyData::build(&study).expect("study builds");
 
     // The paper's configuration: 2 epochs on the 80% split.
-    println!("{}", render_rq4(&run_rq4(&study, &data.split)));
+    let rq4 = run_rq4(&study, &data.split).expect("the smoke split is not empty");
+    println!("{}", render_rq4(&rq4));
 
     // Counterfactual: same data, gentle schedule — the head no longer
     // saturates, but with this little data it still cannot generalize.
@@ -42,6 +43,7 @@ fn main() {
             ..Default::default()
         },
     )
+    .expect("the smoke split is not empty")
     .run();
     let correct = data
         .split

@@ -87,7 +87,7 @@ fn zero_shot_reasoning_advantage_and_sane_bands() {
 #[test]
 fn rq4_collapse_reproduces() {
     let (study, data) = study_and_data();
-    let out = run_rq4(&study, &data.split);
+    let out = run_rq4(&study, &data.split).expect("smoke split is not empty");
     // Collapse signature: predictions concentrate on one class. The
     // residual minority's MCC is noisy at smoke scale (n = 56), so the
     // concentration is the load-bearing assertion.

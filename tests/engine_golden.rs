@@ -46,7 +46,9 @@ fn engine_consumers_are_byte_identical() {
     let data = StudyData::build(&study).expect("study builds");
     let samples = &data.dataset.samples;
 
-    let rq4 = digest(serde_json::to_string(&run_rq4(&study, &data.split)));
+    let rq4 = digest(serde_json::to_string(
+        &run_rq4(&study, &data.split).expect("smoke split is not empty"),
+    ));
     let train = data
         .split
         .train
@@ -59,7 +61,9 @@ fn engine_consumers_are_byte_identical() {
         ..Default::default()
     };
     let head = digest(serde_json::to_string(
-        &FineTuneJob::new(train, config).run(),
+        &FineTuneJob::new(train, config)
+            .expect("smoke split is not empty")
+            .run(),
     ));
     let hyper = digest(serde_json::to_string(
         &run_hyperparam_check(
