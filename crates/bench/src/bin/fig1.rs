@@ -1,6 +1,6 @@
 //! Regenerate Figure 1: the RTX 3080 rooflines with every profiled kernel
-//! scattered on top. Prints a summary and writes `fig1.csv` next to the
-//! working directory; `--no-cache` runs the L2-ablated variant.
+//! scattered on top. Prints a summary and writes `fig1.csv` into the
+//! working directory.
 
 use pce_bench::study_from_args;
 use pce_core::figures::build_fig1;
@@ -9,16 +9,10 @@ use pce_core::study::StudyData;
 
 fn main() {
     let study = study_from_args();
-    let cache = !std::env::args().any(|a| a == "--no-cache");
     let data = StudyData::build(&study).expect("study builds");
-    let fig = build_fig1(&study, &data.corpus, cache);
+    let fig = build_fig1(&study, &data.corpus);
     print!("{}", render_fig1_summary(&fig));
     let csv = render_fig1_csv(&fig);
-    let path = if cache {
-        "fig1.csv"
-    } else {
-        "fig1_nocache.csv"
-    };
-    std::fs::write(path, &csv).expect("write fig1 csv");
-    println!("wrote {path} ({} rows)", csv.lines().count() - 1);
+    std::fs::write("fig1.csv", &csv).expect("write fig1 csv");
+    println!("wrote fig1.csv ({} rows)", csv.lines().count() - 1);
 }

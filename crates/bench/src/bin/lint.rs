@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 
-use pce_bench::{flag_value, study_from_args};
+use pce_bench::{flag_value, or_exit, study_from_args};
 use pce_core::serve::{Job, STATIC_MODEL};
 use pce_kernels::build_corpus;
 use pce_prompt::ShotStyle;
@@ -43,8 +43,9 @@ const RACY_SRC: &str = "__global__ void reduce_sum(const float* x, float* out, i
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let csv_path = or_exit(flag_value(&args, "--csv"));
 
-    if let Some(which) = flag_value(&args, "--emit-predict") {
+    if let Some(which) = or_exit(flag_value(&args, "--emit-predict")) {
         let (id, src) = match which {
             "clean" => ("lint-clean", CLEAN_SRC),
             "racy" => ("lint-racy", RACY_SRC),
@@ -114,7 +115,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = flag_value(&args, "--csv") {
+    if let Some(path) = csv_path {
         let mut csv = String::from("program,kernel,rule,severity,line,col,message\n");
         for (id, kernel, d) in &findings {
             csv.push_str(&format!(

@@ -18,7 +18,7 @@
 //! Serve latency is measured by the repository benchmark's `serve-mix`
 //! workload (see `perfbench/README.md`).
 
-use pce_bench::{flag_value, study_from_args};
+use pce_bench::{or_exit, parsed_flag, study_from_args};
 use pce_core::serve::Job;
 use pce_core::study::Study;
 use pce_llm::model_zoo;
@@ -39,18 +39,6 @@ impl Mix {
 
     fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[(self.next() % items.len() as u64) as usize]
-    }
-}
-
-/// The value of `flag` parsed as `T`, `default` when absent; exits with
-/// status 2 on a malformed value.
-fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} needs a non-negative integer, got '{v}'");
-            std::process::exit(2);
-        }),
     }
 }
 
@@ -107,8 +95,8 @@ fn main() {
     let study = study_from_args();
     let jobs = job_mix(
         &study,
-        parsed_flag(&args, "--jobs", 120),
-        parsed_flag(&args, "--seed", 0x10ad),
+        or_exit(parsed_flag(&args, "--jobs")).unwrap_or(120),
+        or_exit(parsed_flag(&args, "--seed")).unwrap_or(0x10ad),
     );
     if args.iter().any(|a| a == "--storm") {
         let tight = |job: &Job, id: String| Job {

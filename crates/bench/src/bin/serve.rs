@@ -43,7 +43,7 @@ use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use pce_bench::{chaos_from_args, flag_value, study_from_args};
+use pce_bench::{chaos_from_args, flag_value, or_exit, parsed_flag, study_from_args};
 use pce_core::caches::CacheBudget;
 use pce_core::serve::{PredictionService, ServeConfig};
 
@@ -51,67 +51,28 @@ use pce_core::serve::{PredictionService, ServeConfig};
 /// workload never evicts, small enough to bound a long-lived process.
 const DEFAULT_CACHE_BYTES: u64 = 64 * 1024 * 1024;
 
-fn budget_from_args(args: &[String]) -> Option<CacheBudget> {
-    if args.iter().any(|a| a == "--unbounded") {
-        return None;
-    }
-    let bytes = match flag_value(args, "--cache-bytes") {
-        None => DEFAULT_CACHE_BYTES,
-        Some(v) => match v.parse::<u64>() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!("--cache-bytes needs an integer byte count, got '{v}'");
-                std::process::exit(2);
-            }
-        },
-    };
-    Some(CacheBudget::uniform(bytes))
-}
-
-fn usize_flag(args: &[String], flag: &str, default: usize) -> usize {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("{flag} needs a positive integer, got '{v}'");
-                std::process::exit(2);
-            }
-        },
+/// `flag`'s value as a positive integer, `None` when the flag is absent.
+fn positive_flag(args: &[String], flag: &str) -> Result<Option<usize>, String> {
+    match parsed_flag(args, flag)? {
+        Some(0) => Err(format!("{flag} needs a positive integer, got 0")),
+        n => Ok(n),
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut study = study_from_args();
-    study.chaos = match chaos_from_args(&args) {
-        Ok(chaos) => chaos,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let batch = usize_flag(&args, "--batch", 32);
-    let budget = budget_from_args(&args);
+    study.chaos = or_exit(chaos_from_args(&args));
+    let batch = or_exit(positive_flag(&args, "--batch")).unwrap_or(32);
+    let cache_bytes = or_exit(parsed_flag(&args, "--cache-bytes")).unwrap_or(DEFAULT_CACHE_BYTES);
+    let budget =
+        (!args.iter().any(|a| a == "--unbounded")).then(|| CacheBudget::uniform(cache_bytes));
     let config = ServeConfig {
         batch,
-        queue_depth: flag_value(&args, "--queue-depth").map(|v| match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--queue-depth needs a positive integer, got '{v}'");
-                std::process::exit(2);
-            }
-        }),
-        default_deadline_ms: flag_value(&args, "--default-deadline-ms").map(|v| {
-            match v.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--default-deadline-ms needs an integer, got '{v}'");
-                    std::process::exit(2);
-                }
-            }
-        }),
+        queue_depth: or_exit(positive_flag(&args, "--queue-depth")),
+        default_deadline_ms: or_exit(parsed_flag(&args, "--default-deadline-ms")),
     };
+    let listen = or_exit(flag_value(&args, "--listen"));
     let service = Arc::new(PredictionService::new(study, budget).expect("service builds"));
     eprintln!(
         "serving {} kernels (batch={batch}, queue {}, caches {})",
@@ -127,7 +88,7 @@ fn main() {
         },
     );
 
-    match flag_value(&args, "--listen") {
+    match listen {
         None => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();

@@ -16,7 +16,7 @@
 //! failed responses land in a response ledger rendered with the reports —
 //! and the same seed reproduces the same faults byte-for-byte.
 
-use pce_bench::{chaos_from_args, parse_specs_of, study_from_args};
+use pce_bench::{chaos_from_args, flag_value, or_exit, parse_specs_of, study_from_args};
 use pce_core::caches::SuiteCaches;
 use pce_core::report::{render_accounting_csv, render_flips_csv, render_suite, render_suite_csv};
 use pce_core::suite::{run_suite_cached, Suite};
@@ -30,25 +30,15 @@ fn axis_from_args(
     class: SpecClass,
     default: Vec<HardwareSpec>,
 ) -> Vec<HardwareSpec> {
-    match args.iter().position(|a| a == flag) {
-        None => default,
-        Some(i) => {
-            let list = args.get(i + 1).map(String::as_str).unwrap_or("");
-            match parse_specs_of(list, class) {
-                Ok(specs) if !specs.is_empty() => specs,
-                Ok(_) => {
-                    eprintln!(
-                        "{flag} needs a comma-separated list of {class} preset names; known presets:\n{}",
-                        HardwareSpec::catalog_listing()
-                    );
-                    std::process::exit(2);
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        }
+    let Some(list) = or_exit(flag_value(args, flag)) else {
+        return default;
+    };
+    match parse_specs_of(list, class) {
+        Ok(specs) if specs.is_empty() => or_exit(Err(format!(
+            "{flag} needs a comma-separated list of {class} preset names; known presets:\n{}",
+            HardwareSpec::catalog_listing()
+        ))),
+        result => or_exit(result),
     }
 }
 
@@ -67,13 +57,7 @@ fn main() {
         HardwareSpec::cpu_presets(),
     );
     let mut base = study_from_args();
-    base.chaos = match chaos_from_args(&args) {
-        Ok(chaos) => chaos,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    base.chaos = or_exit(chaos_from_args(&args));
     let chaos_active = base.chaos.is_some();
     let suite = Suite {
         base,

@@ -1,7 +1,8 @@
 //! # pce-bench
 //!
-//! The benchmark harness: one regeneration binary per paper artifact and
-//! Criterion performance benches over the substrates.
+//! The paper's regeneration binaries, plus the command-line front ends
+//! of the prediction service (`serve`, `loadgen`) and the kernel lint
+//! (`lint`).
 //!
 //! Regeneration binaries (`cargo run -p pce-bench --release --bin <name>`):
 //!
@@ -17,9 +18,13 @@
 //!
 //! All binaries accept `--smoke` for a reduced-scale run (CI-friendly) and
 //! default to the paper-scale study otherwise; `suite` also accepts
-//! `--specs <name,name,...>` to pick the hardware matrix rows. The
-//! repository benchmark that times the pipeline and the suite lives in
-//! `perfbench/`.
+//! `--specs <name,name,...>` to pick the hardware matrix rows. A flag that
+//! takes a value and is given without one is a usage error (exit status
+//! 2), never a silent fall-back to its default. The repository benchmark,
+//! which times the layers these binaries run, lives in `perfbench/`.
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 use pce_core::study::{ChaosConfig, Study};
 use pce_roofline::{HardwareSpec, SpecClass};
@@ -34,12 +39,45 @@ pub fn study_from_args() -> Study {
     }
 }
 
-/// The value following `flag`, when present and not itself a flag.
-pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1)
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
+/// The value following `flag`: `Ok(None)` when the flag is absent, and
+/// an error naming the flag when it is present but nothing, or another
+/// `--flag`, follows it.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(at + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value)),
+        _ => Err(format!("{flag} needs a value")),
+    }
+}
+
+/// [`flag_value`] parsed as `T`: `Ok(None)` when the flag is absent, and
+/// an error naming the flag when its value is missing or does not parse.
+pub fn parsed_flag<T>(args: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    flag_value(args, flag)?
+        .map(|raw| {
+            raw.parse().map_err(|e| {
+                format!(
+                    "{flag} needs a {}, got '{raw}': {e}",
+                    std::any::type_name::<T>()
+                )
+            })
+        })
+        .transpose()
+}
+
+/// `result`'s value; on an error, print it to stderr and exit with status
+/// 2, the binaries' usage-error status.
+pub fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// Parse the chaos convention: `--chaos <seed>` switches fault injection
@@ -50,38 +88,20 @@ pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 /// `--fault-rate` or `--wire-rate` alone is rejected so a typo can't
 /// silently drop the chaos layer.
 pub fn chaos_from_args(args: &[String]) -> Result<Option<ChaosConfig>, String> {
-    let has_chaos = args.iter().any(|a| a == "--chaos");
-    let has_rate = args.iter().any(|a| a == "--fault-rate");
-    let has_wire = args.iter().any(|a| a == "--wire-rate");
-    if !has_chaos {
-        if has_rate {
-            return Err("--fault-rate requires --chaos <seed>".to_string());
-        }
-        if has_wire {
-            return Err("--wire-rate requires --chaos <seed>".to_string());
+    let Some(seed) = parsed_flag::<u64>(args, "--chaos")? else {
+        for flag in ["--fault-rate", "--wire-rate"] {
+            if args.iter().any(|a| a == flag) {
+                return Err(format!("{flag} requires --chaos <seed>"));
+            }
         }
         return Ok(None);
-    }
-    let seed = flag_value(args, "--chaos")
-        .ok_or("--chaos needs a seed, e.g. --chaos 42")?
-        .parse::<u64>()
-        .map_err(|e| format!("--chaos seed must be a u64: {e}"))?;
+    };
     let unit_rate = |flag: &str, default: f64| -> Result<f64, String> {
-        match flag_value(args, flag) {
-            None if args.iter().any(|a| a == flag) => {
-                Err(format!("{flag} needs a value in [0, 1]"))
-            }
-            None => Ok(default),
-            Some(raw) => {
-                let r = raw
-                    .parse::<f64>()
-                    .map_err(|e| format!("{flag} must be a number: {e}"))?;
-                if !(0.0..=1.0).contains(&r) {
-                    return Err(format!("{flag} must be in [0, 1], got {r}"));
-                }
-                Ok(r)
-            }
+        let r = parsed_flag::<f64>(args, flag)?.unwrap_or(default);
+        if !(0.0..=1.0).contains(&r) {
+            return Err(format!("{flag} must be in [0, 1], got {r}"));
         }
+        Ok(r)
     };
     let rate = unit_rate("--fault-rate", 0.1)?;
     let wire = unit_rate("--wire-rate", 0.0)?;
@@ -146,9 +166,47 @@ mod tests {
         assert!(parse_specs(" , ,").unwrap().is_empty());
     }
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn absent_flag_leaves_the_default_to_the_caller() {
+        let argv = args(&["serve", "--smoke"]);
+        assert_eq!(flag_value(&argv, "--listen"), Ok(None));
+        assert_eq!(parsed_flag::<usize>(&argv, "--batch"), Ok(None));
+    }
+
+    #[test]
+    fn present_flag_gives_the_parsed_value() {
+        let argv = args(&["serve", "--smoke", "--queue-depth", "8", "--listen", "x:1"]);
+        assert_eq!(parsed_flag::<usize>(&argv, "--queue-depth"), Ok(Some(8)));
+        assert_eq!(flag_value(&argv, "--listen"), Ok(Some("x:1")));
+    }
+
+    #[test]
+    fn valueless_flag_is_an_error_naming_it() {
+        for argv in [
+            args(&["serve", "--smoke", "--queue-depth"]),
+            args(&["serve", "--queue-depth", "--smoke"]),
+        ] {
+            let err = parsed_flag::<usize>(&argv, "--queue-depth").unwrap_err();
+            assert!(err.contains("--queue-depth"), "{err}");
+            assert!(flag_value(&argv, "--queue-depth").is_err(), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn unparsable_flag_value_is_an_error_naming_it() {
+        for raw in ["eight", "-1", "8.5", ""] {
+            let argv = args(&["loadgen", "--jobs", raw]);
+            let err = parsed_flag::<usize>(&argv, "--jobs").unwrap_err();
+            assert!(err.contains("--jobs") && err.contains(raw), "{err}");
+        }
+    }
+
     #[test]
     fn chaos_flags_parse_and_reject_typos() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(chaos_from_args(&args(&["suite", "--smoke"])), Ok(None));
 
         let cfg = chaos_from_args(&args(&["suite", "--chaos", "42"]))

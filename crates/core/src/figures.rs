@@ -32,15 +32,8 @@ pub struct Fig1 {
 /// rooflines, reproducing the published figure verbatim. The
 /// language-routed ground truth lives in the dataset pipeline and the
 /// cross-hardware suite, not here.
-///
-/// `cache_enabled = false` reproduces the DESIGN.md ablation (static-like
-/// traffic), collapsing the empirical-vs-static AI gap.
-pub fn build_fig1(study: &Study, corpus: &[Program], cache_enabled: bool) -> Fig1 {
-    let profiler = if cache_enabled {
-        Profiler::new(study.specs.gpu.clone())
-    } else {
-        Profiler::new(study.specs.gpu.clone()).without_cache()
-    };
+pub fn build_fig1(study: &Study, corpus: &[Program]) -> Fig1 {
+    let profiler = Profiler::new(study.specs.gpu.clone());
     let observations: Vec<(String, KernelObservation)> = corpus
         .par_iter()
         .map(|p| {
@@ -80,7 +73,7 @@ mod tests {
     fn fig1_shows_bb_majority_for_sp_and_int() {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
-        let fig = build_fig1(&study, &data.corpus, true);
+        let fig = build_fig1(&study, &data.corpus);
         // §2.1: "the majority of the SP-FLOP and INT samples are BB".
         assert!(
             fig.sp_bb_fraction > 0.5,
@@ -100,10 +93,12 @@ mod tests {
     fn cache_ablation_shifts_scatter_toward_bandwidth() {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
-        let cached = build_fig1(&study, &data.corpus, true);
-        let uncached = build_fig1(&study, &data.corpus, false);
-        // Without the cache model, DRAM traffic rises, AI falls, and more
-        // samples land in the bandwidth-bound region.
+        let cached = build_fig1(&study, &data.corpus);
+        // A one-byte L2 sends every re-read to DRAM: traffic rises, AI
+        // falls, and more samples land in the bandwidth-bound region.
+        let mut no_l2 = study.clone();
+        no_l2.specs.gpu.l2_bytes = 1;
+        let uncached = build_fig1(&no_l2, &data.corpus);
         assert!(uncached.sp_bb_fraction >= cached.sp_bb_fraction);
     }
 

@@ -471,7 +471,7 @@ mod tests {
     fn fig_renderers_produce_parseable_output() {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
-        let fig1 = build_fig1(&study, &data.corpus, true);
+        let fig1 = build_fig1(&study, &data.corpus);
         let csv = render_fig1_csv(&fig1);
         assert!(csv.starts_with("series,id,ai,gops,verdict"));
         assert!(render_fig1_summary(&fig1).contains("BB fractions"));

@@ -21,7 +21,7 @@ use pce_roofline::{HardwareSpec, KernelObservation, OpCounts};
 use crate::cache::SimCaches;
 use crate::ir::{BodySummary, KernelIr};
 use crate::launch::LaunchConfig;
-use crate::memory::{resolve_memory, BufferTraffic, MemoryResolution};
+use crate::memory::{resolve_memory, BufferTraffic};
 use crate::timing::{estimate_runtime, TimingBreakdown};
 
 /// A complete profiled kernel launch.
@@ -96,9 +96,6 @@ impl KernelProfile {
 #[derive(Debug, Clone)]
 pub struct Profiler {
     hw: HardwareSpec,
-    /// When false, the L2 model is bypassed and requested bytes hit DRAM
-    /// directly — the "no cache" ablation from DESIGN.md.
-    cache_enabled: bool,
     /// Memoization layer; `None` profiles from scratch on every call.
     caches: Option<SimCaches>,
 }
@@ -106,17 +103,7 @@ pub struct Profiler {
 impl Profiler {
     /// Create a profiler for the given hardware.
     pub fn new(hw: HardwareSpec) -> Self {
-        Profiler {
-            hw,
-            cache_enabled: true,
-            caches: None,
-        }
-    }
-
-    /// Disable the L2 model (ablation).
-    pub fn without_cache(mut self) -> Self {
-        self.cache_enabled = false;
-        self
+        Profiler { hw, caches: None }
     }
 
     /// Attach a shared memoization bundle (builder style). Clones of one
@@ -150,11 +137,7 @@ impl Profiler {
         launch: &LaunchConfig,
         summary: &BodySummary,
     ) -> KernelProfile {
-        let mem = if self.cache_enabled {
-            resolve_memory(&self.hw, kernel, launch, &summary.demands)
-        } else {
-            uncached_memory(&self.hw, kernel, launch, &summary.demands)
-        };
+        let mem = resolve_memory(&self.hw, kernel, launch, &summary.demands);
         let timing = estimate_runtime(&self.hw, launch, &summary.costs, &mem);
 
         let threads = launch.total_threads() as f64;
@@ -198,29 +181,12 @@ impl Profiler {
                 let summary = kernel.summarize(&launch.params);
                 Arc::new(self.resolve(kernel, launch, &summary))
             }
-            Some(c) => c
-                .profiles()
-                .profile(kernel, launch, &self.hw, self.cache_enabled, || {
-                    let summary = self.summary(kernel, launch);
-                    self.resolve(kernel, launch, &summary)
-                }),
+            Some(c) => c.profiles().profile(kernel, launch, &self.hw, || {
+                let summary = self.summary(kernel, launch);
+                self.resolve(kernel, launch, &summary)
+            }),
         }
     }
-}
-
-/// The no-cache ablation: requested bytes (after coalescing) go straight
-/// to DRAM.
-fn uncached_memory(
-    hw: &HardwareSpec,
-    kernel: &KernelIr,
-    launch: &LaunchConfig,
-    demands: &[crate::ir::MemDemand],
-) -> MemoryResolution {
-    // Reuse the full model but with an L2 of one byte: every capacity term
-    // collapses to a miss.
-    let mut tiny = hw.clone();
-    tiny.l2_bytes = 1;
-    resolve_memory(&tiny, kernel, launch, demands)
 }
 
 #[cfg(test)]
@@ -306,9 +272,9 @@ mod tests {
         assert!(caches.profiles().counters().hits >= 1);
     }
 
-    #[test]
-    fn l2_ablation_entries_do_not_collide_in_the_profile_memo() {
-        let caches = SimCaches::new();
+    /// A kernel that re-reads one buffer 64 times: the L2 model serves
+    /// the re-reads.
+    fn reuse() -> (KernelIr, LaunchConfig) {
         let n = 4096u64;
         let k = KernelIr::builder("reuse")
             .buffer("t", 4, Extent::Param("n".into()))
@@ -318,9 +284,27 @@ mod tests {
             ))
             .build();
         let lc = LaunchConfig::linear(n, 256).unwrap().with_param("n", n);
+        (k, lc)
+    }
+
+    /// `hw` with a one-byte L2, under the same name: every capacity term
+    /// of the memory model collapses to a miss.
+    fn without_l2(hw: &HardwareSpec) -> HardwareSpec {
+        HardwareSpec {
+            l2_bytes: 1,
+            ..hw.clone()
+        }
+    }
+
+    #[test]
+    fn l2_ablation_entries_do_not_collide_in_the_profile_memo() {
+        // Both specs carry one name, so both launches share one
+        // fingerprint; the memo's full-key check keeps them apart.
+        let caches = SimCaches::new();
+        let (k, lc) = reuse();
         let hw = HardwareSpec::rtx_3080();
         let cached = Profiler::new(hw.clone()).with_caches(caches.clone());
-        let ablated = Profiler::new(hw).without_cache().with_caches(caches);
+        let ablated = Profiler::new(without_l2(&hw)).with_caches(caches);
         assert!(
             ablated.profile(&k, &lc).counts.dram_read_bytes
                 > cached.profile(&k, &lc).counts.dram_read_bytes
@@ -329,18 +313,10 @@ mod tests {
 
     #[test]
     fn cache_ablation_increases_traffic_for_reuse_kernels() {
-        let n = 4096u64;
-        let k = KernelIr::builder("reuse")
-            .buffer("t", 4, Extent::Param("n".into()))
-            .op(Op::loop_n(
-                Extent::Const(64),
-                vec![Op::load("t", AccessPattern::Coalesced)],
-            ))
-            .build();
-        let lc = LaunchConfig::linear(n, 256).unwrap().with_param("n", n);
+        let (k, lc) = reuse();
         let hw = HardwareSpec::rtx_3080();
         let cached = Profiler::new(hw.clone()).profile(&k, &lc);
-        let uncached = Profiler::new(hw).without_cache().profile(&k, &lc);
+        let uncached = Profiler::new(without_l2(&hw)).profile(&k, &lc);
         assert!(
             uncached.counts.dram_read_bytes > 10 * cached.counts.dram_read_bytes,
             "uncached {} vs cached {}",

@@ -39,13 +39,6 @@ pub struct Usage {
     pub completion_tokens: u64,
 }
 
-impl Usage {
-    /// Total tokens.
-    pub fn total(&self) -> u64 {
-        self.prompt_tokens + self.completion_tokens
-    }
-}
-
 /// Thread-safe accumulator of token usage across a run, priced from the
 /// zoo.
 ///
@@ -140,15 +133,6 @@ mod tests {
         let s = SamplingParams::default();
         assert_eq!(s.temperature, 0.1);
         assert_eq!(s.top_p, 0.2);
-    }
-
-    #[test]
-    fn usage_totals() {
-        let u = Usage {
-            prompt_tokens: 100,
-            completion_tokens: 5,
-        };
-        assert_eq!(u.total(), 105);
     }
 
     /// `usage` priced by hand at `model`'s zoo prices.

@@ -142,17 +142,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Accuracy as `Some(value)` — `None` for an empty matrix, so callers
-    /// whose invalid-response filtering emptied a bucket can render "–"
-    /// instead of a fabricated 0.
-    pub fn accuracy_opt(&self) -> Option<f64> {
-        if self.total() == 0 {
-            None
-        } else {
-            Some(self.accuracy())
-        }
-    }
-
     /// The three Table-1 metrics, ×100.
     pub fn bundle(&self) -> MetricBundle {
         MetricBundle {
@@ -160,16 +149,6 @@ impl ConfusionMatrix {
             macro_f1: self.macro_f1() * 100.0,
             mcc: self.mcc() * 100.0,
             n: self.total(),
-        }
-    }
-
-    /// [`ConfusionMatrix::bundle`] as `Some(bundle)` — `None` for an empty
-    /// matrix rather than an all-zero bundle that reads like a real score.
-    pub fn bundle_opt(&self) -> Option<MetricBundle> {
-        if self.total() == 0 {
-            None
-        } else {
-            Some(self.bundle())
         }
     }
 }
@@ -292,21 +271,6 @@ mod tests {
         assert_eq!(cm.macro_f1(), 0.0);
         assert_eq!(cm.mcc(), 0.0);
         assert_eq!(cm.total(), 0);
-    }
-
-    #[test]
-    fn opt_accessors_distinguish_empty_from_zero_score() {
-        let empty = ConfusionMatrix::new();
-        assert_eq!(empty.accuracy_opt(), None);
-        assert_eq!(empty.bundle_opt(), None);
-        // A genuinely zero accuracy still reports as a value...
-        let all_wrong = matrix(0, 5, 0, 5);
-        assert_eq!(all_wrong.accuracy_opt(), Some(0.0));
-        assert_eq!(all_wrong.bundle_opt(), Some(all_wrong.bundle()));
-        // ...and so does a matrix holding only invalid answers.
-        let mut only_invalid = ConfusionMatrix::new();
-        only_invalid.record_invalid(true);
-        assert_eq!(only_invalid.accuracy_opt(), Some(0.0));
     }
 
     #[test]

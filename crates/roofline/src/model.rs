@@ -63,16 +63,6 @@ impl Roofline {
         }
     }
 
-    /// Signed distance from the balance point in log₁₀ space.
-    ///
-    /// Positive values are compute-bound; the magnitude measures how far the
-    /// kernel sits from the ridge (useful as a classification-difficulty
-    /// proxy: kernels near zero are genuinely ambiguous).
-    pub fn log_distance_to_balance(&self, ai: f64) -> f64 {
-        assert!(ai > 0.0, "log distance requires positive AI");
-        ai.log10() - self.balance_point().log10()
-    }
-
     /// Fraction of peak achieved by an observed (AI, performance) point.
     ///
     /// Values are in `[0, 1]` for physically-possible observations; the
@@ -133,14 +123,6 @@ mod tests {
         // Exactly at the ridge both sides agree.
         let bp = r.balance_point();
         assert!((r.attainable_gops(bp) - r.peak_gops).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log_distance_sign_encodes_boundedness() {
-        let r = roof();
-        assert!(r.log_distance_to_balance(0.1) < 0.0);
-        assert!(r.log_distance_to_balance(10.0) > 0.0);
-        assert!(r.log_distance_to_balance(r.balance_point()).abs() < 1e-12);
     }
 
     #[test]

@@ -67,21 +67,6 @@ impl OpCounts {
         }
     }
 
-    /// The op class with the largest operation count, breaking ties in
-    /// `Sp < Dp < Int` order. Returns `None` when no ops were executed.
-    pub fn dominant_class(&self) -> Option<OpClass> {
-        let candidates = [
-            (self.flops_sp, OpClass::Sp),
-            (self.flops_dp, OpClass::Dp),
-            (self.intops, OpClass::Int),
-        ];
-        candidates
-            .into_iter()
-            .filter(|(n, _)| *n > 0)
-            .max_by_key(|(n, _)| *n)
-            .map(|(_, c)| c)
-    }
-
     /// Element-wise sum of two counter sets (e.g. multiple kernel launches).
     pub fn accumulate(&self, other: &OpCounts) -> OpCounts {
         OpCounts {
@@ -159,19 +144,6 @@ mod tests {
     fn empty_kernel_has_zero_ai() {
         let c = OpCounts::default();
         assert_eq!(c.ai(OpClass::Sp), 0.0);
-        assert_eq!(c.dominant_class(), None);
-    }
-
-    #[test]
-    fn dominant_class_picks_largest_counter() {
-        let c = saxpy_counts();
-        assert_eq!(c.dominant_class(), Some(OpClass::Sp));
-        let c2 = OpCounts {
-            intops: 10,
-            flops_dp: 5,
-            ..OpCounts::default()
-        };
-        assert_eq!(c2.dominant_class(), Some(OpClass::Int));
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl Tokenizer {
         self.count_with(text, &mut SegmentMemo::default())
     }
 
-    /// Encode a batch of texts in parallel, one segment memo per text.
-    pub fn encode_batch(&self, texts: &[&str]) -> Vec<Vec<u32>> {
-        texts.par_iter().map(|t| self.encode(t)).collect()
-    }
-
     /// Token counts for a batch of texts, in parallel: one contiguous
     /// group of texts per rayon worker, each sharing one segment memo.
     /// This is the pipeline's pruning hot path.
@@ -420,13 +415,10 @@ mod tests {
             "",
             "λ λ λ",
         ];
-        let refs: Vec<&str> = texts.to_vec();
-        let batch_ids = tok.encode_batch(&refs);
-        let batch_counts = tok.count_batch(&refs);
-        for (i, t) in texts.iter().enumerate() {
-            assert_eq!(batch_ids[i], tok.encode(t), "ids diverged on {t:?}");
-            assert_eq!(batch_counts[i], tok.count(t), "count diverged on {t:?}");
-            assert_eq!(batch_counts[i], batch_ids[i].len());
+        let batch_counts = tok.count_batch(&texts);
+        for (t, n) in texts.iter().zip(batch_counts) {
+            assert_eq!(n, tok.count(t), "count diverged on {t:?}");
+            assert_eq!(n, tok.encode(t).len(), "encode length diverged on {t:?}");
         }
     }
 }

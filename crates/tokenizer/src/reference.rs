@@ -11,8 +11,9 @@
 //!   every merge and compacts with `Vec::remove` — O(n²) per chunk.
 //!
 //! Property tests assert the fast implementations are *bit-identical* to
-//! these on arbitrary corpora; the criterion benches report the speedup
-//! against them.
+//! these on arbitrary corpora. Only the fast paths run in a workload, and
+//! the repository benchmark times them (`tokenizer.count.*`,
+//! `tokenizer.train.busy_ms`).
 
 use std::collections::HashMap;
 

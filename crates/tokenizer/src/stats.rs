@@ -23,13 +23,6 @@ pub struct TokenStats {
     pub mean: f64,
 }
 
-impl TokenStats {
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-}
-
 /// Compute quartile statistics over token counts.
 ///
 /// Quantiles use the standard linear-interpolation estimator (type 7, the
@@ -94,7 +87,7 @@ mod tests {
         assert_eq!(s.min, 42.0);
         assert_eq!(s.max, 42.0);
         assert_eq!(s.median, 42.0);
-        assert_eq!(s.iqr(), 0.0);
+        assert_eq!((s.q1, s.q3), (42.0, 42.0));
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn hyperparameter_insensitivity_reproduces() {
 #[test]
 fn figures_and_reports_render() {
     let (study, data) = study_and_data();
-    let fig1 = build_fig1(&study, &data.corpus, true);
+    let fig1 = build_fig1(&study, &data.corpus);
     assert!(fig1.sp_bb_fraction > 0.5); // BB majority, as in the paper
     let fig2 = build_fig2(&data.split);
     assert_eq!(fig2.rows.len(), 8);

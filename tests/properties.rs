@@ -187,11 +187,9 @@ proptest! {
     ) {
         let tok = Tokenizer::new(BpeTrainer::new(300).train(["shared training corpus text"]));
         let refs: Vec<&str> = docs.iter().map(|s| s.as_str()).collect();
-        let batch_ids = tok.encode_batch(&refs);
         let batch_counts = tok.count_batch(&refs);
-        for (i, doc) in docs.iter().enumerate() {
-            prop_assert_eq!(&batch_ids[i], &tok.encode(doc));
-            prop_assert_eq!(batch_counts[i], batch_ids[i].len());
+        for (doc, n) in docs.iter().zip(batch_counts) {
+            prop_assert_eq!(n, tok.encode(doc).len());
         }
     }
 
@@ -233,11 +231,9 @@ proptest! {
             })
             .collect();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let naive: Vec<Vec<u32>> =
-            texts.iter().map(|t| reference::naive_encode(&tok, t)).collect();
-        let want: Vec<usize> = naive.iter().map(Vec::len).collect();
+        let want: Vec<usize> =
+            texts.iter().map(|t| reference::naive_encode(&tok, t).len()).collect();
         prop_assert_eq!(tok.count_batch(&refs), want);
-        prop_assert_eq!(tok.encode_batch(&refs), naive);
     }
 
     #[test]
