@@ -1,14 +1,16 @@
 //! Regenerate the §2.1–2.2 dataset funnel, with a token-cutoff sweep
 //! (DESIGN.md ablation).
 
-use pce_bench::study_from_args;
+use pce_bench::{check_args, or_exit, study_from_args};
 use pce_core::report::render_funnel;
 use pce_core::study::StudyData;
 use pce_dataset::{run_pipeline_cached, tokenize_corpus};
 use pce_gpu_sim::SimCaches;
 
 fn main() {
-    let study = study_from_args();
+    let args: Vec<String> = std::env::args().collect();
+    or_exit(check_args(&args, &["--smoke"], &[]));
+    let study = study_from_args(&args);
     let data = StudyData::build(&study).expect("study builds");
     println!("{}", render_funnel(&data.report));
 

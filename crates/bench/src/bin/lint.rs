@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 
-use pce_bench::{flag_value, or_exit, study_from_args};
+use pce_bench::{check_args, flag_value, or_exit, study_from_args};
 use pce_core::serve::{Job, STATIC_MODEL};
 use pce_kernels::build_corpus;
 use pce_prompt::ShotStyle;
@@ -43,6 +43,11 @@ const RACY_SRC: &str = "__global__ void reduce_sum(const float* x, float* out, i
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_exit(check_args(
+        &args,
+        &["--smoke"],
+        &["--csv", "--emit-predict"],
+    ));
     let csv_path = or_exit(flag_value(&args, "--csv"));
 
     if let Some(which) = or_exit(flag_value(&args, "--emit-predict")) {
@@ -67,7 +72,7 @@ fn main() {
         return;
     }
 
-    let study = study_from_args();
+    let study = study_from_args(&args);
     let corpus = match build_corpus(&study.corpus) {
         Ok(c) => c,
         Err(e) => {

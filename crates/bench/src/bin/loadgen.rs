@@ -18,7 +18,7 @@
 //! Serve latency is measured by the repository benchmark's `serve-mix`
 //! workload (see `perfbench/README.md`).
 
-use pce_bench::{or_exit, parsed_flag, study_from_args};
+use pce_bench::{check_args, or_exit, parsed_flag, study_from_args};
 use pce_core::serve::Job;
 use pce_core::study::Study;
 use pce_llm::model_zoo;
@@ -92,7 +92,12 @@ const STORM_DEADLINE_MS: u64 = 25;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let study = study_from_args();
+    or_exit(check_args(
+        &args,
+        &["--smoke", "--storm"],
+        &["--jobs", "--seed"],
+    ));
+    let study = study_from_args(&args);
     let jobs = job_mix(
         &study,
         or_exit(parsed_flag(&args, "--jobs")).unwrap_or(120),

@@ -43,7 +43,7 @@ use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use pce_bench::{chaos_from_args, flag_value, or_exit, parsed_flag, study_from_args};
+use pce_bench::{chaos_from_args, check_args, flag_value, or_exit, parsed_flag, study_from_args};
 use pce_core::caches::CacheBudget;
 use pce_core::serve::{PredictionService, ServeConfig};
 
@@ -61,7 +61,21 @@ fn positive_flag(args: &[String], flag: &str) -> Result<Option<usize>, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut study = study_from_args();
+    or_exit(check_args(
+        &args,
+        &["--smoke", "--unbounded"],
+        &[
+            "--batch",
+            "--cache-bytes",
+            "--queue-depth",
+            "--default-deadline-ms",
+            "--listen",
+            "--chaos",
+            "--fault-rate",
+            "--wire-rate",
+        ],
+    ));
+    let mut study = study_from_args(&args);
     study.chaos = or_exit(chaos_from_args(&args));
     let batch = or_exit(positive_flag(&args, "--batch")).unwrap_or(32);
     let cache_bytes = or_exit(parsed_flag(&args, "--cache-bytes")).unwrap_or(DEFAULT_CACHE_BYTES);

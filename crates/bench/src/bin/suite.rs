@@ -16,7 +16,9 @@
 //! failed responses land in a response ledger rendered with the reports —
 //! and the same seed reproduces the same faults byte-for-byte.
 
-use pce_bench::{chaos_from_args, flag_value, or_exit, parse_specs_of, study_from_args};
+use pce_bench::{
+    chaos_from_args, check_args, flag_value, or_exit, parse_specs_of, study_from_args,
+};
 use pce_core::caches::SuiteCaches;
 use pce_core::report::{render_accounting_csv, render_flips_csv, render_suite, render_suite_csv};
 use pce_core::suite::{run_suite_cached, Suite};
@@ -44,6 +46,13 @@ fn axis_from_args(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    // Wire chaos acts only on serve's line protocol, so `--wire-rate` is
+    // not declared here.
+    or_exit(check_args(
+        &args,
+        &["--smoke"],
+        &["--specs", "--cpu-specs", "--chaos", "--fault-rate"],
+    ));
     let specs = axis_from_args(
         &args,
         "--specs",
@@ -56,7 +65,7 @@ fn main() {
         SpecClass::Cpu,
         HardwareSpec::cpu_presets(),
     );
-    let mut base = study_from_args();
+    let mut base = study_from_args(&args);
     base.chaos = or_exit(chaos_from_args(&args));
     let chaos_active = base.chaos.is_some();
     let suite = Suite {

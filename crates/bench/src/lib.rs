@@ -18,10 +18,13 @@
 //!
 //! All binaries accept `--smoke` for a reduced-scale run (CI-friendly) and
 //! default to the paper-scale study otherwise; `suite` also accepts
-//! `--specs <name,name,...>` to pick the hardware matrix rows. A flag that
-//! takes a value and is given without one is a usage error (exit status
-//! 2), never a silent fall-back to its default. The repository benchmark,
-//! which times the layers these binaries run, lives in `perfbench/`.
+//! `--specs <name,name,...>` to pick the hardware matrix rows. Each
+//! binary declares its flags and checks its arguments first
+//! ([`check_args`]): an argument it does not declare, or a flag that takes
+//! a value given without one, is a usage error (exit status 2) naming the
+//! argument, never a silent fall-back to a default. The repository
+//! benchmark, which times the layers these binaries run, lives in
+//! `perfbench/`.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -30,24 +33,58 @@ use pce_core::study::{ChaosConfig, Study};
 use pce_roofline::{HardwareSpec, SpecClass};
 
 /// Parse the common CLI convention: `--smoke` selects the reduced study.
-pub fn study_from_args() -> Study {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if smoke {
+pub fn study_from_args(args: &[String]) -> Study {
+    if args.iter().any(|a| a == "--smoke") {
         Study::smoke()
     } else {
         Study::default()
     }
 }
 
+/// Check every argument after the program name against a binary's
+/// declared flags: each must be one of `switches`, one of `value_flags`,
+/// or the value right after a value flag. Anything else is an error
+/// naming the argument and listing the declared flags; a value flag
+/// followed by nothing, or by another `--` argument, is the
+/// [`flag_value`] error.
+pub fn check_args(args: &[String], switches: &[&str], value_flags: &[&str]) -> Result<(), String> {
+    let mut at = 1;
+    while let Some(arg) = args.get(at) {
+        if value_flags.contains(&arg.as_str()) {
+            value_after(args, at, arg)?;
+            at += 2;
+        } else if switches.contains(&arg.as_str()) {
+            at += 1;
+        } else {
+            let declared: Vec<String> = switches
+                .iter()
+                .map(|s| s.to_string())
+                .chain(value_flags.iter().map(|f| format!("{f} <value>")))
+                .collect();
+            return Err(format!(
+                "unknown argument '{arg}'; flags: {}",
+                declared.join(" ")
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The value following `flag`: `Ok(None)` when the flag is absent, and
 /// an error naming the flag when it is present but nothing, or another
 /// `--flag`, follows it.
 pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
-    let Some(at) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(at) => value_after(args, at, flag).map(Some),
+    }
+}
+
+/// The value after `args[at]`, the value flag `flag`: an error naming the
+/// flag when nothing, or another `--` argument, follows it.
+fn value_after<'a>(args: &'a [String], at: usize, flag: &str) -> Result<&'a str, String> {
     match args.get(at + 1) {
-        Some(value) if !value.starts_with("--") => Ok(Some(value)),
+        Some(value) if !value.starts_with("--") => Ok(value),
         _ => Err(format!("{flag} needs a value")),
     }
 }
@@ -168,6 +205,53 @@ mod tests {
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    const SWITCHES: &[&str] = &["--smoke", "--storm"];
+    const VALUE_FLAGS: &[&str] = &["--jobs", "--seed"];
+
+    #[test]
+    fn declared_switches_and_values_pass() {
+        for argv in [
+            args(&["loadgen"]),
+            args(&["loadgen", "--smoke"]),
+            args(&["loadgen", "--jobs", "40", "--storm", "--seed", "-1"]),
+        ] {
+            assert_eq!(check_args(&argv, SWITCHES, VALUE_FLAGS), Ok(()), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn undeclared_arguments_fail_naming_them() {
+        for (argv, named) in [
+            (args(&["loadgen", "--smoke", "--bogus"]), "--bogus"),
+            (args(&["loadgen", "--job", "5"]), "--job"),
+            (args(&["loadgen", "--smoke", "stray"]), "stray"),
+        ] {
+            let err = check_args(&argv, SWITCHES, VALUE_FLAGS).unwrap_err();
+            assert!(err.contains(&format!("'{named}'")), "{err}");
+            assert!(
+                err.contains("--storm") && err.contains("--jobs <value>"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flag_value_is_never_a_positional() {
+        // "5" and "smoke" are values here; a lone "5" is a stray.
+        let argv = args(&["loadgen", "--jobs", "5", "--seed", "smoke"]);
+        assert_eq!(check_args(&argv, SWITCHES, VALUE_FLAGS), Ok(()));
+        let err = check_args(&args(&["loadgen", "5"]), SWITCHES, VALUE_FLAGS).unwrap_err();
+        assert!(err.contains("'5'"), "{err}");
+        // A valueless value flag keeps its own error.
+        for argv in [
+            args(&["loadgen", "--jobs"]),
+            args(&["loadgen", "--jobs", "--smoke"]),
+        ] {
+            let err = check_args(&argv, SWITCHES, VALUE_FLAGS).unwrap_err();
+            assert_eq!(err, "--jobs needs a value");
+        }
     }
 
     #[test]

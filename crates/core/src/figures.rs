@@ -1,9 +1,8 @@
-//! Figure regeneration: Fig. 1 (roofline scatter) and Fig. 2 (token
-//! distributions).
+//! Figure regeneration: Fig. 1 (roofline scatter). Fig. 2's rows are
+//! [`pce_dataset::fig2_stats`] of the study's split.
 
 use rayon::prelude::*;
 
-use pce_dataset::{fig2_stats, Fig2Row, Split};
 use pce_gpu_sim::Profiler;
 use pce_kernels::Program;
 use pce_roofline::plot::{build_plot, RooflinePlot};
@@ -36,10 +35,7 @@ pub fn build_fig1(study: &Study, corpus: &[Program]) -> Fig1 {
     let profiler = Profiler::new(study.specs.gpu.clone());
     let observations: Vec<(String, KernelObservation)> = corpus
         .par_iter()
-        .map(|p| {
-            let profile = profiler.profile(&p.ir, &p.launch);
-            (p.id.clone(), profile.observation())
-        })
+        .map(|p| (p.id.clone(), profiler.profile(&p.ir, &p.launch)))
         .collect();
     let plot = build_plot(&study.specs.gpu, &observations, 96);
     Fig1 {
@@ -50,24 +46,11 @@ pub fn build_fig1(study: &Study, corpus: &[Program]) -> Fig1 {
     }
 }
 
-/// Figure-2 payload: the eight box-plot rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig2 {
-    /// (split × language × class) token distributions.
-    pub rows: Vec<Fig2Row>,
-}
-
-/// Build Figure 2 from the train/validation split.
-pub fn build_fig2(split: &Split) -> Fig2 {
-    Fig2 {
-        rows: fig2_stats(split),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::study::StudyData;
+    use pce_dataset::fig2_stats;
 
     #[test]
     fn fig1_shows_bb_majority_for_sp_and_int() {
@@ -106,9 +89,9 @@ mod tests {
     fn fig2_rows_cover_both_splits() {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
-        let fig = build_fig2(&data.split);
-        assert_eq!(fig.rows.len(), 8);
-        assert!(fig.rows.iter().any(|r| r.split == "train"));
-        assert!(fig.rows.iter().any(|r| r.split == "validation"));
+        let rows = fig2_stats(&data.split);
+        assert_eq!(rows.len(), 8);
+        assert!(rows.iter().any(|r| r.split == "train"));
+        assert!(rows.iter().any(|r| r.split == "validation"));
     }
 }

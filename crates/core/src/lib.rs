@@ -17,8 +17,8 @@
 //! * [`caches`] — the cross-layer memoization bundle ([`SuiteCaches`])
 //!   the suite threads through the profiler, the surrogate engine, and
 //!   the prompt renderer so each pure computation happens once,
-//! * [`figures`] — the Figure 1 roofline scatter and Figure 2 token
-//!   distributions,
+//! * [`figures`] — the Figure 1 roofline scatter (Figure 2's token
+//!   distributions are `pce_dataset::fig2_stats` rows),
 //! * [`report`] — markdown/CSV rendering of all of the above.
 //!
 //! ```no_run

@@ -3,11 +3,11 @@
 
 use std::fmt::Write as _;
 
-use pce_dataset::PipelineReport;
+use pce_dataset::{Fig2Row, PipelineReport};
 use pce_roofline::OpClass;
 
 use crate::experiments::{HyperparamCheck, Rq4Outcome};
-use crate::figures::{Fig1, Fig2};
+use crate::figures::Fig1;
 use crate::suite::SuiteOutcome;
 use crate::table1::Table1;
 
@@ -342,11 +342,11 @@ pub fn render_fig1_summary(fig: &Fig1) -> String {
 }
 
 /// Render Figure 2 as a markdown table of box-plot statistics.
-pub fn render_fig2(fig: &Fig2) -> String {
+pub fn render_fig2(rows: &[Fig2Row]) -> String {
     let mut out = String::new();
     out.push_str("| Split | Lang | Class | n | min | Q1 | median | Q3 | max | mean |\n");
     out.push_str("|---|---|---|---|---|---|---|---|---|---|\n");
-    for r in &fig.rows {
+    for r in rows {
         let s = &r.stats;
         let _ = writeln!(
             out,
@@ -404,7 +404,7 @@ pub fn render_hyperparams(check: &HyperparamCheck) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::{build_fig1, build_fig2};
+    use crate::figures::build_fig1;
     use crate::study::{Study, StudyData};
 
     #[test]
@@ -476,8 +476,8 @@ mod tests {
         assert!(csv.starts_with("series,id,ai,gops,verdict"));
         assert!(render_fig1_summary(&fig1).contains("BB fractions"));
 
-        let fig2 = build_fig2(&data.split);
-        let md = render_fig2(&fig2);
-        assert_eq!(md.lines().count(), 2 + fig2.rows.len());
+        let rows = pce_dataset::fig2_stats(&data.split);
+        let md = render_fig2(&rows);
+        assert_eq!(md.lines().count(), 2 + rows.len());
     }
 }

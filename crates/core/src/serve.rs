@@ -403,24 +403,21 @@ struct BreakerState {
 
 /// A deterministic per-model circuit breaker.
 ///
-/// `threshold` consecutive failed responses (invalid or refused) open a
-/// model's breaker; while open, each arriving job for that model draws a
-/// seeded half-open probe with probability `probe_rate` — the draw is
+/// [`BREAKER_THRESHOLD`] consecutive failed responses (invalid or refused)
+/// open a model's breaker; while open, each arriving job for that model
+/// draws a seeded half-open probe with probability [`BREAKER_PROBE_RATE`]
+/// — the draw is
 /// keyed on (seed, model, epoch, draw index), never on wall-clock or
 /// thread scheduling, so trip/probe/close sequences are byte-reproducible.
 /// A probe that succeeds closes the breaker; one that fails keeps it open.
 struct CircuitBreaker {
-    threshold: u32,
-    probe_rate: f64,
     seed: u64,
     states: BTreeMap<String, BreakerState>,
 }
 
 impl CircuitBreaker {
-    fn new(threshold: u32, probe_rate: f64, seed: u64) -> CircuitBreaker {
+    fn new(seed: u64) -> CircuitBreaker {
         CircuitBreaker {
-            threshold,
-            probe_rate,
             seed,
             states: BTreeMap::new(),
         }
@@ -439,7 +436,7 @@ impl CircuitBreaker {
             model.as_bytes(),
             &state.epoch.to_le_bytes(),
             &state.draws.to_le_bytes(),
-        ]) < self.probe_rate
+        ]) < BREAKER_PROBE_RATE
     }
 
     /// Record one completed response for `model`: `success` means the
@@ -456,7 +453,7 @@ impl CircuitBreaker {
             }
         } else {
             state.consecutive = state.consecutive.saturating_add(1);
-            if !state.open && state.consecutive >= self.threshold {
+            if !state.open && state.consecutive >= BREAKER_THRESHOLD {
                 state.open = true;
                 state.epoch += 1;
                 state.draws = 0;
@@ -936,7 +933,7 @@ impl PredictionService {
             pending: Vec::new(),
             vnow: 0,
             busy_until: 0,
-            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_PROBE_RATE, self.study.seed),
+            breaker: CircuitBreaker::new(self.study.seed),
             draining: false,
             writer,
         };
@@ -1215,22 +1212,22 @@ mod tests {
 
     #[test]
     fn breaker_trips_probes_and_recovers_deterministically() {
-        let mut b = CircuitBreaker::new(3, 0.5, 42);
+        let mut b = CircuitBreaker::new(42);
         assert!(!is_open(&b, "o1"));
-        for _ in 0..2 {
+        for _ in 0..BREAKER_THRESHOLD - 1 {
             b.record("o1", false);
         }
         assert!(!is_open(&b, "o1"), "below threshold");
         b.record("o1", false);
-        assert!(is_open(&b, "o1"), "third consecutive failure trips");
+        assert!(is_open(&b, "o1"), "fourth consecutive failure trips");
         // Other models are unaffected.
         assert!(b.admit("gpt-4o"));
         assert!(!is_open(&b, "gpt-4o"));
         // Open-breaker decisions are a deterministic seeded stream with
         // both probes (true) and sheds (false) present.
         let decisions: Vec<bool> = (0..32).map(|_| b.admit("o1")).collect();
-        let mut again = CircuitBreaker::new(3, 0.5, 42);
-        for _ in 0..3 {
+        let mut again = CircuitBreaker::new(42);
+        for _ in 0..BREAKER_THRESHOLD {
             again.record("o1", false);
         }
         let replay: Vec<bool> = (0..32).map(|_| again.admit("o1")).collect();
@@ -1242,7 +1239,8 @@ mod tests {
         b.record("o1", true);
         assert!(!is_open(&b, "o1"));
         assert!(b.admit("o1"));
-        // It takes `threshold` fresh consecutive failures to re-trip.
+        // It takes `BREAKER_THRESHOLD` fresh consecutive failures to
+        // re-trip.
         b.record("o1", false);
         assert!(!is_open(&b, "o1"));
     }
@@ -1274,10 +1272,14 @@ mod tests {
 
     #[test]
     fn breaker_success_resets_the_consecutive_count() {
-        let mut b = CircuitBreaker::new(2, 0.25, 7);
-        b.record("m", false);
+        let mut b = CircuitBreaker::new(7);
+        for _ in 0..BREAKER_THRESHOLD - 1 {
+            b.record("m", false);
+        }
         b.record("m", true);
-        b.record("m", false);
+        for _ in 0..BREAKER_THRESHOLD - 1 {
+            b.record("m", false);
+        }
         assert!(!is_open(&b, "m"), "non-consecutive failures never trip");
         b.record("m", false);
         assert!(is_open(&b, "m"));

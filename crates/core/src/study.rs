@@ -146,7 +146,6 @@ mod tests {
         assert_eq!(s.pipeline.max_tokens, 8_000);
         assert_eq!(s.pipeline.per_combo_cap, 85);
         assert_eq!(s.rq1_rooflines, 240);
-        assert!((s.pipeline.train_fraction - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -28,5 +28,5 @@ pub use pipeline::{
     TokenizedCorpus,
 };
 pub use sample::Sample;
-pub use stats::{combo_counts, fig2_stats, Fig2Row};
+pub use stats::{fig2_stats, Fig2Row};
 pub use stream::{run_pipeline_streamed, run_pipeline_streamed_timed, StageTiming};

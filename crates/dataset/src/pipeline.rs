@@ -27,14 +27,10 @@ pub struct PipelineConfig {
     pub max_tokens: usize,
     /// Per-(language × class) cap after balancing (the paper's 85).
     pub per_combo_cap: usize,
-    /// Training fraction of the final dataset (the paper's 0.8).
-    pub train_fraction: f64,
     /// BPE vocabulary size for token counting.
     pub tokenizer_vocab: usize,
     /// Train the tokenizer on every k-th corpus source.
     pub tokenizer_stride: usize,
-    /// Shuffle seed for balancing and splitting.
-    pub seed: u64,
 }
 
 impl Default for PipelineConfig {
@@ -43,10 +39,8 @@ impl Default for PipelineConfig {
             specs: SpecPair::paper_default(),
             max_tokens: 8_000,
             per_combo_cap: 85,
-            train_fraction: 0.8,
             tokenizer_vocab: 1_200,
             tokenizer_stride: 7,
-            seed: 0x0da7a5e7,
         }
     }
 }
@@ -247,6 +241,12 @@ pub(crate) struct Selection {
     pub(crate) validation: Vec<SampleMeta>,
 }
 
+/// Training fraction of each balanced cell (the paper's 80/20 split).
+const TRAIN_FRACTION: f64 = 0.8;
+
+/// Shuffle seed for balancing and splitting.
+const SHUFFLE_SEED: u64 = 0x0da7a5e7;
+
 /// Prune by token count, balance (language × class) cells, and split —
 /// entirely on metadata, in corpus order.
 ///
@@ -294,7 +294,7 @@ pub(crate) fn select_and_balance(mut metas: Vec<SampleMeta>, cfg: &PipelineConfi
     let min_cell = by_combo.values().map(|v| v.len()).min().unwrap_or(0);
     let per_combo = min_cell.min(cfg.per_combo_cap);
 
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(SHUFFLE_SEED);
     let mut train = Vec::with_capacity(per_combo * 4);
     let mut validation = Vec::with_capacity(per_combo * 4);
     for (_, mut cell) in by_combo {
@@ -302,7 +302,7 @@ pub(crate) fn select_and_balance(mut metas: Vec<SampleMeta>, cfg: &PipelineConfi
         cell.truncate(per_combo);
         // Split inside each cell so both splits stay balanced (§2.2: 68
         // train + 17 validation per cell).
-        let train_n = (per_combo as f64 * cfg.train_fraction).round() as usize;
+        let train_n = (per_combo as f64 * TRAIN_FRACTION).round() as usize;
         for (i, m) in cell.into_iter().enumerate() {
             if i < train_n {
                 train.push(m);

@@ -1,14 +1,10 @@
-//! Dataset statistics: the Figure-2 token-distribution rows and the §2.2
-//! funnel counts.
-
-use std::collections::BTreeMap;
+//! Dataset statistics: the Figure-2 token-distribution rows.
 
 use pce_kernels::Language;
 use pce_roofline::Boundedness;
 use pce_tokenizer::{token_quartiles, TokenStats};
 
 use crate::pipeline::Split;
-use crate::sample::Sample;
 
 /// One box of the Figure-2 box-and-whisker plot:
 /// (split, language, class) → token-count distribution.
@@ -51,16 +47,6 @@ pub fn fig2_stats(split: &Split) -> Vec<Fig2Row> {
     rows
 }
 
-/// Count samples per (language, class) cell.
-pub fn combo_counts(samples: &[Sample]) -> BTreeMap<String, usize> {
-    let mut m = BTreeMap::new();
-    for s in samples {
-        *m.entry(format!("{}/{}", s.language.label(), s.label.short()))
-            .or_insert(0) += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,15 +87,6 @@ mod tests {
             assert!(s.median <= s.q3 && s.q3 <= s.max);
             assert!(s.n > 0);
         }
-    }
-
-    #[test]
-    fn combo_counts_sum_to_total() {
-        let sp = split();
-        let counts = combo_counts(&sp.train.samples);
-        let total: usize = counts.values().sum();
-        assert_eq!(total, sp.train.len());
-        assert_eq!(counts.len(), 4);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! * [`SummaryCache`] — one [`BodySummary`] per distinct (IR, params)
 //!   pair, shared by every hardware spec,
-//! * [`ProfileCache`] — one [`KernelProfile`] per distinct
-//!   (IR, launch, hardware) triple, shared across suite runs.
+//! * [`ProfileCache`] — one [`KernelObservation`] (counts and runtime)
+//!   per distinct (IR, launch, hardware) triple, shared across suite
+//!   runs.
 //!
 //! Entries are bucketed by a structural fingerprint and verified with
 //! full equality before reuse, so a fingerprint collision can never
@@ -30,11 +31,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pce_memo::{Budget, Fnv, Memo};
-use pce_roofline::HardwareSpec;
+use pce_roofline::{HardwareSpec, KernelObservation};
 
 use crate::ir::{BodySummary, KernelIr};
 use crate::launch::LaunchConfig;
-use crate::profiler::KernelProfile;
 
 pub use pce_memo::CacheCounters;
 
@@ -142,36 +142,33 @@ struct ProfileKey {
 /// The per-(kernel, launch, hardware) profile memo.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
-    memo: Memo<ProfileKey, KernelProfile>,
+    memo: Memo<ProfileKey, KernelObservation>,
 }
 
 impl ProfileCache {
     /// A cache bounded by `budget`, charging each entry its full
-    /// launch-identity key plus the profile.
+    /// launch-identity key plus the observation.
     fn with_budget(budget: Budget) -> ProfileCache {
         ProfileCache {
-            memo: budget.memo(|k: &ProfileKey, v: &KernelProfile| {
+            memo: budget.memo(|k: &ProfileKey, _: &KernelObservation| {
                 k.ir.approx_bytes()
                     + map_bytes(&k.launch.params)
                     + std::mem::size_of::<LaunchConfig>() as u64
                     + std::mem::size_of::<HardwareSpec>() as u64
                     + k.hw.name.len() as u64
-                    + std::mem::size_of::<KernelProfile>() as u64
-                    + v.kernel.len() as u64
-                    + v.hardware.len() as u64
-                    + v.buffers.len() as u64 * 64
+                    + std::mem::size_of::<KernelObservation>() as u64
             }),
         }
     }
 
-    /// The profile for this launch identity, computed at most once.
+    /// The observation for this launch identity, computed at most once.
     pub(crate) fn profile(
         &self,
         ir: &KernelIr,
         launch: &LaunchConfig,
         hw: &HardwareSpec,
-        compute: impl FnOnce() -> KernelProfile,
-    ) -> Arc<KernelProfile> {
+        compute: impl FnOnce() -> KernelObservation,
+    ) -> Arc<KernelObservation> {
         // The constant 1 is not part of the key, but it stays in the
         // fingerprint: the fingerprint picks each entry's shard, and so
         // which entries a bounded table evicts. Dropping it would move the
@@ -196,7 +193,7 @@ impl ProfileCache {
         self.memo.counters()
     }
 
-    /// Number of distinct profiles held.
+    /// Number of distinct observations held.
     pub fn len(&self) -> usize {
         self.memo.len()
     }

@@ -18,17 +18,18 @@
 //! * [`timing`] — a bounded-resource timing model
 //!   (`max(compute, memory) + launch overhead`, scaled by occupancy and
 //!   divergence efficiency),
-//! * [`profiler`] — the nvprof-like front end producing
-//!   [`KernelProfile`]s,
+//! * [`profiler`] — the front end: one [`Profiler::profile`] call per
+//!   launch returns a [`pce_roofline::KernelObservation`] (the five counters
+//!   and the runtime),
 //! * [`cache`] — the summary and profile memos a suite shares across
 //!   hardware specs and runs.
 //!
 //! Everything is pure arithmetic over the IR: the same (kernel, launch,
-//! hardware) triple always produces bit-identical profiles, which keeps the
-//! whole evaluation pipeline reproducible.
+//! hardware) triple always produces a bit-identical observation, which
+//! keeps the whole evaluation pipeline reproducible.
 //!
 //! ```
-//! use pce_gpu_sim::prelude::*;
+//! use pce_gpu_sim::{AccessPattern, Extent, KernelIr, LaunchConfig, Op, Precision, Profiler};
 //! use pce_roofline::HardwareSpec;
 //!
 //! // A SAXPY kernel: y[i] = a*x[i] + y[i]
@@ -59,15 +60,7 @@ pub mod memory;
 pub mod profiler;
 pub mod timing;
 
-/// Convenient glob-import surface for downstream crates.
-pub mod prelude {
-    pub use crate::cache::{CacheCounters, SimBudget, SimCaches};
-    pub use crate::ir::{AccessPattern, Extent, IntKind, KernelIr, Op, Precision, SpecialFn};
-    pub use crate::launch::{Dim3, LaunchConfig};
-    pub use crate::profiler::{KernelProfile, Profiler};
-}
-
 pub use cache::{profile_fingerprint, CacheCounters, SimBudget, SimCaches};
 pub use ir::{AccessPattern, Extent, IntKind, KernelIr, Op, Precision, SpecialFn};
 pub use launch::{Dim3, LaunchConfig};
-pub use profiler::{KernelProfile, Profiler};
+pub use profiler::Profiler;

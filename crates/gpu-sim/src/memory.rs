@@ -19,38 +19,9 @@ use crate::launch::LaunchConfig;
 /// DRAM transaction sector size in bytes (NVIDIA L2 sector granularity).
 pub const SECTOR_BYTES: f64 = 32.0;
 
-/// Per-buffer traffic resolution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BufferTraffic {
-    /// Buffer name.
-    pub buffer: String,
-    /// Resolved footprint in bytes.
-    pub footprint_bytes: f64,
-    /// Bytes the kernel *requested* to read (threads × accesses × width).
-    pub requested_read_bytes: f64,
-    /// Bytes the kernel requested to write.
-    pub requested_write_bytes: f64,
-    /// Read bytes that crossed the L2↔DRAM boundary.
-    pub dram_read_bytes: f64,
-    /// Write bytes that crossed the L2↔DRAM boundary.
-    pub dram_write_bytes: f64,
-}
-
-impl BufferTraffic {
-    /// L2 hit rate implied by the read-side numbers.
-    pub fn read_hit_rate(&self) -> f64 {
-        if self.requested_read_bytes <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.dram_read_bytes / self.requested_read_bytes).clamp(0.0, 1.0)
-    }
-}
-
 /// The full memory-system resolution for one launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryResolution {
-    /// Per-buffer traffic breakdown.
-    pub buffers: Vec<BufferTraffic>,
     /// Total DRAM read bytes.
     pub dram_read_bytes: f64,
     /// Total DRAM write bytes.
@@ -123,6 +94,9 @@ fn pattern_locality(pattern: AccessPattern) -> f64 {
 /// * **writes** — L2 is write-back: a buffer whose footprint fits in cache
 ///   writes each dirty byte to DRAM once; streaming writes larger than
 ///   cache pay per-sector.
+///
+/// Each buffer's DRAM read and write bytes are added into the launch's
+/// two totals, in buffer-name order.
 pub fn resolve_memory(
     hw: &HardwareSpec,
     kernel: &KernelIr,
@@ -138,10 +112,10 @@ pub fn resolve_memory(
         per_buffer.entry(d.buffer.as_str()).or_default().push(d);
     }
 
-    let mut buffers = Vec::with_capacity(per_buffer.len());
+    let mut dram_read_bytes = 0.0;
+    let mut dram_write_bytes = 0.0;
     let mut weighted_eff = 0.0;
     let mut moved_total = 0.0;
-    let mut total_dram = 0.0;
 
     for (name, sites) in per_buffer {
         let decl = kernel
@@ -151,7 +125,6 @@ pub fn resolve_memory(
         let footprint = decl.len.resolve(&launch.params) as f64 * elem;
 
         let mut requested_read = 0.0;
-        let mut requested_write = 0.0;
         let mut sectored_read = 0.0;
         let mut sectored_write = 0.0;
         let mut locality_acc = 0.0;
@@ -166,10 +139,7 @@ pub fn resolve_memory(
                     requested_read += useful;
                     sectored_read += moved;
                 }
-                Dir::Write => {
-                    requested_write += useful;
-                    sectored_write += moved;
-                }
+                Dir::Write => sectored_write += moved,
             }
             locality_acc += pattern_locality(site.pattern) * moved;
             eff_acc += pattern_stream_efficiency(site.pattern) * moved;
@@ -214,18 +184,10 @@ pub fn resolve_memory(
             written_footprint.max(sectored_write * (1.0 - locality * 0.5))
         };
 
-        total_dram += dram_read + dram_write;
+        dram_read_bytes += dram_read;
+        dram_write_bytes += dram_write;
         weighted_eff += eff_acc;
         moved_total += weight_acc;
-
-        buffers.push(BufferTraffic {
-            buffer: name.to_string(),
-            footprint_bytes: footprint,
-            requested_read_bytes: requested_read,
-            requested_write_bytes: requested_write,
-            dram_read_bytes: dram_read,
-            dram_write_bytes: dram_write,
-        });
     }
 
     let bandwidth_efficiency = if moved_total > 0.0 {
@@ -235,24 +197,13 @@ pub fn resolve_memory(
     };
 
     MemoryResolution {
-        dram_read_bytes: buffers.iter().map(|b| b.dram_read_bytes).sum(),
-        dram_write_bytes: buffers.iter().map(|b| b.dram_write_bytes).sum(),
-        buffers,
+        dram_read_bytes,
+        dram_write_bytes,
         bandwidth_efficiency,
     }
-    .assert_sane(total_dram)
 }
 
 impl MemoryResolution {
-    fn assert_sane(self, expected_total: f64) -> Self {
-        let total = self.dram_read_bytes + self.dram_write_bytes;
-        debug_assert!(
-            (total - expected_total).abs() <= 1e-6 * expected_total.max(1.0),
-            "traffic accounting mismatch: {total} vs {expected_total}"
-        );
-        self
-    }
-
     /// Total DRAM traffic in bytes.
     pub fn total_bytes(&self) -> f64 {
         self.dram_read_bytes + self.dram_write_bytes
@@ -338,7 +289,8 @@ mod tests {
         let res = resolve_memory(&hw(), &k, &lc, &s.demands);
         let footprint = n as f64 * 4.0;
         assert!((res.dram_read_bytes - footprint).abs() < 1.0);
-        assert!(res.buffers[0].read_hit_rate() > 0.98);
+        let requested = 100.0 * footprint;
+        assert!(res.dram_read_bytes < 0.02 * requested);
     }
 
     #[test]

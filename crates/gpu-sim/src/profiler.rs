@@ -1,16 +1,15 @@
-//! The nvprof-like profiler front end.
+//! The profiler front end.
 //!
 //! [`Profiler::profile`] runs the whole pipeline for one launch in two
-//! phases — a hardware-*independent* summary phase ([`Profiler::summary`]:
-//! fold the IR against the launch parameters) and a hardware-*dependent*
-//! resolve phase ([`Profiler::resolve`]: memory system + timing) — and
-//! packages the result as a [`KernelProfile`] exposing exactly the
-//! counters the paper's ground-truth labeling consumes, plus a
-//! human-readable report.
+//! phases — a hardware-*independent* summary phase (fold the IR against
+//! the launch parameters) and a hardware-*dependent* resolve phase
+//! (memory system + timing) — and returns a [`KernelObservation`]: the
+//! five counters the paper's ground-truth labeling consumes plus the
+//! runtime, and nothing else.
 //!
 //! Attach a [`SimCaches`] bundle with [`Profiler::with_caches`] to memoize
 //! both phases: summaries are shared across every hardware spec that folds
-//! the same (IR, params) pair, and whole profiles are shared across
+//! the same (IR, params) pair, and whole observations are shared across
 //! repeated suite runs. Cached and uncached profiling are bit-identical —
 //! both phases are pure functions of their inputs.
 
@@ -21,75 +20,8 @@ use pce_roofline::{HardwareSpec, KernelObservation, OpCounts};
 use crate::cache::SimCaches;
 use crate::ir::{BodySummary, KernelIr};
 use crate::launch::LaunchConfig;
-use crate::memory::{resolve_memory, BufferTraffic};
-use crate::timing::{estimate_runtime, TimingBreakdown};
-
-/// A complete profiled kernel launch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelProfile {
-    /// Kernel name.
-    pub kernel: String,
-    /// Hardware the profile was taken on.
-    pub hardware: String,
-    /// The five paper counters (ops + DRAM bytes).
-    pub counts: OpCounts,
-    /// Estimated runtime in seconds.
-    pub runtime_s: f64,
-    /// Timing breakdown (bottleneck analysis).
-    pub timing: TimingBreakdown,
-    /// Per-buffer traffic breakdown.
-    pub buffers: Vec<BufferTraffic>,
-    /// Launch geometry, echoed for reports.
-    pub grid: (u32, u32, u32),
-    /// Block geometry.
-    pub block: (u32, u32, u32),
-}
-
-impl KernelProfile {
-    /// Convert to the roofline crate's observation type.
-    pub fn observation(&self) -> KernelObservation {
-        KernelObservation::new(self.counts, self.runtime_s)
-    }
-
-    /// Render an `nvprof`-style text report.
-    pub fn report(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "==PROF== Kernel: {}  on {}\n",
-            self.kernel, self.hardware
-        ));
-        out.push_str(&format!(
-            "  grid {:?}  block {:?}  runtime {:.3} us  bottleneck {}\n",
-            self.grid,
-            self.block,
-            self.runtime_s * 1e6,
-            self.timing.bottleneck()
-        ));
-        out.push_str(&format!(
-            "  flop_count_sp {:>16}\n  flop_count_dp {:>16}\n  int_count     {:>16}\n",
-            self.counts.flops_sp, self.counts.flops_dp, self.counts.intops
-        ));
-        out.push_str(&format!(
-            "  dram_read     {:>16} B\n  dram_write    {:>16} B\n",
-            self.counts.dram_read_bytes, self.counts.dram_write_bytes
-        ));
-        out.push_str(&format!(
-            "  occupancy {:.2}  wave_eff {:.2}\n",
-            self.timing.occupancy, self.timing.wave_efficiency
-        ));
-        for b in &self.buffers {
-            out.push_str(&format!(
-                "  buffer {:<12} footprint {:>12.0} B  dram_rd {:>14.0} B  dram_wr {:>14.0} B  hit {:.2}\n",
-                b.buffer,
-                b.footprint_bytes,
-                b.dram_read_bytes,
-                b.dram_write_bytes,
-                b.read_hit_rate()
-            ));
-        }
-        out
-    }
-}
+use crate::memory::resolve_memory;
+use crate::timing::estimate_runtime;
 
 /// The profiler: owns the hardware model and, optionally, a shared cache
 /// bundle.
@@ -122,7 +54,7 @@ impl Profiler {
     /// Phase 1 (hardware-independent): fold the kernel body against the
     /// launch parameters. Served from the shared summary cache when one is
     /// attached.
-    pub fn summary(&self, kernel: &KernelIr, launch: &LaunchConfig) -> Arc<BodySummary> {
+    fn summary(&self, kernel: &KernelIr, launch: &LaunchConfig) -> Arc<BodySummary> {
         match &self.caches {
             Some(c) => c.summaries().summary(kernel, &launch.params),
             None => Arc::new(kernel.summarize(&launch.params)),
@@ -130,57 +62,46 @@ impl Profiler {
     }
 
     /// Phase 2 (hardware-dependent): resolve the memory system and timing
-    /// model for a pre-folded summary and package the profile.
-    pub fn resolve(
+    /// model for a pre-folded summary.
+    fn resolve(
         &self,
         kernel: &KernelIr,
         launch: &LaunchConfig,
         summary: &BodySummary,
-    ) -> KernelProfile {
+    ) -> KernelObservation {
         let mem = resolve_memory(&self.hw, kernel, launch, &summary.demands);
         let timing = estimate_runtime(&self.hw, launch, &summary.costs, &mem);
 
         let threads = launch.total_threads() as f64;
-        let counts = OpCounts {
-            flops_sp: (summary.costs.flops_sp * threads).round() as u64,
-            flops_dp: (summary.costs.flops_dp * threads).round() as u64,
-            intops: (summary.costs.intops * threads).round() as u64,
-            dram_read_bytes: mem.dram_read_bytes.round() as u64,
-            dram_write_bytes: mem.dram_write_bytes.round() as u64,
-        };
-
-        KernelProfile {
-            kernel: kernel.name.clone(),
-            hardware: self.hw.name.clone(),
-            counts,
+        KernelObservation {
+            counts: OpCounts {
+                flops_sp: (summary.costs.flops_sp * threads).round() as u64,
+                flops_dp: (summary.costs.flops_dp * threads).round() as u64,
+                intops: (summary.costs.intops * threads).round() as u64,
+                dram_read_bytes: mem.dram_read_bytes.round() as u64,
+                dram_write_bytes: mem.dram_write_bytes.round() as u64,
+            },
             runtime_s: timing.runtime_s,
-            timing,
-            buffers: mem.buffers,
-            grid: (launch.grid.x, launch.grid.y, launch.grid.z),
-            block: (launch.block.x, launch.block.y, launch.block.z),
         }
     }
 
     /// Profile one kernel launch (summary phase, then resolve phase).
-    pub fn profile(&self, kernel: &KernelIr, launch: &LaunchConfig) -> KernelProfile {
+    pub fn profile(&self, kernel: &KernelIr, launch: &LaunchConfig) -> KernelObservation {
         match &self.caches {
-            None => {
-                let summary = kernel.summarize(&launch.params);
-                self.resolve(kernel, launch, &summary)
-            }
-            Some(_) => (*self.profile_shared(kernel, launch)).clone(),
+            None => self.resolve(kernel, launch, &kernel.summarize(&launch.params)),
+            Some(_) => *self.profile_shared(kernel, launch),
         }
     }
 
-    /// Profile one kernel launch, sharing the result allocation through
-    /// the attached profile memo (or a fresh `Arc` when uncached). The
-    /// preferred entry point for bulk pipelines that only read the profile.
-    pub fn profile_shared(&self, kernel: &KernelIr, launch: &LaunchConfig) -> Arc<KernelProfile> {
+    /// Profile one kernel launch, sharing the memo's allocation (or a
+    /// fresh `Arc` when uncached).
+    pub fn profile_shared(
+        &self,
+        kernel: &KernelIr,
+        launch: &LaunchConfig,
+    ) -> Arc<KernelObservation> {
         match &self.caches {
-            None => {
-                let summary = kernel.summarize(&launch.params);
-                Arc::new(self.resolve(kernel, launch, &summary))
-            }
+            None => Arc::new(self.profile(kernel, launch)),
             Some(c) => c.profiles().profile(kernel, launch, &self.hw, || {
                 let summary = self.summary(kernel, launch);
                 self.resolve(kernel, launch, &summary)
@@ -323,24 +244,5 @@ mod tests {
             uncached.counts.dram_read_bytes,
             cached.counts.dram_read_bytes
         );
-    }
-
-    #[test]
-    fn report_contains_all_counters() {
-        let (k, lc) = saxpy(1 << 18);
-        let p = Profiler::new(HardwareSpec::rtx_3080()).profile(&k, &lc);
-        let report = p.report();
-        for needle in ["flop_count_sp", "dram_read", "occupancy", "buffer"] {
-            assert!(report.contains(needle), "missing {needle} in report");
-        }
-    }
-
-    #[test]
-    fn observation_conversion_preserves_counts() {
-        let (k, lc) = saxpy(1 << 18);
-        let p = Profiler::new(HardwareSpec::rtx_3080()).profile(&k, &lc);
-        let obs = p.observation();
-        assert_eq!(obs.counts, p.counts);
-        assert_eq!(obs.runtime_s, p.runtime_s);
     }
 }

@@ -26,7 +26,8 @@
 //! * [`Roofline`] — a single (peak, bandwidth) roofline with balance-point,
 //!   attainable-performance, and classification queries,
 //! * [`OpCounts`] / [`KernelObservation`] — profiled operation/byte counters
-//!   and the AI values derived from them,
+//!   and the AI values derived from them; a [`KernelObservation`] (counts
+//!   plus runtime) is what `pce_gpu_sim::Profiler` returns per launch,
 //! * [`classify_joint`] — the paper's three-roofline joint labeling rule
 //!   (§2.1: BB iff BB under *all* op-class rooflines, CB otherwise),
 //! * [`static_verdict`] — the same side decided from source-level AI

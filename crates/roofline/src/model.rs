@@ -62,20 +62,6 @@ impl Roofline {
             Boundedness::Compute
         }
     }
-
-    /// Fraction of peak achieved by an observed (AI, performance) point.
-    ///
-    /// Values are in `[0, 1]` for physically-possible observations; the
-    /// denominator is the *attainable* roofline value at that AI, so a
-    /// memory-bound kernel running at streaming bandwidth scores 1.0.
-    pub fn efficiency(&self, ai: f64, achieved_gops: f64) -> f64 {
-        let ceiling = self.attainable_gops(ai);
-        if ceiling <= 0.0 {
-            0.0
-        } else {
-            achieved_gops / ceiling
-        }
-    }
 }
 
 #[cfg(test)]
@@ -123,17 +109,6 @@ mod tests {
         // Exactly at the ridge both sides agree.
         let bp = r.balance_point();
         assert!((r.attainable_gops(bp) - r.peak_gops).abs() < 1e-9);
-    }
-
-    #[test]
-    fn efficiency_is_relative_to_attainable() {
-        let r = roof();
-        // Streaming at full bandwidth with AI 0.5 => attainable achieved.
-        let eff = r.efficiency(0.5, 45.9 * 0.5);
-        assert!((eff - 1.0).abs() < 1e-12);
-        // Half of attainable.
-        let eff = r.efficiency(0.5, 45.9 * 0.25);
-        assert!((eff - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -66,21 +66,10 @@ impl OpCounts {
             ops as f64 / bytes as f64
         }
     }
-
-    /// Element-wise sum of two counter sets (e.g. multiple kernel launches).
-    pub fn accumulate(&self, other: &OpCounts) -> OpCounts {
-        OpCounts {
-            flops_sp: self.flops_sp + other.flops_sp,
-            flops_dp: self.flops_dp + other.flops_dp,
-            intops: self.intops + other.intops,
-            dram_read_bytes: self.dram_read_bytes + other.dram_read_bytes,
-            dram_write_bytes: self.dram_write_bytes + other.dram_write_bytes,
-        }
-    }
 }
 
 /// A complete profiled observation of one kernel launch: counters plus the
-/// measured execution time.
+/// measured execution time — the output of `pce_gpu_sim::Profiler`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelObservation {
     /// Operation and traffic counters.
@@ -90,18 +79,6 @@ pub struct KernelObservation {
 }
 
 impl KernelObservation {
-    /// Construct an observation, validating the runtime.
-    ///
-    /// # Panics
-    /// Panics on non-positive or non-finite runtimes.
-    pub fn new(counts: OpCounts, runtime_s: f64) -> Self {
-        assert!(
-            runtime_s.is_finite() && runtime_s > 0.0,
-            "runtime must be positive and finite, got {runtime_s}"
-        );
-        KernelObservation { counts, runtime_s }
-    }
-
     /// Achieved throughput in Gops/s for one class.
     pub fn achieved_gops(&self, class: OpClass) -> f64 {
         self.counts.ops(class) as f64 / self.runtime_s / 1e9
@@ -147,23 +124,12 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_adds_fields() {
-        let c = saxpy_counts();
-        let sum = c.accumulate(&c);
-        assert_eq!(sum.flops_sp, 2 * c.flops_sp);
-        assert_eq!(sum.total_bytes(), 2 * c.total_bytes());
-    }
-
-    #[test]
     fn achieved_metrics_use_runtime() {
-        let obs = KernelObservation::new(saxpy_counts(), 1e-3);
+        let obs = KernelObservation {
+            counts: saxpy_counts(),
+            runtime_s: 1e-3,
+        };
         // 2e6 flops in 1 ms -> 2 GFLOP/s.
         assert!((obs.achieved_gops(OpClass::Sp) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "runtime must be positive")]
-    fn zero_runtime_panics() {
-        let _ = KernelObservation::new(OpCounts::default(), 0.0);
     }
 }

@@ -176,8 +176,8 @@ mod tests {
     use crate::observation::OpCounts;
 
     fn obs(flops_sp: u64, flops_dp: u64, bytes: u64, runtime_s: f64) -> KernelObservation {
-        KernelObservation::new(
-            OpCounts {
+        KernelObservation {
+            counts: OpCounts {
                 flops_sp,
                 flops_dp,
                 intops: 0,
@@ -185,7 +185,7 @@ mod tests {
                 dram_write_bytes: bytes - bytes / 2,
             },
             runtime_s,
-        )
+        }
     }
 
     #[test]

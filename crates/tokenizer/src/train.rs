@@ -32,13 +32,14 @@ use rayon::prelude::*;
 use crate::bpe::Vocab;
 use crate::pretokenizer::pretokenize;
 
+/// Pairs must occur at least this often to be merged.
+const MIN_FREQUENCY: u64 = 2;
+
 /// BPE trainer configuration.
 #[derive(Debug, Clone)]
 pub struct BpeTrainer {
     /// Target vocabulary size (bytes + merges); at least 256.
     pub vocab_size: usize,
-    /// Pairs must occur at least this often to be merged.
-    pub min_frequency: u64,
 }
 
 /// A heap entry: max by frequency, ties broken toward the *smallest*
@@ -67,24 +68,11 @@ impl BpeTrainer {
     /// Trainer targeting `vocab_size` total tokens.
     pub fn new(vocab_size: usize) -> Self {
         assert!(vocab_size >= 256, "vocab must include all 256 byte tokens");
-        BpeTrainer {
-            vocab_size,
-            min_frequency: 2,
-        }
-    }
-
-    /// Set the minimum pair frequency (builder style).
-    pub fn min_frequency(mut self, f: u64) -> Self {
-        self.min_frequency = f.max(1);
-        self
+        BpeTrainer { vocab_size }
     }
 
     /// Learn a vocabulary from an iterator of documents.
     pub fn train<'a>(&self, docs: impl IntoIterator<Item = &'a str>) -> Vocab {
-        // The builder clamps min_frequency to >= 1, but the fields are
-        // public: clamp again so a struct-literal `min_frequency: 0`
-        // cannot admit dead (zero-frequency) pairs as merges.
-        let min_frequency = self.min_frequency.max(1);
         let docs: Vec<&str> = docs.into_iter().collect();
 
         // --- Parallel distinct-chunk counting -----------------------------
@@ -128,7 +116,7 @@ impl BpeTrainer {
         }
         let mut heap: BinaryHeap<Candidate> = pair_freq
             .iter()
-            .filter(|(_, &f)| f >= min_frequency)
+            .filter(|(_, &f)| f >= MIN_FREQUENCY)
             .map(|(&pair, &freq)| Candidate { freq, pair })
             .collect();
 
@@ -138,7 +126,7 @@ impl BpeTrainer {
         while 256 + merges.len() < self.vocab_size {
             // Pop until a live entry surfaces; re-push stale entries with
             // their current frequency. Every pushed entry has
-            // freq >= min_frequency (initial filter + both push guards),
+            // freq >= MIN_FREQUENCY (initial filter + both push guards),
             // so a validated entry is always above threshold.
             let best = loop {
                 match heap.pop() {
@@ -148,7 +136,7 @@ impl BpeTrainer {
                         if live == cand.freq {
                             break Some(cand.pair);
                         }
-                        if live >= min_frequency {
+                        if live >= MIN_FREQUENCY {
                             heap.push(Candidate {
                                 freq: live,
                                 pair: cand.pair,
@@ -198,7 +186,7 @@ impl BpeTrainer {
                 *slot = updated;
                 if updated == 0 {
                     pair_freq.remove(&p);
-                } else if updated >= min_frequency {
+                } else if updated >= MIN_FREQUENCY {
                     heap.push(Candidate {
                         freq: updated,
                         pair: p,
@@ -260,12 +248,11 @@ mod tests {
 
     #[test]
     fn min_frequency_stops_early() {
-        // Every chunk unique: nothing repeats; with min_frequency 2 no
-        // merges can be learned beyond within-chunk repetition.
+        // Every chunk unique: nothing repeats; with a minimum pair
+        // frequency of 2 no merges can be learned beyond within-chunk
+        // repetition.
         let docs = ["abcdefg"];
-        let vocab = BpeTrainer::new(10_000)
-            .min_frequency(2)
-            .train(docs.iter().copied());
+        let vocab = BpeTrainer::new(10_000).train(docs.iter().copied());
         assert_eq!(vocab.size(), 256);
     }
 
@@ -304,31 +291,6 @@ mod tests {
             let naive = naive_train(vocab_size, 2, docs.iter().copied());
             assert_eq!(fast, naive, "diverged at vocab {vocab_size}");
         }
-    }
-
-    #[test]
-    fn public_field_min_frequency_zero_matches_naive() {
-        // The fields are public, so the builder's >= 1 clamp can be
-        // bypassed with a struct literal; train() must clamp again or
-        // dead zero-frequency pairs get re-admitted as phantom merges.
-        let docs = ["ab cd ef"];
-        let fast = BpeTrainer {
-            vocab_size: 300,
-            min_frequency: 0,
-        }
-        .train(docs.iter().copied());
-        let naive = naive_train(300, 0, docs.iter().copied());
-        assert_eq!(fast, naive);
-    }
-
-    #[test]
-    fn matches_naive_with_min_frequency_one() {
-        let docs = ["abcabcabd", "xyz xyz"];
-        let fast = BpeTrainer::new(400)
-            .min_frequency(1)
-            .train(docs.iter().copied());
-        let naive = naive_train(400, 1, docs.iter().copied());
-        assert_eq!(fast, naive);
     }
 
     #[test]

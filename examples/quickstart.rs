@@ -31,7 +31,11 @@ fn main() {
     // 2. Profile it on the simulated RTX 3080 — the paper's ground truth.
     let hw = HardwareSpec::rtx_3080();
     let profile = Profiler::new(hw.clone()).profile(&program.ir, &program.launch);
-    println!("{}", profile.report());
+    println!(
+        "runtime {:.3} us, {:?}",
+        profile.runtime_s * 1e6,
+        profile.counts
+    );
 
     // 3. The three-roofline joint label (§2.1).
     let joint = classify_joint(&hw, &profile.counts);

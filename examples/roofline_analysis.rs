@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --example roofline_analysis`
 
-use parallel_code_estimation::gpu_sim::prelude::*;
+use parallel_code_estimation::gpu_sim::{
+    AccessPattern, Extent, KernelIr, LaunchConfig, Op, Precision, Profiler,
+};
 use parallel_code_estimation::roofline::{classify_joint, HardwareSpec, OpClass};
 
 fn main() {

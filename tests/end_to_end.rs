@@ -5,10 +5,11 @@ use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::experiments::{
     render_prompts, run_classification, run_hyperparam_check, run_rq1, run_rq4,
 };
-use parallel_code_estimation::core::figures::{build_fig1, build_fig2};
+use parallel_code_estimation::core::figures::build_fig1;
 use parallel_code_estimation::core::report;
 use parallel_code_estimation::core::study::{Study, StudyData};
 use parallel_code_estimation::core::table1::{build_table1_from_bank_cached, Rq1Bank};
+use parallel_code_estimation::dataset::fig2_stats;
 use parallel_code_estimation::llm::SurrogateEngine;
 use parallel_code_estimation::prompt::ShotStyle;
 use parallel_code_estimation::roofline::Boundedness;
@@ -109,8 +110,8 @@ fn figures_and_reports_render() {
     let (study, data) = study_and_data();
     let fig1 = build_fig1(&study, &data.corpus);
     assert!(fig1.sp_bb_fraction > 0.5); // BB majority, as in the paper
-    let fig2 = build_fig2(&data.split);
-    assert_eq!(fig2.rows.len(), 8);
+    let fig2 = fig2_stats(&data.split);
+    assert_eq!(fig2.len(), 8);
     assert!(report::render_fig1_summary(&fig1).contains("BB fractions"));
     assert!(report::render_fig2(&fig2).contains("| train |"));
     assert!(report::render_funnel(&data.report).contains("balanced per-cell"));

@@ -83,19 +83,6 @@ proptest! {
     }
 
     #[test]
-    fn efficiency_is_bounded_for_physical_observations(
-        peak in 1.0f64..1e5,
-        bw in 1.0f64..1e4,
-        ai in 1e-3f64..1e4,
-        frac in 0.0f64..1.0,
-    ) {
-        let roof = Roofline::new(peak, bw);
-        let achieved = roof.attainable_gops(ai) * frac;
-        let eff = roof.efficiency(ai, achieved);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&eff));
-    }
-
-    #[test]
     fn op_counts_ai_is_scale_invariant(
         sp in 1u64..1_000_000,
         bytes in 1u64..1_000_000,
@@ -110,17 +97,6 @@ proptest! {
         let ra = a.ai(OpClass::Sp);
         let rb = b.ai(OpClass::Sp);
         prop_assert!((ra - rb).abs() < 1e-9 * ra.max(1.0));
-    }
-
-    #[test]
-    fn accumulate_is_commutative_and_adds_totals(
-        a_sp in 0u64..1u64 << 40, a_rd in 0u64..1u64 << 40,
-        b_sp in 0u64..1u64 << 40, b_rd in 0u64..1u64 << 40,
-    ) {
-        let a = OpCounts { flops_sp: a_sp, dram_read_bytes: a_rd, ..Default::default() };
-        let b = OpCounts { flops_sp: b_sp, dram_read_bytes: b_rd, ..Default::default() };
-        prop_assert_eq!(a.accumulate(&b), b.accumulate(&a));
-        prop_assert_eq!(a.accumulate(&b).total_ops(), a.total_ops() + b.total_ops());
     }
 
     #[test]
@@ -141,18 +117,15 @@ proptest! {
     fn fast_trainer_matches_naive_reference(
         docs in prop::collection::vec("[ -~\n\t]{0,60}", 1..8),
         extra_vocab in 0usize..80,
-        min_freq in 1u64..4,
     ) {
         // The incremental trainer must produce a bit-identical merge
         // table to the naive recount-per-merge reference: same argmax
         // (freq desc, then smallest pair), same merge application, same
-        // stopping rule.
+        // stopping rule at the trainer's fixed minimum pair frequency, 2.
         let refs: Vec<&str> = docs.iter().map(|s| s.as_str()).collect();
         let vocab_size = 256 + extra_vocab;
-        let fast = BpeTrainer::new(vocab_size)
-            .min_frequency(min_freq)
-            .train(refs.iter().copied());
-        let naive = reference::naive_train(vocab_size, min_freq, refs.iter().copied());
+        let fast = BpeTrainer::new(vocab_size).train(refs.iter().copied());
+        let naive = reference::naive_train(vocab_size, 2, refs.iter().copied());
         prop_assert_eq!(fast, naive);
     }
 
