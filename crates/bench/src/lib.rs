@@ -321,8 +321,8 @@ mod tests {
     fn parse_specs_error_lists_known_presets() {
         let err = parse_specs("a100,notreal").unwrap_err();
         assert!(err.contains("unknown hardware spec 'notreal'"), "{err}");
-        for name in HardwareSpec::preset_names() {
-            assert!(err.contains(&name), "error must list {name}");
+        for hw in HardwareSpec::presets() {
+            assert!(err.contains(&hw.name), "error must list {}", hw.name);
         }
         // Grouped by class, and ambiguity is an error too.
         assert!(err.contains("GPU presets:") && err.contains("CPU presets:"));

@@ -101,8 +101,8 @@ pub fn render_suite(outcome: &SuiteOutcome) -> String {
     out.push_str("|---|---|---|---|---|\n");
     let mut seen = std::collections::BTreeSet::new();
     for c in &outcome.cells {
-        let (gpu, cpu) = c.specs();
-        for hw in [gpu, cpu] {
+        let pair = c.pair();
+        for hw in [&pair.gpu, &pair.cpu] {
             if seen.insert(hw.name.clone()) {
                 let _ = writeln!(
                     out,
@@ -135,8 +135,8 @@ pub fn render_suite(outcome: &SuiteOutcome) -> String {
         let _ = writeln!(
             out,
             "| {} | {} | {} | {} | {:.2} | ${:.2} |",
-            s.spec.name,
-            s.cpu_spec.name,
+            s.pair.gpu.name,
+            s.pair.cpu.name,
             s.funnel.final_size,
             best.model,
             best.rq2.accuracy,
@@ -221,8 +221,8 @@ pub fn render_suite_csv(outcome: &SuiteOutcome) -> String {
             let _ = writeln!(
                 out,
                 "{},{},{},{},{},{},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2}",
-                s.spec.name,
-                s.cpu_spec.name,
+                s.pair.gpu.name,
+                s.pair.cpu.name,
                 r.model,
                 r.reasoning,
                 csv_opt(r.rq1_acc),
@@ -256,8 +256,8 @@ pub fn render_accounting_csv(outcome: &SuiteOutcome) -> String {
             let _ = writeln!(
                 out,
                 "{},{},{},{}",
-                s.spec.name,
-                s.cpu_spec.name,
+                s.pair.gpu.name,
+                s.pair.cpu.name,
                 r.model,
                 r.accounting.csv_row(),
             );

@@ -108,10 +108,9 @@ impl Suite {
 /// Everything the suite produces for one (GPU, CPU) matrix cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecOutcome {
-    /// The GPU spec this cell ran on (labels the CUDA half).
-    pub spec: HardwareSpec,
-    /// The CPU spec this cell ran on (labels the OMP half).
-    pub cpu_spec: HardwareSpec,
+    /// The spec pair this cell ran on: the GPU spec labels the CUDA half,
+    /// the CPU spec the OMP half.
+    pub pair: SpecPair,
     /// The cell's Table 1 (all models × RQ1/RQ2/RQ3).
     pub table: Table1,
     /// The cell's dataset funnel (labels, pruning, balancing).
@@ -124,18 +123,10 @@ pub struct SpecOutcome {
 }
 
 impl SpecOutcome {
-    /// The cell's spec pair (rebuilt from the two stored specs).
-    pub fn pair(&self) -> SpecPair {
-        SpecPair {
-            gpu: self.spec.clone(),
-            cpu: self.cpu_spec.clone(),
-        }
-    }
-
     /// `"<gpu name> + <cpu name>"`, for report headings (delegates to
     /// [`SpecPair::label`] so the format lives in one place).
     pub fn pair_label(&self) -> String {
-        self.pair().label()
+        self.pair.label()
     }
 }
 
@@ -224,10 +215,8 @@ pub enum CellOutcome {
     /// or every response exhausted its retries. The error explains why;
     /// the rest of the matrix renders around it.
     Failed {
-        /// The GPU spec of the failed cell.
-        spec: HardwareSpec,
-        /// The CPU spec of the failed cell.
-        cpu_spec: HardwareSpec,
+        /// The spec pair of the failed cell.
+        pair: SpecPair,
         /// What went wrong.
         error: PceError,
     },
@@ -252,22 +241,10 @@ impl CellOutcome {
 
     /// The cell's (GPU, CPU) spec pair — available whether or not the
     /// cell completed, so catalogs can cover the whole matrix.
-    pub fn specs(&self) -> (&HardwareSpec, &HardwareSpec) {
+    pub fn pair(&self) -> &SpecPair {
         match self {
-            CellOutcome::Completed(out) => (&out.spec, &out.cpu_spec),
-            CellOutcome::Failed { spec, cpu_spec, .. } => (spec, cpu_spec),
-        }
-    }
-
-    /// `"<gpu name> + <cpu name>"`, matching [`SpecOutcome::pair_label`].
-    pub fn pair_label(&self) -> String {
-        match self {
-            CellOutcome::Completed(out) => out.pair_label(),
-            CellOutcome::Failed { spec, cpu_spec, .. } => SpecPair {
-                gpu: spec.clone(),
-                cpu: cpu_spec.clone(),
-            }
-            .label(),
+            CellOutcome::Completed(out) => &out.pair,
+            CellOutcome::Failed { pair, .. } => pair,
         }
     }
 }
@@ -297,7 +274,7 @@ impl SuiteOutcome {
     pub fn failures(&self) -> Vec<(String, &PceError)> {
         self.cells
             .iter()
-            .filter_map(|c| c.error().map(|e| (c.pair_label(), e)))
+            .filter_map(|c| c.error().map(|e| (c.pair().label(), e)))
             .collect()
     }
 
@@ -318,11 +295,12 @@ impl SuiteOutcome {
 /// cell and the flip analysis.
 ///
 /// Fails with [`PceError::Spec`] when an axis is empty, or when corpus
-/// generation fails; any *per-cell* problem (a misclassed spec, chaos
-/// exhausting every retry) degrades that cell to [`CellOutcome::Failed`]
-/// instead. Reusing one bundle across runs also reuses per-(kernel, spec)
-/// profiles and analyses; pass a fresh [`SuiteCaches::new`] for a cold
-/// run. Warm and cold bundles produce byte-identical outcomes.
+/// generation fails; any *per-cell* problem (a pair that fails
+/// [`SpecPair::validate`], chaos exhausting every retry) degrades that
+/// cell to [`CellOutcome::Failed`] instead. Reusing one bundle across
+/// runs also reuses per-(kernel, spec) profiles and analyses; pass a
+/// fresh [`SuiteCaches::new`] for a cold run. Warm and cold bundles
+/// produce byte-identical outcomes.
 pub fn run_suite_cached(suite: &Suite, caches: &SuiteCaches) -> Result<SuiteOutcome, PceError> {
     validate_axes(suite)?;
     let corpus = build_corpus(&suite.base.corpus)?;
@@ -345,24 +323,6 @@ fn validate_axes(suite: &Suite) -> Result<(), PceError> {
     Ok(())
 }
 
-/// Per-cell spec validation: each half of the pair must sit on the right
-/// machine-class axis.
-fn validate_pair(pair: &SpecPair) -> Result<(), PceError> {
-    if pair.gpu.class != SpecClass::Gpu {
-        return Err(PceError::spec(format!(
-            "'{}' on the GPU axis is a {}",
-            pair.gpu.name, pair.gpu.class
-        )));
-    }
-    if pair.cpu.class != SpecClass::Cpu {
-        return Err(PceError::spec(format!(
-            "'{}' on the CPU axis is a {}",
-            pair.cpu.name, pair.cpu.class
-        )));
-    }
-    Ok(())
-}
-
 /// Evaluate every matrix cell (parallel) against the shared corpus,
 /// tokenization and RQ1 bank, degrading per-cell failures to
 /// [`CellOutcome::Failed`].
@@ -377,11 +337,13 @@ fn run_specs(
         .cells()
         .par_iter()
         .map(|pair| {
-            if let Err(error) = validate_pair(pair) {
+            // The rule the pipeline checks before it profiles anything, so
+            // a cell that passes it can never fail inside the pipeline.
+            let problems = pair.validate();
+            if !problems.is_empty() {
                 return CellOutcome::Failed {
-                    spec: pair.gpu.clone(),
-                    cpu_spec: pair.cpu.clone(),
-                    error,
+                    pair: pair.clone(),
+                    error: PceError::spec(problems.join("; ")),
                 };
             }
             let study = suite.base.with_specs(pair.clone());
@@ -400,8 +362,7 @@ fn run_specs(
             let acc = detail.table.accounting();
             if acc.total() > 0 && acc.valid + acc.retried_valid == 0 {
                 return CellOutcome::Failed {
-                    spec: pair.gpu.clone(),
-                    cpu_spec: pair.cpu.clone(),
+                    pair: pair.clone(),
                     error: PceError::io(format!(
                         "all {} responses were invalid or refused after retries",
                         acc.total()
@@ -409,8 +370,7 @@ fn run_specs(
                 };
             }
             CellOutcome::Completed(SpecOutcome {
-                spec: pair.gpu.clone(),
-                cpu_spec: pair.cpu.clone(),
+                pair: pair.clone(),
                 dataset_ids: dataset.samples.iter().map(|s| s.id.clone()).collect(),
                 zero_shot_correct: detail.zero_shot_correct,
                 table: detail.table,
@@ -610,8 +570,7 @@ mod tests {
         assert!(outcome.failures().is_empty());
         let cells = suite.cells();
         for (pair, out) in cells.iter().zip(outcome.completed()) {
-            assert_eq!(out.spec.name, pair.gpu.name);
-            assert_eq!(out.cpu_spec.name, pair.cpu.name);
+            assert_eq!(&out.pair, pair);
             assert_eq!(out.table.rows.len(), 9);
             assert!(out.table.total_cost > 0.0);
             assert_eq!(out.dataset_ids.len(), out.funnel.final_size);
@@ -731,23 +690,27 @@ mod tests {
             suite.cells().len(),
             suite.specs.len() * suite.cpu_specs.len()
         );
-        assert!(suite.cells().iter().all(|pair| validate_pair(pair).is_ok()));
+        assert!(suite.cells().iter().all(|pair| pair.validate().is_empty()));
     }
 
     #[test]
     fn misclassed_pairs_are_rejected_by_axis() {
-        let cpu_on_gpu_axis = SpecPair {
-            gpu: HardwareSpec::epyc_9654(),
-            cpu: HardwareSpec::epyc_9654(),
-        };
-        let err = validate_pair(&cpu_on_gpu_axis).unwrap_err();
-        assert!(err.to_string().contains("on the GPU axis"), "{err}");
-        let gpu_on_cpu_axis = SpecPair {
-            gpu: HardwareSpec::rtx_3080(),
-            cpu: HardwareSpec::rtx_4090(),
-        };
-        let err = validate_pair(&gpu_on_cpu_axis).unwrap_err();
-        assert!(err.to_string().contains("on the CPU axis"), "{err}");
+        // A CPU spec on the GPU axis and a GPU spec on the CPU axis: the
+        // one cell fails, and its error names both misplaced halves.
+        let mut suite = Suite::smoke_with_matrix(
+            vec![HardwareSpec::epyc_9654()],
+            vec![HardwareSpec::rtx_4090()],
+        );
+        shrink(&mut suite);
+        let outcome = run_cold(&suite).unwrap();
+        let failures = outcome.failures();
+        assert_eq!(failures.len(), 1);
+        let (label, error) = &failures[0];
+        assert_eq!(label, "AMD EPYC 9654 + NVIDIA GeForce RTX 4090");
+        assert_eq!(error.kind(), "spec");
+        let msg = error.to_string();
+        assert!(msg.contains("gpu slot holds a CPU spec"), "{msg}");
+        assert!(msg.contains("cpu slot holds a GPU spec"), "{msg}");
     }
 
     #[test]
@@ -765,13 +728,43 @@ mod tests {
         for (label, error) in &failures {
             assert!(label.contains("+ NVIDIA GeForce RTX 3080"), "{label}");
             assert_eq!(error.kind(), "spec");
-            assert!(error.to_string().contains("on the CPU axis"), "{error}");
+            assert!(
+                error.to_string().contains("cpu slot holds a GPU spec"),
+                "{error}"
+            );
         }
         // The OMP section keeps only the axis entry with completed cells.
         let omp = outcome.flips.language(Language::Omp).unwrap();
         assert_eq!(omp.spec_names.len(), 1);
         let cuda = outcome.flips.language(Language::Cuda).unwrap();
         assert_eq!(cuda.spec_names.len(), 2);
+    }
+
+    #[test]
+    fn invalid_specs_degrade_their_cells() {
+        // A correctly classed spec that fails `HardwareSpec::validate`
+        // fails its own cells with a Spec error naming the problem; the
+        // pipeline is never asked to profile against it.
+        let mut broken = HardwareSpec::a100();
+        broken.bandwidth_gbs = 0.0;
+        let mut suite = tiny_suite();
+        suite.specs = vec![HardwareSpec::rtx_3080(), broken];
+        let outcome = run_cold(&suite).unwrap();
+        assert_eq!(outcome.cells.len(), 2);
+        assert_eq!(outcome.completed().len(), 1);
+        assert_eq!(
+            outcome.completed()[0].pair.gpu.name,
+            "NVIDIA GeForce RTX 3080"
+        );
+        let failures = outcome.failures();
+        assert_eq!(failures.len(), 1);
+        let (label, error) = &failures[0];
+        assert!(label.starts_with("NVIDIA A100"), "{label}");
+        assert_eq!(error.kind(), "spec");
+        assert!(
+            error.to_string().contains("bandwidth must be positive"),
+            "{error}"
+        );
     }
 
     #[test]

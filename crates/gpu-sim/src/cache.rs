@@ -169,15 +169,8 @@ impl ProfileCache {
         hw: &HardwareSpec,
         compute: impl FnOnce() -> KernelObservation,
     ) -> Arc<KernelObservation> {
-        // The constant 1 is not part of the key, but it stays in the
-        // fingerprint: the fingerprint picks each entry's shard, and so
-        // which entries a bounded table evicts. Dropping it would move the
-        // evictions that `TIGHT_SERIAL_REPORT` in `tests/cache_golden.rs`
-        // pins.
-        let mut h = Fnv::resume(profile_fingerprint(ir, launch, &hw.name));
-        h.u64(1);
         self.memo.get_or_insert_with(
-            h.finish(),
+            profile_fingerprint(ir, launch, &hw.name),
             |k| k.ir == *ir && k.launch == *launch && k.hw == *hw,
             || ProfileKey {
                 ir: ir.clone(),

@@ -2,16 +2,16 @@
 //!
 //! A cross-hardware suite asks the engine the same pure questions over and
 //! over: with 7 hardware specs × 9 models × 2 shot styles, a single corpus
-//! source is statically analyzed up to ~126 times even though only a
-//! handful of distinct [`AnalyzeOptions`] ever reach the estimator, and
-//! each rendered prompt is re-parsed once per model despite being
-//! byte-identical across the zoo.
+//! source is statically analyzed up to ~126 times even though at most two
+//! parameter bindings of it ever reach the estimator (the deep readers'
+//! bound CLI arguments, and none), and each rendered prompt is re-parsed
+//! once per model despite being byte-identical across the zoo.
 //!
 //! [`LlmCaches`] collapses that redundancy with three caches:
 //!
-//! * an **analysis cache** keyed by (source hash, analyze options) in
-//!   front of `pce_static_analysis::analyze` — the 762-line estimator runs
-//!   once per distinct question,
+//! * an **analysis cache** keyed by (source, bound parameters) in front
+//!   of `pce_static_analysis::analyze` — the estimator runs once per
+//!   distinct question,
 //! * a **classify parse cache** keyed by prompt hash in front of
 //!   [`parse_classify`], which also precomputes the CLI-argument binding
 //!   deep readers feed the estimator and whether the examples are real
@@ -39,7 +39,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pce_memo::{Budget, Fnv, Memo};
-use pce_static_analysis::{analyze, AnalyzeOptions, SourceAnalysis, DEFAULT_TRIP};
+use pce_static_analysis::{analyze, AnalyzeOptions, SourceAnalysis};
 
 use crate::parse::{
     bind_args_to_params, has_cot_examples, has_real_examples, parse_classify, parse_rq1,
@@ -66,7 +66,6 @@ pub fn prompt_fingerprint(prompt: &str) -> u64 {
 struct AnalysisKey {
     source: String,
     params: BTreeMap<String, u64>,
-    loop_aware: bool,
 }
 
 /// A classify prompt parsed once: the recovered question plus the
@@ -136,37 +135,24 @@ impl LlmCaches {
         }
     }
 
-    /// Run (or recall) the static analyzer for `source` under the given
-    /// options, computed at most once per distinct (source, options) key.
-    pub fn analysis(
-        &self,
-        source: &str,
-        params: &BTreeMap<String, u64>,
-        loop_aware: bool,
-    ) -> Arc<SourceAnalysis> {
+    /// Run (or recall) the static analyzer for `source` with `params`
+    /// bound, computed at most once per distinct (source, params) key.
+    pub fn analysis(&self, source: &str, params: &BTreeMap<String, u64>) -> Arc<SourceAnalysis> {
         let mut h = Fnv::new();
         h.str(source);
         h.map_u64(params);
-        // The trip count is a constant, not part of the key, but it stays
-        // in the fingerprint: the fingerprint picks each entry's shard, and
-        // so which entries a bounded table evicts. Dropping it would move
-        // the analysis counters that `tests/cache_golden.rs` pins.
-        h.f64(DEFAULT_TRIP);
-        h.u64(loop_aware as u64);
         self.inner.analyses.get_or_insert_with(
             h.finish(),
-            |k| k.loop_aware == loop_aware && k.params == *params && k.source == source,
+            |k| k.params == *params && k.source == source,
             || AnalysisKey {
                 source: source.to_string(),
                 params: params.clone(),
-                loop_aware,
             },
             || {
                 analyze(
                     source,
                     &AnalyzeOptions {
                         params: params.clone(),
-                        loop_aware,
                     },
                 )
             },
@@ -247,31 +233,32 @@ mod tests {
     fn analysis_cache_matches_direct_analyze() {
         let caches = LlmCaches::new();
         let params = BTreeMap::from([("n".to_string(), 4096u64)]);
-        let a = caches.analysis(SRC, &params, true);
+        let a = caches.analysis(SRC, &params);
         let direct = analyze(
             SRC,
             &AnalyzeOptions {
                 params: params.clone(),
-                loop_aware: true,
             },
         );
         assert_eq!(*a, direct);
-        let b = caches.analysis(SRC, &params, true);
+        let b = caches.analysis(SRC, &params);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(caches.analysis_counters().hits, 1);
         assert_eq!(caches.analysis_counters().misses, 1);
     }
 
     #[test]
-    fn analysis_cache_distinguishes_options() {
+    fn analysis_cache_distinguishes_params() {
         let caches = LlmCaches::new();
-        let deep = caches.analysis(SRC, &BTreeMap::new(), true);
-        let shallow = caches.analysis(SRC, &BTreeMap::new(), false);
-        assert!(!Arc::ptr_eq(&deep, &shallow));
+        let none = BTreeMap::new();
+        let n = BTreeMap::from([("n".to_string(), 4096u64)]);
+        let unbound = caches.analysis(SRC, &none);
+        let bound = caches.analysis(SRC, &n);
+        assert!(!Arc::ptr_eq(&unbound, &bound));
         assert_eq!(caches.analysis_counters().misses, 2);
-        // Same options again: both hit.
-        caches.analysis(SRC, &BTreeMap::new(), true);
-        caches.analysis(SRC, &BTreeMap::new(), false);
+        // Same params again: both hit.
+        assert!(Arc::ptr_eq(&unbound, &caches.analysis(SRC, &none)));
+        assert!(Arc::ptr_eq(&bound, &caches.analysis(SRC, &n)));
         assert_eq!(caches.analysis_counters().hits, 2);
     }
 
@@ -383,7 +370,7 @@ mod tests {
                 let caches = caches.clone();
                 s.spawn(move || {
                     for _ in 0..25 {
-                        let _ = caches.analysis(SRC, &BTreeMap::new(), true);
+                        let _ = caches.analysis(SRC, &BTreeMap::new());
                     }
                 });
             }

@@ -333,14 +333,15 @@ impl SurrogateEngine {
         }
 
         // Deep readers (reasoning models, and frontier-scale standard
-        // models) bind CLI args to source variables and weight loops;
-        // shallow models skim the whole file flat. The binding is
-        // precomputed by the parse cache; the analysis itself is memoized
-        // per (source, options) across every model and hardware spec.
+        // models) bind CLI args to source variables and read the named
+        // kernel's loop-weighted tally; shallow models skim the whole
+        // file flat. The binding is precomputed by the parse cache; the
+        // analysis itself is memoized per (source, params) across every
+        // model and hardware spec.
         let empty = BTreeMap::new();
         let deep = spec.reasoning || spec.caps.insight >= 0.6;
         let params = if deep { &parsed.deep_params } else { &empty };
-        let analysis = self.caches.analysis(&q.source, params, deep);
+        let analysis = self.caches.analysis(&q.source, params);
 
         let (tally, trip_weight) = if deep {
             match analysis.kernel(&q.kernel_name) {
@@ -540,10 +541,10 @@ __global__ void reduce(float* out, const float* in) {
 }
 "#;
         let engine = SurrogateEngine::new();
-        let a = engine.caches.analysis(racy, &BTreeMap::new(), true);
+        let a = engine.caches.analysis(racy, &BTreeMap::new());
         assert!(a.error_count() > 0, "race must surface as an error");
         // Recall hits the cache and sees the same diagnostics.
-        let b = engine.caches.analysis(racy, &BTreeMap::new(), true);
+        let b = engine.caches.analysis(racy, &BTreeMap::new());
         assert_eq!(a.diagnostics, b.diagnostics);
     }
 

@@ -411,11 +411,6 @@ impl HardwareSpec {
         }
     }
 
-    /// The marketing names of all built-in presets, in preset order.
-    pub fn preset_names() -> Vec<String> {
-        Self::presets().into_iter().map(|hw| hw.name).collect()
-    }
-
     /// The full catalog, grouped by [`SpecClass`] — the listing appended
     /// to every [`PresetLookupError`].
     pub fn catalog_listing() -> String {
@@ -613,7 +608,10 @@ mod tests {
 
     #[test]
     fn catalog_has_ten_presets_split_by_class() {
-        let names = HardwareSpec::preset_names();
+        let names: Vec<String> = HardwareSpec::presets()
+            .into_iter()
+            .map(|hw| hw.name)
+            .collect();
         assert_eq!(names.len(), 10);
         assert_eq!(HardwareSpec::gpu_presets().len(), 7);
         assert_eq!(HardwareSpec::cpu_presets().len(), 3);
@@ -731,8 +729,12 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(msg.contains("GPU presets:") && msg.contains("CPU presets:"));
-        for name in HardwareSpec::preset_names() {
-            assert!(msg.contains(&name), "catalog listing missing {name}");
+        for hw in HardwareSpec::presets() {
+            assert!(
+                msg.contains(&hw.name),
+                "catalog listing missing {}",
+                hw.name
+            );
         }
     }
 

@@ -41,12 +41,6 @@ impl OpCounts {
         }
     }
 
-    /// Total operations across all classes.
-    #[inline]
-    pub fn total_ops(&self) -> u64 {
-        self.flops_sp + self.flops_dp + self.intops
-    }
-
     /// Arithmetic intensity (ops/byte) for one class.
     ///
     /// A kernel whose working set is entirely cache-resident can produce

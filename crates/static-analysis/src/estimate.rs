@@ -8,6 +8,11 @@
 //! and count *requested* memory traffic from subscript expressions. It has
 //! no cache model and no coalescing model — matching the information
 //! actually present in the prompt.
+//!
+//! [`analyze`] has one mode and gives two views of a file: each kernel's
+//! loop-weighted tally, and [`SourceAnalysis::file_tally`], the whole
+//! token stream counted once with no loop weights, for readers that skim
+//! instead of tracing loops.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -80,16 +85,12 @@ impl OpTally {
 pub struct KernelAnalysis {
     /// Kernel name.
     pub name: String,
-    /// True for OpenMP target regions.
-    pub is_omp: bool,
     /// Per-thread (CUDA) or per-iteration (OMP) tally.
     pub tally: OpTally,
-    /// Deepest loop nesting observed.
-    pub max_loop_depth: u32,
     /// Product of every resolved trip count above 1, over all loops of
     /// the kernel, sibling loops included: sibling loops of 4 and 8 give
-    /// 32 at a `max_loop_depth` of 1. An iteration-weight indicator the
-    /// surrogate models use as a compute-heaviness signal.
+    /// 32, as a nest of 4 around 8 does. An iteration-weight indicator
+    /// the surrogate models use as a compute-heaviness signal.
     pub trip_weight: f64,
 }
 
@@ -98,7 +99,9 @@ pub struct KernelAnalysis {
 pub struct SourceAnalysis {
     /// Per-kernel analyses, in source order.
     pub kernels: Vec<KernelAnalysis>,
-    /// Flat whole-file tally (used by shallow/non-reasoning analysis).
+    /// Flat whole-file tally: every token of the file, host code
+    /// included, counted once with no loop weights (what shallow,
+    /// non-reasoning readers skim).
     pub file_tally: OpTally,
     /// Hazard diagnostics from the lint rules ([`crate::diagnostics`]),
     /// sorted by span then rule. Empty for clean source.
@@ -127,23 +130,11 @@ impl SourceAnalysis {
 pub const DEFAULT_TRIP: f64 = 64.0;
 
 /// Options controlling the analysis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
     /// Known launch parameters (problem sizes from CLI args) used to
     /// resolve identifier loop bounds.
     pub params: BTreeMap<String, u64>,
-    /// When false, loop weighting is disabled (every statement counts
-    /// once) — the "shallow reader" mode of non-reasoning surrogates.
-    pub loop_aware: bool,
-}
-
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            params: BTreeMap::new(),
-            loop_aware: true,
-        }
-    }
 }
 
 /// Analyze a source file.
@@ -181,7 +172,6 @@ fn analyze_kernel(
     collect_symbols_into(tokens, region.body.0, region.body.1, &mut symbols);
 
     let mut tally = OpTally::default();
-    let mut max_depth = 0u32;
     let mut trip_weight = 1.0f64;
     walk(
         tokens,
@@ -189,18 +179,14 @@ fn analyze_kernel(
         &symbols,
         opts,
         1.0,
-        0,
         region.is_omp,
         &mut tally,
-        &mut max_depth,
         &mut trip_weight,
     );
 
     KernelAnalysis {
         name: region.name.clone(),
-        is_omp: region.is_omp,
         tally,
-        max_loop_depth: max_depth,
         trip_weight,
     }
 }
@@ -210,7 +196,7 @@ fn analyze_kernel(
 /// which is the parallel dimension and counts once per "thread").
 #[expect(
     clippy::too_many_arguments,
-    reason = "the walk threads its read-only context and three accumulators \
+    reason = "the walk threads its read-only context and two accumulators \
               through every level of recursion"
 )]
 fn walk(
@@ -219,13 +205,10 @@ fn walk(
     symbols: &BTreeMap<&str, NumType>,
     opts: &AnalyzeOptions,
     weight: f64,
-    depth: u32,
     omp_outer: bool,
     tally: &mut OpTally,
-    max_depth: &mut u32,
     trip_weight: &mut f64,
 ) {
-    *max_depth = (*max_depth).max(depth);
     let loops = find_loops(tokens, range);
     let mut cursor = range.0;
     for lp in &loops {
@@ -235,8 +218,8 @@ fn walk(
         tally.add_scaled(&flat, weight);
 
         // The parallel dimension of an OMP outer loop contributes one
-        // iteration per thread; loop-unaware analysis flattens every loop.
-        let trip = if (omp_outer && depth == 0) || !opts.loop_aware {
+        // iteration per thread.
+        let trip = if omp_outer {
             1.0
         } else {
             resolve_trip(lp.bound, opts)
@@ -252,10 +235,8 @@ fn walk(
             symbols,
             opts,
             weight * trip,
-            depth + 1,
             false,
             tally,
-            max_depth,
             trip_weight,
         );
         cursor = lp.body.1;
@@ -633,7 +614,6 @@ __global__ void iterate(float* out) {
             "sp={}",
             k.tally.flops_sp
         );
-        assert_eq!(k.max_loop_depth, 1);
         assert!((k.trip_weight - 100.0).abs() < 1e-9);
     }
 
@@ -653,21 +633,6 @@ __global__ void iters(float* out, int steps) {
         // Unresolved: falls back to DEFAULT_TRIP.
         let fallback = analyze_default(src);
         assert!((fallback.kernels[0].tally.flops_sp - DEFAULT_TRIP).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shallow_mode_ignores_loops() {
-        let src = r#"
-__global__ void heavy(float* out) {
-    for (int i = 0; i < 100000; i++) { out[0] += 1.0f; }
-}
-"#;
-        let opts = AnalyzeOptions {
-            loop_aware: false,
-            ..Default::default()
-        };
-        let a = analyze(src, &opts);
-        assert!(a.kernels[0].tally.flops_sp <= 2.0);
     }
 
     #[test]
@@ -694,7 +659,7 @@ for (int i = 0; i < n; i++) {
         opts.params.insert("n".into(), 1_000_000);
         let a = analyze(src, &opts);
         let k = &a.kernels[0];
-        assert!(k.is_omp);
+        assert!(k.name.starts_with("target_region_"), "{}", k.name);
         // Per-iteration, not ×1M: 2 unknown-type flops -> counted somewhere,
         // bytes from two reads + one write of unknown arrays (4B default).
         assert!(k.tally.total_bytes() <= 16.0);
@@ -721,7 +686,6 @@ __global__ void mm(const float* a, const float* b, float* c) {
             "sp={}",
             k.tally.flops_sp
         );
-        assert_eq!(k.max_loop_depth, 2);
         assert!((k.trip_weight - 128.0).abs() < 1e-9);
     }
 

@@ -29,11 +29,6 @@ pub struct Vocab {
 }
 
 impl Vocab {
-    /// An empty vocabulary (byte-level only).
-    pub fn byte_level() -> Self {
-        Vocab { merges: Vec::new() }
-    }
-
     /// Total vocabulary size (256 bytes + merges).
     pub fn size(&self) -> usize {
         256 + self.merges.len()
@@ -303,7 +298,7 @@ mod tests {
 
     #[test]
     fn byte_level_encodes_one_token_per_byte() {
-        let tok = Tokenizer::new(Vocab::byte_level());
+        let tok = Tokenizer::new(Vocab { merges: Vec::new() });
         let ids = tok.encode("abc");
         assert_eq!(ids, vec![97, 98, 99]);
     }
@@ -332,7 +327,7 @@ mod tests {
         let tok = trained();
         let text = "float* a, float* b, float* c";
         let trained_count = tok.count(text);
-        let byte_count = Tokenizer::new(Vocab::byte_level()).count(text);
+        let byte_count = Tokenizer::new(Vocab { merges: Vec::new() }).count(text);
         assert!(
             trained_count < byte_count / 2,
             "trained {trained_count} vs bytes {byte_count}"

@@ -40,10 +40,10 @@ fn main() {
             .fold(f64::MIN, f64::max);
         println!(
             "{:<28} {:<28} {:>9.2} {:>9.2} {:>8} {:>9.2}%",
-            s.spec.name,
-            s.cpu_spec.name,
-            s.spec.ridge_point(OpClass::Sp),
-            s.cpu_spec.ridge_point(OpClass::Sp),
+            s.pair.gpu.name,
+            s.pair.cpu.name,
+            s.pair.gpu.ridge_point(OpClass::Sp),
+            s.pair.cpu.ridge_point(OpClass::Sp),
             s.funnel.final_size,
             best,
         );

@@ -22,17 +22,17 @@ use parallel_code_estimation::roofline::HardwareSpec;
 
 /// Every counter of the 1-thread run of [`tiny_suite`] on a
 /// `CacheBudget::uniform(96 * 1024)` bundle. At one thread the vendored
-/// rayon runs in index order, so the eviction sequence is fixed. The
-/// `analysis`, `classify_parse`, `rq1_parse` and `prompt_renders` rows
-/// were pinned before the three per-crate budget types became one. The
-/// `summary` and `profile` rows also depend on what a profile-memo entry
-/// is charged, its key plus its `KernelObservation`: a smaller charge
-/// evicts fewer profiles, so fewer launches are re-profiled and fewer
-/// summaries looked up again.
+/// rayon runs in index order, so the eviction sequence is fixed. A row
+/// moves with what its memo keys on and charges: the fingerprint picks
+/// each entry's shard, and so which entries a bounded table evicts.
+/// The `analysis` row is keyed by exactly (source, params), so a shallow
+/// reader shares the entry of a deep reader that binds no CLI arguments.
+/// The profile memo keys on `profile_fingerprint` alone; each of its
+/// misses looks a summary up, so the `summary` row follows its evictions.
 const TIGHT_SERIAL_REPORT: CacheReport = CacheReport {
-    summary: counters(81, 368, 275, 87_163),
-    profile: counters(37, 449, 349, 92_053),
-    analysis: counters(595, 1_303, 1_272, 46_549),
+    summary: counters(79, 376, 283, 87_044),
+    profile: counters(31, 455, 355, 90_234),
+    analysis: counters(655, 1_243, 1_221, 33_805),
     classify_parse: counters(0, 2_160, 2_149, 62_180),
     rq1_parse: counters(0, 1_344, 1_340, 9_552),
     prompt_renders: 240,

@@ -135,7 +135,12 @@ fn omp_programs_analyze_to_target_regions() {
             "{}: no target region recovered",
             p.id
         );
-        assert!(analysis.kernels[0].is_omp, "{}", p.id);
+        assert!(
+            analysis.kernels[0].name.starts_with("target_region_"),
+            "{}: {}",
+            p.id,
+            analysis.kernels[0].name
+        );
     }
 }
 
@@ -153,13 +158,7 @@ fn simulator_and_analyzer_agree_on_flop_precision_class() {
         for (k, v) in &p.launch.params {
             params.insert(k.clone(), *v);
         }
-        let analysis = analyze(
-            &p.source,
-            &AnalyzeOptions {
-                params,
-                ..Default::default()
-            },
-        );
+        let analysis = analyze(&p.source, &AnalyzeOptions { params });
         let kernel = analysis
             .kernels
             .iter()

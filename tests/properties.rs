@@ -396,7 +396,6 @@ fn every_preset_ridge_point_is_finite_and_class_consistent() {
 #[test]
 fn preset_by_name_round_trips_every_catalog_name() {
     let presets = HardwareSpec::presets();
-    assert_eq!(HardwareSpec::preset_names().len(), presets.len());
     for hw in &presets {
         let by_full = HardwareSpec::preset_by_name(&hw.name)
             .unwrap_or_else(|e| panic!("'{}' did not resolve: {e}", hw.name));
